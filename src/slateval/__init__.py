@@ -32,7 +32,13 @@ from .estimators import (
     fit_dm,
 )
 from .letor import GeneratorConfig, RankingDataset, generate_synthetic, parse_letor, write_letor
-from .logs import LoggedExample, read_logged_dataset, write_logged_dataset
+from .logs import (
+    LoggedBatch,
+    LoggedExample,
+    SemibanditExample,
+    read_logged_dataset,
+    write_logged_dataset,
+)
 from .moments import (
     MomentMatrix,
     PinvSource,
@@ -65,7 +71,6 @@ from .policies import (
 from .simulation import (
     BanditInstance,
     ExperimentConfig,
-    SemibanditExample,
     build_instance,
     draw_logs,
     estimate_sb,

@@ -185,12 +185,14 @@ def check_translation(
     """
     space = logging.space_of(context)
     if space.num_slates() <= logging.enumeration_cap:
-        for slate, _ in logging.support(context):
-            if reference.slate_prob(context, slate) <= 0.0:
-                raise AbsoluteContinuityError(
-                    f"logging slate {slate} at context {context!r} is outside the "
-                    f"reference policy's support"
-                )
+        actions = logging.moment_arrays(context).actions
+        outside = reference.slate_prob_batch(context, actions) <= 0.0
+        if outside.any():
+            slate = tuple(actions[np.argmax(outside)].tolist())
+            raise AbsoluteContinuityError(
+                f"logging slate {slate} at context {context!r} is outside the "
+                f"reference policy's support"
+            )
     kappa = kappa_of(logging, context, reference=reference)
     lhs = kappa * compute_rho_bar(logging, context, pinv_source=pinv_source)
     rhs = compute_rho_bar(reference, context, pinv_source=pinv_source)

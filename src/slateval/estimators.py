@@ -12,6 +12,9 @@ to the plain reward average when the target equals the logging policy.
 Standard baselines (IPS, weighted IPS, a ridge direct-method model, and
 an on-policy rollout) share the same report type.
 
+Logged data is taken as a ``LoggedBatch`` (plain sequences of examples are
+converted once), and the per-example work runs vectorized per context:
+slates are validated, scored and gathered one context group at a time.
 Per-example terms are summed with a fixed pairwise (tree) reduction so
 results do not depend on how work was split across threads.
 """
@@ -19,7 +22,7 @@ results do not depend on how work was split across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .errors import (
     SlateError,
     UndefinedEstimateError,
 )
-from .logs import LoggedExample
+from .logs import LoggedBatch, LoggedExample
 from .moments import PinvSource
 from .policies import DeterministicPolicy, Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
@@ -74,31 +77,37 @@ def _require_data(data: Sequence[LoggedExample]) -> None:
         raise SlateError("cannot estimate from an empty dataset")
 
 
-def _check_logged_slate(logging: Policy, target: Policy, ex: LoggedExample) -> float:
-    """Validate one logged record against the policy pair.
+def _batch(data: Sequence[LoggedExample]) -> LoggedBatch:
+    _require_data(data)
+    return LoggedBatch.from_examples(data)
 
-    Returns the logging propensity of the logged slate. A zero propensity
-    is always an error: if the target puts mass on the slate it is an
-    absolute-continuity violation, otherwise the record contradicts the
-    stated logging policy.
+
+def _logged_groups(
+    batch: LoggedBatch, logging: Policy, target: Policy
+) -> Iterator[tuple[object, np.ndarray, np.ndarray, np.ndarray]]:
+    """Validate the logged slates per context against the policy pair.
+
+    Yields (context, rows, slates, logging propensities) per context. A zero
+    propensity is always an error: if the target puts mass on the slate it
+    is an absolute-continuity violation, otherwise the record contradicts
+    the stated logging policy.
     """
-    space = logging.space_of(ex.context)
-    try:
-        space.validate(ex.slate)
-    except SlateError as exc:
-        raise SlateError(f"logged slate {ex.slate} invalid at context {ex.context!r}: {exc}")
-    mu = logging.slate_prob(ex.context, ex.slate)
-    if mu <= 0.0:
-        if target.slate_prob(ex.context, ex.slate) > 0.0:
+    for context, rows in batch.groups():
+        actions = batch.actions[rows]
+        mu = logging.slate_prob_batch(context, actions)
+        zero = mu <= 0.0
+        if zero.any():
+            slate = tuple(actions[np.argmax(zero)].tolist())
+            if target.slate_prob(context, slate) > 0.0:
+                raise AbsoluteContinuityError(
+                    f"target puts positive probability on slate {slate} at context "
+                    f"{context!r} but the logging policy does not"
+                )
             raise AbsoluteContinuityError(
-                f"target puts positive probability on slate {ex.slate} at context "
-                f"{ex.context!r} but the logging policy does not"
+                f"logged slate {slate} at context {context!r} has zero probability "
+                f"under the stated logging policy"
             )
-        raise AbsoluteContinuityError(
-            f"logged slate {ex.slate} at context {ex.context!r} has zero probability "
-            f"under the stated logging policy"
-        )
-    return mu
+        yield context, rows, actions, mu
 
 
 def estimate_pi(
@@ -116,68 +125,54 @@ def estimate_pi(
     across repeated calls; by default a fresh auto-mode source is used
     (closed form under uniform logging, numeric otherwise).
     """
-    _require_data(data)
+    batch = _batch(data)
+    n = len(batch)
     source = pinv_source if pinv_source is not None else PinvSource()
-    weights: dict = {}  # context -> q_target' P
-    quad: dict = {}  # context -> q_target' P q_target (diagnostics)
-    terms = np.empty(len(data))
-    rho_empirical = 0.0
-    sigma_terms = np.empty(len(data)) if diagnostics else None
-    for i, ex in enumerate(data):
-        _check_logged_slate(logging, target, ex)
-        space = logging.space_of(ex.context)
-        w = weights.get(ex.context)
-        if w is None:
-            pinv = source.pseudoinverse(logging, ex.context)
-            q = target.mean_indicator(ex.context)
-            w = q @ pinv
-            weights[ex.context] = w
-            if diagnostics:
-                quad[ex.context] = float(w @ q)
-        coefficient = float(w[space.coords(ex.slate)].sum())
-        terms[i] = ex.reward * coefficient
-        if diagnostics:
-            sigma_terms[i] = quad[ex.context]
-            rho_empirical = max(rho_empirical, abs(coefficient))
-    estimate = pairwise_sum(terms) / len(data)
+    coefficients = np.empty(n)  # q_target' P 1_s per example
+    quad = np.empty(n)  # q_target' P q_target of each example's context
+    for context, rows, actions, _ in _logged_groups(batch, logging, target):
+        space = logging.space_of(context)
+        q = target.mean_indicator(context)
+        w = q @ source.pseudoinverse(logging, context)
+        coefficients[rows] = w[space.coords_of_actions(actions)].sum(axis=1)
+        quad[rows] = float(w @ q)
+    estimate = pairwise_sum(batch.rewards * coefficients) / n
     if not diagnostics:
-        return EstimatorReport("pi", estimate, len(data))
-    sigma_sq = pairwise_sum(sigma_terms) / len(data)
-    bound = bernstein_bound(sigma_sq, rho_empirical, len(data), delta)
+        return EstimatorReport("pi", estimate, n)
+    sigma_sq = pairwise_sum(quad) / n
+    rho_empirical = float(np.abs(coefficients).max())
+    bound = bernstein_bound(sigma_sq, rho_empirical, n, delta)
     return EstimatorReport(
-        "pi", estimate, len(data), sigma_sq=sigma_sq, rho=rho_empirical, bound=bound, delta=delta
+        "pi", estimate, n, sigma_sq=sigma_sq, rho=rho_empirical, bound=bound, delta=delta
     )
 
 
-def _importance_weights(data, logging, target) -> np.ndarray:
-    weights = np.empty(len(data))
-    for i, ex in enumerate(data):
-        mu = _check_logged_slate(logging, target, ex)
-        weights[i] = target.slate_prob(ex.context, ex.slate) / mu
+def _importance_weights(batch: LoggedBatch, logging: Policy, target: Policy) -> np.ndarray:
+    weights = np.empty(len(batch))
+    for context, rows, actions, mu in _logged_groups(batch, logging, target):
+        weights[rows] = target.slate_prob_batch(context, actions) / mu
     return weights
 
 
 def estimate_ips(data: Sequence[LoggedExample], logging: Policy, target: Policy) -> EstimatorReport:
     """Inverse propensity scoring with whole-slate probability ratios."""
-    _require_data(data)
-    weights = _importance_weights(data, logging, target)
-    rewards = np.array([ex.reward for ex in data])
-    estimate = pairwise_sum(rewards * weights) / len(data)
-    return EstimatorReport("ips", estimate, len(data))
+    batch = _batch(data)
+    weights = _importance_weights(batch, logging, target)
+    estimate = pairwise_sum(batch.rewards * weights) / len(batch)
+    return EstimatorReport("ips", estimate, len(batch))
 
 
 def estimate_wips(data: Sequence[LoggedExample], logging: Policy, target: Policy) -> EstimatorReport:
     """Self-normalized (weighted) inverse propensity scoring."""
-    _require_data(data)
-    weights = _importance_weights(data, logging, target)
-    rewards = np.array([ex.reward for ex in data])
+    batch = _batch(data)
+    weights = _importance_weights(batch, logging, target)
     normalizer = pairwise_sum(weights)
     if normalizer <= 0.0:
         raise UndefinedEstimateError(
             "all importance weights are zero; the self-normalized estimate is undefined"
         )
-    estimate = pairwise_sum(rewards * weights) / normalizer
-    return EstimatorReport("wips", estimate, len(data))
+    estimate = pairwise_sum(batch.rewards * weights) / normalizer
+    return EstimatorReport("wips", estimate, len(batch))
 
 
 # -- direct method -----------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .estimators import FeatureMap
-from .logs import LoggedExample
+from .logs import LoggedBatch, LoggedExample
 from .moments import PinvSource
 from .policies import Policy
 from .ridge import (
@@ -61,26 +61,34 @@ def decompose(
     features: FeatureMap,
     pinv_source: PinvSource | None = None,
 ) -> DecomposedTargets:
-    """Per-example reward decomposition through the logging pseudoinverse."""
+    """Per-example reward decomposition through the logging pseudoinverse.
+
+    Works one context at a time: every logged slate of a context gathers
+    its pseudoinverse columns in one step.
+    """
     if len(data) == 0:
         raise ConfigurationError("cannot decompose an empty dataset")
+    batch = LoggedBatch.from_examples(data)
     source = pinv_source if pinv_source is not None else PinvSource()
     spaces: dict = {}
-    contexts = []
-    phi_hats = []
-    for ex in data:
-        space = logging.space_of(ex.context)
-        spaces[ex.context] = space
-        pinv = source.pseudoinverse(logging, ex.context)
-        coords = space.coords(ex.slate)
-        phi_hats.append(ex.reward * pinv[:, coords].sum(axis=1))
-        contexts.append(ex.context)
+    phi_hats: list = [None] * len(batch)
+    for context, rows in batch.groups():
+        space = logging.space_of(context)
+        spaces[context] = space
+        pinv = source.pseudoinverse(logging, context)
+        coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
+        # (dim, rows) column sums, then one contiguous target row per example
+        summed = pinv[:, coords].sum(axis=2)
+        hats = np.ascontiguousarray((summed * batch.rewards[rows]).T)
+        for i, hat in zip(rows.tolist(), hats):
+            phi_hats[i] = hat
+    contexts = tuple(batch.contexts[c] for c in batch.codes.tolist())
     return DecomposedTargets(
-        contexts=tuple(contexts),
+        contexts=contexts,
         phi_hats=tuple(phi_hats),
         spaces=spaces,
         features=features,
-        num_slots=spaces[contexts[0]].num_slots,
+        num_slots=batch.num_slots,
     )
 
 

@@ -1,8 +1,8 @@
 """Stochastic slate policies and their low-order moments.
 
-Every policy answers slate probabilities, per-slot marginals, cross-slot
-pairwise marginals, the mean indicator vector, and sampling. Moments are
-exact by support enumeration whenever the slate space is small enough
+Every policy answers slate probabilities (for a whole array of slates at
+once), the mean indicator vector, and sampling. Moments are exact by
+support enumeration whenever the slate space is small enough
 (``enumeration_cap``) and Monte Carlo estimates with a fixed per-context
 seed otherwise, so repeated queries are bit-reproducible.
 
@@ -12,6 +12,7 @@ fill-once and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -27,6 +28,7 @@ DEFAULT_MC_MEAN_SAMPLES = 10_000
 
 PROB_SUM_TOL = 1e-9
 LOAD_DRIFT_TOL = 1e-6
+PL_CHUNK_ELEMENTS = 1 << 20  # bounds the (rows, pool) temporaries of one batch
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class MomentArrays:
 class Policy:
     """Conditional distribution over the slates of a space, per context.
 
-    Subclasses implement ``slate_prob`` and ``sample``; the base class
+    Subclasses implement ``slate_prob_batch`` and ``sample``; the base class
     derives moments from those. The space may be a single
     :class:`SlateSpace` or a per-context mapping/callable.
     """
@@ -67,14 +69,27 @@ class Policy:
         self.mc_seed = int(mc_seed)
         self._moment_cache: dict = {}
         self._mean_cache: dict = {}
+        self._marginal_cache: dict = {}
 
     def space_of(self, context) -> SlateSpace:
         return space_of(self._space, context)
 
     # -- distribution interface -------------------------------------------
 
+    def slate_prob_batch(self, context, actions) -> np.ndarray:
+        """Probabilities of an (n, num_slots) array of slates at one context.
+
+        Raises SlateError, naming the context, if any row is not a valid
+        slate of the context's space.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement slate_prob_batch(context, actions); "
+            f"the estimators and moments do not call a scalar slate_prob override"
+        )
+
     def slate_prob(self, context, slate) -> float:
-        raise NotImplementedError
+        """Probability of one slate: a one-row ``slate_prob_batch`` call."""
+        return float(self.slate_prob_batch(context, np.asarray([slate], dtype=np.int64))[0])
 
     def sample(self, context, rng: np.random.Generator) -> Slate:
         raise NotImplementedError
@@ -83,17 +98,22 @@ class Policy:
         """(n, num_slots) array of action ids; overridden where vectorizable."""
         return np.array([self.sample(context, rng) for _ in range(n)], dtype=np.int64)
 
-    def support(self, context) -> Iterator[tuple[Slate, float]]:
-        """Iterate (slate, probability) pairs with positive probability.
+    def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray]:
+        """Slates with positive probability, one per row, and their probabilities.
 
-        The default scans the whole space, so it is only usable when the
-        space is enumerable.
+        The default scores the whole space in one batch, so it is only
+        usable when the space is enumerable.
         """
-        space = self.space_of(context)
-        for slate in space.enumerate_slates():
-            p = self.slate_prob(context, slate)
-            if p > 0.0:
-                yield slate, p
+        slates = self.space_of(context).slate_array()
+        probs = self.slate_prob_batch(context, slates)
+        keep = probs > 0.0
+        return slates[keep], probs[keep]
+
+    def support(self, context) -> Iterator[tuple[Slate, float]]:
+        """Iterate (slate, probability) pairs with positive probability."""
+        actions, probs = self.support_arrays(context)
+        for row, p in zip(actions.tolist(), probs.tolist()):
+            yield tuple(row), p
 
     def is_uniform(self, context) -> bool:
         """True when the policy is exactly uniform over the space's slates."""
@@ -107,16 +127,8 @@ class Policy:
             return cached
         space = self.space_of(context)
         if space.num_slates() <= self.enumeration_cap:
-            slates = []
-            probs = []
-            for slate, p in self.support(context):
-                slates.append(slate)
-                probs.append(p)
-            arrays = MomentArrays(
-                actions=np.asarray(slates, dtype=np.int64).reshape(-1, space.num_slots),
-                probs=np.asarray(probs, dtype=np.float64),
-                exact=True,
-            )
+            actions, probs = self.support_arrays(context)
+            arrays = MomentArrays(actions=actions, probs=probs, exact=True)
         else:
             if self.mc_samples <= 0:
                 raise ConfigurationError(
@@ -131,27 +143,6 @@ class Policy:
             )
         self._moment_cache[context] = arrays
         return arrays
-
-    def marginal_prob(self, context, slot: int, action: int) -> float:
-        """P(slate has ``action`` in ``slot``)."""
-        arrays = self.moment_arrays(context)
-        mask = arrays.actions[:, slot] == action
-        return float(arrays.probs[mask].sum())
-
-    def pairwise_prob(self, context, slot_j: int, action_a: int, slot_k: int, action_b: int) -> float:
-        """P(slate has ``action_a`` in ``slot_j`` and ``action_b`` in ``slot_k``).
-
-        For ``slot_j == slot_k`` this degenerates to the marginal when the
-        actions agree and to 0 otherwise (the structure of the indicator
-        second moment).
-        """
-        if slot_j == slot_k:
-            if action_a != action_b:
-                return 0.0
-            return self.marginal_prob(context, slot_j, action_a)
-        arrays = self.moment_arrays(context)
-        mask = (arrays.actions[:, slot_j] == action_a) & (arrays.actions[:, slot_k] == action_b)
-        return float(arrays.probs[mask].sum())
 
     def mean_indicator(self, context) -> np.ndarray:
         """Expected slate-indicator vector: the per-slot action marginals.
@@ -175,33 +166,35 @@ class Policy:
             rng = context_rng(self.mc_seed, context, stream=1)
             actions = self.sample_batch(context, self.mc_mean_samples, rng)
             probs = np.full(len(actions), 1.0 / len(actions))
-        q = np.zeros(space.dim)
-        for j in range(space.num_slots):
-            np.add.at(q, space.offsets[j] + actions[:, j], probs)
+        q = _indicator_sum(space, actions, probs)
         self._mean_cache[context] = q
         return q
 
+    def slot_marginals(self, context) -> np.ndarray:
+        """Per-slot action marginals for per-slot (semi-bandit) weights.
 
-def uniform_marginal(space: SlateSpace, slot: int, action: int) -> float:
-    if not 0 <= action < space.slot_counts[slot]:
-        return 0.0
-    return 1.0 / space.slot_counts[slot]
+        Equal to ``mean_indicator`` under the enumeration cap and for uniform
+        policies. Above the cap they are summed from the second-moment sample
+        (``mc_samples`` draws), not the smaller mean sample, so that a rare
+        logged action keeps a nonzero, less noisy marginal.
+        """
+        space = self.space_of(context)
+        if space.num_slates() <= self.enumeration_cap or self.is_uniform(context):
+            return self.mean_indicator(context)
+        cached = self._marginal_cache.get(context)
+        if cached is None:
+            arrays = self.moment_arrays(context)
+            cached = _indicator_sum(space, arrays.actions, arrays.probs)
+            self._marginal_cache[context] = cached
+        return cached
 
 
-def uniform_pairwise(space: SlateSpace, slot_j: int, action_a: int, slot_k: int, action_b: int) -> float:
-    if slot_j == slot_k:
-        return 0.0 if action_a != action_b else uniform_marginal(space, slot_j, action_a)
-    if not (
-        0 <= action_a < space.slot_counts[slot_j]
-        and 0 <= action_b < space.slot_counts[slot_k]
-    ):
-        return 0.0
-    if space.kind is SpaceKind.CARTESIAN:
-        return 1.0 / (space.slot_counts[slot_j] * space.slot_counts[slot_k])
-    if action_a == action_b:
-        return 0.0
-    m = space.num_actions
-    return 1.0 / (m * (m - 1))
+def _indicator_sum(space: SlateSpace, actions: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Probability-weighted sum of the indicator vectors of slate rows."""
+    q = np.zeros(space.dim)
+    for j in range(space.num_slots):
+        np.add.at(q, space.offsets[j] + actions[:, j], probs)
+    return q
 
 
 def uniform_mean_indicator(space: SlateSpace) -> np.ndarray:
@@ -211,10 +204,10 @@ def uniform_mean_indicator(space: SlateSpace) -> np.ndarray:
 class UniformPolicy(Policy):
     """Uniform distribution over all valid slates; all moments closed-form."""
 
-    def slate_prob(self, context, slate) -> float:
+    def slate_prob_batch(self, context, actions) -> np.ndarray:
         space = self.space_of(context)
-        space.validate(slate)
-        return 1.0 / space.num_slates()
+        actions = space.validate_batch(actions, context)
+        return np.full(len(actions), 1.0 / space.num_slates())
 
     def sample(self, context, rng) -> Slate:
         return tuple(self.sample_batch(context, 1, rng)[0])
@@ -229,12 +222,6 @@ class UniformPolicy(Policy):
 
     def is_uniform(self, context) -> bool:
         return True
-
-    def marginal_prob(self, context, slot, action) -> float:
-        return uniform_marginal(self.space_of(context), slot, action)
-
-    def pairwise_prob(self, context, slot_j, action_a, slot_k, action_b) -> float:
-        return uniform_pairwise(self.space_of(context), slot_j, action_a, slot_k, action_b)
 
     def mean_indicator(self, context) -> np.ndarray:
         return uniform_mean_indicator(self.space_of(context))
@@ -251,9 +238,10 @@ class DeterministicPolicy(Policy):
         picked = self._slates(context) if callable(self._slates) else self._slates[context]
         return self.space_of(context).validate(picked)
 
-    def slate_prob(self, context, slate) -> float:
-        slate = self.space_of(context).validate(slate)
-        return 1.0 if slate == self.slate_of(context) else 0.0
+    def slate_prob_batch(self, context, actions) -> np.ndarray:
+        actions = self.space_of(context).validate_batch(actions, context)
+        picked = np.asarray(self.slate_of(context), dtype=np.int64)
+        return np.all(actions == picked, axis=1).astype(np.float64)
 
     def sample(self, context, rng) -> Slate:
         return self.slate_of(context)
@@ -261,47 +249,59 @@ class DeterministicPolicy(Policy):
     def sample_batch(self, context, n, rng) -> np.ndarray:
         return np.tile(np.asarray(self.slate_of(context), dtype=np.int64), (n, 1))
 
-    def support(self, context):
-        yield self.slate_of(context), 1.0
-
-    def marginal_prob(self, context, slot, action) -> float:
-        return 1.0 if self.slate_of(context)[slot] == action else 0.0
-
-    def pairwise_prob(self, context, slot_j, action_a, slot_k, action_b) -> float:
-        picked = self.slate_of(context)
-        if slot_j == slot_k and action_a != action_b:
-            return 0.0
-        return 1.0 if picked[slot_j] == action_a and picked[slot_k] == action_b else 0.0
+    def support_arrays(self, context):
+        return np.asarray([self.slate_of(context)], dtype=np.int64), np.ones(1)
 
     def mean_indicator(self, context) -> np.ndarray:
         return self.space_of(context).indicator(self.slate_of(context))
 
+    def slot_marginals(self, context) -> np.ndarray:
+        return self.mean_indicator(context)
+
 
 class ExplicitPolicy(Policy):
-    """Policy given as an explicit slate-probability table per context."""
+    """Policy given as an explicit slate-probability table per context.
+
+    Probabilities must be finite and nonnegative, sum to 1 per context, and
+    list each slate at most once.
+    """
 
     def __init__(self, space, table: Mapping[object, Iterable[tuple[Slate, float]]], **kwargs):
         super().__init__(space, **kwargs)
         self._table: dict = {}
-        self._lookup: dict = {}
+        self._lookup: dict = {}  # context -> (sorted slate keys, their probabilities)
         for context, entries in table.items():
             sp = self.space_of(context)
-            slates = []
-            probs = []
-            for slate, p in entries:
-                slate = sp.validate(slate)
-                if p < 0.0:
-                    raise SlateError(f"negative probability {p} for slate {slate}")
-                slates.append(slate)
-                probs.append(float(p))
-            probs = np.asarray(probs, dtype=np.float64)
+            entries = list(entries)
+            slates = [tuple(slate) for slate, _ in entries]
+            for slate in slates:
+                if len(slate) != sp.num_slots:
+                    sp.validate(slate)
+            actions = sp.validate_batch(
+                np.asarray(slates, dtype=np.int64).reshape(-1, sp.num_slots), context
+            )
+            probs = np.asarray([float(p) for _, p in entries], dtype=np.float64)
+            bad = ~np.isfinite(probs) | (probs < 0.0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise SlateError(
+                    f"probability {probs[i]} for slate {slates[i]} at context {context!r} "
+                    f"is not a finite nonnegative number"
+                )
             if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
                 raise SlateError(
                     f"probabilities for context {context!r} sum to {probs.sum():.12g}, not 1"
                 )
             probs = probs / probs.sum()
-            self._table[context] = (np.asarray(slates, dtype=np.int64), probs)
-            self._lookup[context] = {s: p for s, p in zip(slates, probs)}
+            keys = sp.slate_keys(actions)
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            repeats = sorted_keys[1:] == sorted_keys[:-1]
+            if repeats.any():
+                slate = slates[order[int(np.argmax(repeats))]]
+                raise SlateError(f"slate {slate} is listed twice for context {context!r}")
+            self._table[context] = (actions, probs)
+            self._lookup[context] = (sorted_keys, probs[order])
 
     @property
     def contexts(self) -> list:
@@ -312,16 +312,19 @@ class ExplicitPolicy(Policy):
             raise ContextLookupError(f"no table entry for context {context!r}")
         return self._table[context]
 
-    def slate_prob(self, context, slate) -> float:
-        slate = self.space_of(context).validate(slate)
+    def slate_prob_batch(self, context, actions) -> np.ndarray:
+        space = self.space_of(context)
+        actions = space.validate_batch(actions, context)
         self._entry(context)
-        return float(self._lookup[context].get(slate, 0.0))
+        keys, probs = self._lookup[context]
+        wanted = space.slate_keys(actions)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, probs[at], 0.0)
 
-    def support(self, context):
+    def support_arrays(self, context):
         actions, probs = self._entry(context)
-        for row, p in zip(actions, probs):
-            if p > 0.0:
-                yield tuple(int(a) for a in row), float(p)
+        keep = probs > 0.0
+        return actions[keep], probs[keep]
 
     def sample(self, context, rng) -> Slate:
         actions, probs = self._entry(context)
@@ -378,20 +381,15 @@ class MultinomialWoRPolicy(Policy):
         weights = np.exp(self.action_logits(context))
         return weights / weights.sum()
 
-    def slate_prob(self, context, slate) -> float:
-        # evaluated in log space: sharp temperatures underflow the softmax
-        # weights of every non-maximal action
-        space = self.space_of(context)
-        slate = space.validate(slate)
+    def slate_prob_batch(self, context, actions) -> np.ndarray:
+        actions = self.space_of(context).validate_batch(actions, context)
         logits = self.action_logits(context)
-        available = np.ones(len(logits), dtype=bool)
-        log_prob = 0.0
-        for action in slate:
-            rest = logits[available]
-            peak = rest.max()
-            log_prob += logits[action] - peak - np.log(np.exp(rest - peak).sum())
-            available[action] = False
-        return float(np.exp(log_prob))
+        probs = np.empty(len(actions))
+        step = max(1, PL_CHUNK_ELEMENTS // len(logits))
+        for start in range(0, len(actions), step):
+            rows = actions[start : start + step]
+            probs[start : start + step] = np.exp(_plackett_luce_log_probs(logits, rows))
+        return probs
 
     def sample(self, context, rng) -> Slate:
         return tuple(self.sample_batch(context, 1, rng)[0])
@@ -407,20 +405,30 @@ class MultinomialWoRPolicy(Policy):
     def is_uniform(self, context) -> bool:
         return self.temperature == 0.0
 
-    def marginal_prob(self, context, slot, action) -> float:
-        if self.temperature == 0.0:
-            return uniform_marginal(self.space_of(context), slot, action)
-        return super().marginal_prob(context, slot, action)
-
-    def pairwise_prob(self, context, slot_j, action_a, slot_k, action_b) -> float:
-        if self.temperature == 0.0:
-            return uniform_pairwise(self.space_of(context), slot_j, action_a, slot_k, action_b)
-        return super().pairwise_prob(context, slot_j, action_a, slot_k, action_b)
-
     def mean_indicator(self, context) -> np.ndarray:
         if self.temperature == 0.0:
             return uniform_mean_indicator(self.space_of(context))
         return super().mean_indicator(context)
+
+
+def _plackett_luce_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Log-probability of each slate row under slot-by-slot softmax draws.
+
+    Evaluated in log space, since sharp temperatures underflow the softmax
+    weights of every non-maximal action. Each step compacts the logits still
+    available to every row, in pool order, and takes its log-sum-exp.
+    """
+    n, m = len(actions), len(logits)
+    rows = np.arange(n)
+    available = np.ones((n, m), dtype=bool)
+    log_prob = np.zeros(n)
+    for j in range(actions.shape[1]):
+        rest = logits[np.nonzero(available)[1].reshape(n, m - j)]
+        peak = rest.max(axis=1)
+        chosen = actions[:, j]
+        log_prob += logits[chosen] - peak - np.log(np.exp(rest - peak[:, None]).sum(axis=1))
+        available[rows, chosen] = False
+    return log_prob
 
 
 class UniformMixturePolicy(Policy):
@@ -438,9 +446,10 @@ class UniformMixturePolicy(Policy):
         self.kappa = float(kappa)
         self._uniform = UniformPolicy(base._space)
 
-    def slate_prob(self, context, slate) -> float:
-        u = self._uniform.slate_prob(context, slate)
-        return self.kappa * u + (1.0 - self.kappa) * self.base.slate_prob(context, slate)
+    def slate_prob_batch(self, context, actions) -> np.ndarray:
+        base = self.base.slate_prob_batch(context, actions)  # validates the rows
+        u = 1.0 / self.space_of(context).num_slates()
+        return self.kappa * u + (1.0 - self.kappa) * base
 
     def sample(self, context, rng) -> Slate:
         if rng.random() < self.kappa:
@@ -456,22 +465,15 @@ class UniformMixturePolicy(Policy):
     def is_uniform(self, context) -> bool:
         return self.kappa == 1.0 or self.base.is_uniform(context)
 
-    def marginal_prob(self, context, slot, action) -> float:
-        return self.kappa * self._uniform.marginal_prob(context, slot, action) + (
-            1.0 - self.kappa
-        ) * self.base.marginal_prob(context, slot, action)
-
-    def pairwise_prob(self, context, slot_j, action_a, slot_k, action_b) -> float:
-        return self.kappa * self._uniform.pairwise_prob(
-            context, slot_j, action_a, slot_k, action_b
-        ) + (1.0 - self.kappa) * self.base.pairwise_prob(
-            context, slot_j, action_a, slot_k, action_b
-        )
-
     def mean_indicator(self, context) -> np.ndarray:
         return self.kappa * self._uniform.mean_indicator(context) + (
             1.0 - self.kappa
         ) * self.base.mean_indicator(context)
+
+    def slot_marginals(self, context) -> np.ndarray:
+        return self.kappa * self._uniform.slot_marginals(context) + (
+            1.0 - self.kappa
+        ) * self.base.slot_marginals(context)
 
 
 # -- explicit-policy text format ------------------------------------------
@@ -481,9 +483,12 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
     """Read a tab-separated (context, comma-joined slate, probability) file.
 
     Per-context probability sums may drift from 1 by up to 1e-6 (e.g. from
-    decimal rounding) and are renormalized; larger drift is rejected.
+    decimal rounding) and are renormalized; larger drift is rejected. A
+    probability that is not a finite nonnegative number, or a slate listed
+    twice for one context, is rejected with its line number.
     """
     table: dict[str, list[tuple[Slate, float]]] = {}
+    first_line: dict[tuple, int] = {}  # (context, slate) -> line it was listed on
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -494,10 +499,20 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
                 raise SlateError(f"{path}:{lineno}: expected 3 tab-separated fields")
             context, slate_text, prob_text = parts
             try:
-                slate = tuple(int(a) for a in slate_text.split(","))
+                slate = tuple(map(int, slate_text.split(",")))
                 prob = float(prob_text)
             except ValueError as exc:
                 raise SlateError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(prob) and prob >= 0.0):
+                raise SlateError(
+                    f"{path}:{lineno}: probability {prob_text!r} is not a finite nonnegative number"
+                )
+            seen = first_line.setdefault((context, slate), lineno)
+            if seen != lineno:
+                raise SlateError(
+                    f"{path}:{lineno}: slate {slate} for context {context!r} was already "
+                    f"listed on line {seen}"
+                )
             table.setdefault(context, []).append((slate, prob))
     normalized: dict[str, list[tuple[Slate, float]]] = {}
     for context, entries in table.items():

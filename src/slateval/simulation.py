@@ -30,7 +30,7 @@ from .estimators import (
     fit_dm,
 )
 from .letor import RankingDataset
-from .logs import LoggedExample
+from .logs import LoggedBatch, SemibanditExample, group_rows
 from .moments import PinvSource
 from .policies import DeterministicPolicy, MultinomialWoRPolicy, Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
@@ -265,92 +265,90 @@ def build_instance(dataset: RankingDataset, config: ExperimentConfig) -> BanditI
 # -- logged-data generation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemibanditExample(LoggedExample):
-    """Logged example augmented with the per-slot intrinsic values that a
-    semi-bandit learner would observe (simulation only)."""
-
-    slot_values: tuple[float, ...] = ()
-
-
 def draw_logs(
     instance: BanditInstance,
     n: int,
     rng: np.random.Generator,
     contexts: Sequence | None = None,
-) -> list[SemibanditExample]:
+) -> LoggedBatch:
     """Draw n logged examples under the instance's logging policy.
 
     Contexts are sampled uniformly (optionally restricted to a subset);
-    slates are drawn per context in one batch, which keeps the stream
-    deterministic given the generator state.
+    slates are drawn per context in one batch, contexts in pool order, which
+    keeps the stream deterministic given the generator state. The batch
+    carries each example's per-slot values.
     """
     pool = tuple(instance.contexts if contexts is None else contexts)
     picks = rng.integers(0, len(pool), size=n)
-    slates_by_context: dict = {}
-    for ci in sorted(set(int(p) for p in picks)):
+    num_slots = instance.space_of(pool[0]).num_slots
+    actions = np.empty((n, num_slots), dtype=np.int64)
+    slot_values = np.empty((n, num_slots))
+    for ci, rows in group_rows(picks, len(pool)):
         context = pool[ci]
-        count = int((picks == ci).sum())
-        slates_by_context[ci] = iter(instance.logging.sample_batch(context, count, rng))
-    noise_draws = rng.random(n) if instance.noise == "bernoulli" else None
-    logs = []
-    for i, ci in enumerate(picks):
-        context = pool[int(ci)]
-        slate = tuple(int(a) for a in next(slates_by_context[int(ci)]))
-        slot_values = instance.slot_values(context, slate)
-        value = min(max(float(slot_values.sum()), 0.0), 1.0)
-        if noise_draws is not None:
-            reward = float(noise_draws[i] < value)
-        else:
-            reward = value
-        logs.append(
-            SemibanditExample(
-                context=context, slate=slate, reward=reward, slot_values=tuple(slot_values)
-            )
-        )
-    return logs
+        slates = instance.logging.sample_batch(context, len(rows), rng)
+        actions[rows] = slates
+        coords = instance.space_of(context).coords_of_actions(slates)
+        slot_values[rows] = instance.intrinsic(context)[coords]
+    values = np.clip(slot_values.sum(axis=1), 0.0, 1.0)
+    if instance.noise == "bernoulli":
+        rewards = (rng.random(n) < values).astype(np.float64)
+    else:
+        rewards = values
+    return LoggedBatch(pool, picks, actions, rewards, slot_values)
 
 
 # -- semi-bandit baselines -----------------------------------------------------------
 
 
-def _slot_weight(logging: Policy, target: Policy, ex: SemibanditExample, slot: int) -> float:
-    mu = logging.marginal_prob(ex.context, slot, ex.slate[slot])
-    if mu <= 0.0:
-        raise AbsoluteContinuityError(
-            f"logged action {ex.slate[slot]} in slot {slot} at context {ex.context!r} "
-            f"has zero marginal probability under the logging policy"
-        )
-    return target.marginal_prob(ex.context, slot, ex.slate[slot]) / mu
+def _slot_weights(batch: LoggedBatch, logging: Policy, target: Policy) -> np.ndarray:
+    """(n, slots) ratios of target to logging per-(slot, action) marginals."""
+    weights = np.empty(batch.actions.shape)
+    for context, rows in batch.groups():
+        space = logging.space_of(context)
+        coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
+        mu = logging.slot_marginals(context)[coords]
+        zero = mu <= 0.0
+        if zero.any():
+            i, slot = np.argwhere(zero)[0]
+            raise AbsoluteContinuityError(
+                f"logged action {batch.actions[rows[i], slot]} in slot {slot} at context "
+                f"{context!r} has zero marginal probability under the logging policy"
+            )
+        weights[rows] = target.slot_marginals(context)[coords] / mu
+    return weights
+
+
+def _semibandit_batch(data: Sequence[SemibanditExample]) -> LoggedBatch:
+    if len(data) == 0:
+        raise ConfigurationError("cannot estimate from an empty dataset")
+    batch = LoggedBatch.from_examples(data)
+    if batch.slot_values is None:
+        raise ConfigurationError("semi-bandit estimators need per-slot values for every example")
+    return batch
 
 
 def estimate_sb(
     data: Sequence[SemibanditExample], logging: Policy, target: Policy
 ) -> EstimatorReport:
     """Per-slot inverse propensity scoring on observed intrinsic values."""
-    if len(data) == 0:
-        raise ConfigurationError("cannot estimate from an empty dataset")
-    num_slots = len(data[0].slate)
+    batch = _semibandit_batch(data)
+    weights = _slot_weights(batch, logging, target)
     total = 0.0
-    for j in range(num_slots):
-        terms = np.array(
-            [ex.slot_values[j] * _slot_weight(logging, target, ex, j) for ex in data]
-        )
-        total += pairwise_sum(terms) / len(data)
-    return EstimatorReport("sb", total, len(data))
+    for j in range(batch.num_slots):
+        total += pairwise_sum(batch.slot_values[:, j] * weights[:, j]) / len(batch)
+    return EstimatorReport("sb", total, len(batch))
 
 
 def estimate_wsb(
     data: Sequence[SemibanditExample], logging: Policy, target: Policy
 ) -> EstimatorReport:
     """Per-slot self-normalized inverse propensity scoring, summed over slots."""
-    if len(data) == 0:
-        raise ConfigurationError("cannot estimate from an empty dataset")
-    num_slots = len(data[0].slate)
+    batch = _semibandit_batch(data)
+    all_weights = _slot_weights(batch, logging, target)
     total = 0.0
-    for j in range(num_slots):
-        weights = np.array([_slot_weight(logging, target, ex, j) for ex in data])
-        values = np.array([ex.slot_values[j] for ex in data])
+    for j in range(batch.num_slots):
+        weights = all_weights[:, j]
+        values = batch.slot_values[:, j]
         normalizer = pairwise_sum(weights)
         if normalizer <= 0.0:
             raise UndefinedEstimateError(
@@ -358,7 +356,7 @@ def estimate_wsb(
                 f"per-slot estimate is undefined"
             )
         total += pairwise_sum(values * weights) / normalizer
-    return EstimatorReport("wsb", total, len(data))
+    return EstimatorReport("wsb", total, len(batch))
 
 
 # -- RMSE sweep ----------------------------------------------------------------------

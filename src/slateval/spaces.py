@@ -110,6 +110,49 @@ class SlateSpace:
             raise SlateError(f"ranking slate {slate} repeats an action")
         return slate
 
+    def validate_batch(self, actions, context=None) -> np.ndarray:
+        """Check an (n, num_slots) array of slates in one pass.
+
+        Returns the rows as int64. Raises SlateError naming the first invalid
+        row, and ``context`` when one is given.
+        """
+        actions = np.asarray(actions)
+        if actions.ndim != 2:
+            raise SlateError(f"expected a 2-d array of slates, got shape {actions.shape}")
+        if actions.shape[1] != self.num_slots:
+            if len(actions) == 0:
+                return np.empty((0, self.num_slots), dtype=np.int64)
+            first_bad = 0
+        else:
+            actions = actions.astype(np.int64, copy=False)
+            # negative actions wrap around to huge unsigned values
+            bad = actions.view(np.uint64) >= np.asarray(self.slot_counts, dtype=np.uint64)
+            repeats = np.zeros((len(actions), 0), dtype=bool)
+            if self.kind is SpaceKind.RANKING:
+                ordered = np.sort(actions, axis=1)
+                repeats = ordered[:, 1:] == ordered[:, :-1]
+            if not (bad.any() or repeats.any()):
+                return actions
+            first_bad = int(np.argmax(bad.any(axis=1) | repeats.any(axis=1)))
+        where = "" if context is None else f" at context {context!r}"
+        try:
+            self.validate(actions[first_bad])
+        except SlateError as exc:
+            raise SlateError(f"invalid slate{where}: {exc}") from None
+        raise AssertionError("validate_batch flagged a slate that validate accepts")
+
+    def slate_keys(self, actions) -> np.ndarray:
+        """One sortable key per row of valid slates, equal only for equal slates.
+
+        Mixed-radix int64 codes; spaces too large for those fall back to the
+        rows' raw bytes.
+        """
+        actions = np.ascontiguousarray(actions, dtype=np.int64)
+        if prod(self.slot_counts) < 2**63:
+            radix = np.cumprod((1,) + self.slot_counts[:0:-1])[::-1].astype(np.int64)
+            return actions @ radix
+        return actions.view(np.dtype((np.void, 8 * self.num_slots))).ravel()
+
     def is_valid(self, slate) -> bool:
         try:
             self.validate(slate)
@@ -141,6 +184,13 @@ class SlateSpace:
             yield from itertools.product(*(range(m) for m in self.slot_counts))
         else:
             yield from itertools.permutations(range(self.num_actions), self.num_slots)
+
+    def slate_array(self) -> np.ndarray:
+        """All valid slates as one int64 array, one row per slate in
+        lexicographic order."""
+        flat = itertools.chain.from_iterable(self.enumerate_slates())
+        count = self.num_slates() * self.num_slots
+        return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, self.num_slots)
 
 
 SpaceMap = SlateSpace | Mapping | None

@@ -12,6 +12,8 @@ from slateval import (
     ConfigurationError,
     DeterministicPolicy,
     EstimatorReport,
+    ExplicitPolicy,
+    LoggedBatch,
     LoggedExample,
     PinvSource,
     SlateError,
@@ -323,3 +325,35 @@ def test_pi_shares_pinv_cache_across_calls():
     first = estimate_pi(logs, logging, target, pinv_source=source).estimate
     second = estimate_pi(logs, logging, target, pinv_source=source).estimate
     assert first == second
+
+
+def test_pi_equals_ips_single_slot_fixed_table():
+    """On a fixed one-slot table PI and IPS agree term by term: the target
+    puts all mass on (0), logged with probability 1/4."""
+    space = SlateSpace.ranking(2, 1)
+    logging = ExplicitPolicy(space, {"q": [((0,), 0.25), ((1,), 0.75)]})
+    target = DeterministicPolicy(space, {"q": (0,)})
+    logs = [LoggedExample("q", (0,), 0.5), LoggedExample("q", (1,), 0.3)]
+    pi = estimate_pi(logs, logging, target).estimate
+    ips = estimate_ips(logs, logging, target).estimate
+    assert pi == pytest.approx(1.0, abs=1e-12)
+    assert ips == pytest.approx(1.0, abs=1e-12)
+
+
+def test_estimators_accept_a_batch_and_a_list_alike():
+    rng = np.random.default_rng(16)
+    instance = make_ada_instance(seed=16)
+    logging = mixture_logging_policy(instance, 0.5, rng)
+    target = random_explicit_policy(instance.space, instance.contexts, rng)
+    logs = draw_ada_logs(instance, logging, 300, rng)
+    batch = LoggedBatch.from_examples(logs)
+    for estimator in (estimate_pi, estimate_ips, estimate_wips):
+        assert estimator(batch, logging, target) == estimator(logs, logging, target)
+
+
+def test_invalid_logged_slate_error_names_context_and_slate():
+    space = SlateSpace.ranking(3, 2)
+    policy = UniformPolicy(space)
+    logs = [LoggedExample("a", (0, 1), 0.1), LoggedExample("b", (2, 2), 0.2)]
+    with pytest.raises(SlateError, match=r"context 'b'.*\(2, 2\)"):
+        estimate_pi(logs, policy, policy)

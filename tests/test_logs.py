@@ -61,9 +61,9 @@ def test_mean_indicator_mc_fallback_is_reproducible():
 
     class ShuffledPolicy(Policy):
         # uniform sampling without the closed-form moment overrides
-        def slate_prob(self, context, slate):
-            self.space_of(context).validate(slate)
-            return 1.0 / self.space_of(context).num_slates()
+        def slate_prob_batch(self, context, actions):
+            actions = self.space_of(context).validate_batch(actions, context)
+            return np.full(len(actions), 1.0 / self.space_of(context).num_slates())
 
         def sample_batch(self, context, n, rng):
             keys = rng.random((n, 9))
@@ -82,3 +82,39 @@ def test_mean_indicator_mc_fallback_is_reproducible():
         block = q1[space.offsets[j] : space.offsets[j] + 9]
         assert block.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(block - 1 / 9).max() < 0.02
+
+
+def test_batch_is_a_sequence_of_example_views():
+    from slateval import LoggedBatch
+
+    examples = [
+        LoggedExample("a", (0, 2), 0.5),
+        LoggedExample("b", (1, 0), -0.25),
+        LoggedExample("a", (2, 1), 1.0),
+    ]
+    batch = LoggedBatch.from_examples(examples)
+    assert batch.contexts == ("a", "b")
+    np.testing.assert_array_equal(batch.codes, [0, 1, 0])
+    np.testing.assert_array_equal(batch.actions, [[0, 2], [1, 0], [2, 1]])
+    assert len(batch) == 3 and batch == examples
+    assert list(batch) == examples
+    assert batch[-1] == examples[-1]
+    assert isinstance(batch[1:], LoggedBatch) and batch[1:] == examples[1:]
+    assert [(c, rows.tolist()) for c, rows in batch.groups()] == [("a", [0, 2]), ("b", [1])]
+    assert LoggedBatch.from_examples(batch) is batch
+
+
+def test_batch_rejects_ragged_slates_and_bad_rewards():
+    from slateval import LoggedBatch
+
+    with pytest.raises(SlateError, match="slots"):
+        LoggedBatch.from_examples([LoggedExample("a", (0, 1), 0.0), LoggedExample("a", (0,), 0.0)])
+    with pytest.raises(SlateError, match="outside"):
+        LoggedBatch(("a",), [0], [[0, 1]], [float("nan")])
+
+
+def test_read_rejects_slates_of_another_length(tmp_path):
+    path = tmp_path / "logs.tsv"
+    path.write_text("q\t0,1\t0.5\nq\t0,1,2\t0.5\n")
+    with pytest.raises(ParseError, match=":2"):
+        read_logged_dataset(path)

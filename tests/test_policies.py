@@ -12,6 +12,7 @@ from slateval import (
     UniformMixturePolicy,
     UniformPolicy,
     load_explicit_policy,
+    moment_matrix,
     write_explicit_policy,
 )
 
@@ -61,17 +62,18 @@ def test_multinomial_high_temperature_concentrates():
 
 def test_uniform_ranking_marginals_and_pairwise():
     space = SlateSpace.ranking(4, 2)
-    policy = UniformPolicy(space)
-    assert policy.marginal_prob("q", 0, 2) == pytest.approx(1 / 4)
-    assert policy.pairwise_prob("q", 0, 1, 1, 3) == pytest.approx(1 / 12)
-    assert policy.pairwise_prob("q", 0, 1, 1, 1) == 0.0
-    assert policy.pairwise_prob("q", 0, 1, 0, 2) == 0.0
+    gamma = moment_matrix(UniformPolicy(space), "q").entries
+    c = space.coord
+    assert gamma[c(0, 2), c(0, 2)] == pytest.approx(1 / 4)
+    assert gamma[c(0, 1), c(1, 3)] == pytest.approx(1 / 12)
+    assert gamma[c(0, 1), c(1, 1)] == 0.0
+    assert gamma[c(0, 1), c(0, 2)] == 0.0
 
 
 def test_uniform_cartesian_pairwise_independence():
     space = SlateSpace.cartesian((3, 2))
-    policy = UniformPolicy(space)
-    assert policy.pairwise_prob("q", 0, 1, 1, 0) == pytest.approx(1 / 6)
+    gamma = moment_matrix(UniformPolicy(space), "q").entries
+    assert gamma[space.coord(0, 1), space.coord(1, 0)] == pytest.approx(1 / 6)
 
 
 def test_marginals_sum_to_one_per_slot():
@@ -83,8 +85,9 @@ def test_marginals_sum_to_one_per_slot():
         MultinomialWoRPolicy(space, {"q": rng.normal(size=4)}, 1.7),
         UniformMixturePolicy(random_explicit_policy(space, ["q"], rng, sparsity=0.5), 0.3),
     ):
+        marginals = np.diag(moment_matrix(policy, "q").entries)
         for j in range(space.num_slots):
-            total = sum(policy.marginal_prob("q", j, a) for a in range(4))
+            total = sum(marginals[space.coord(j, a)] for a in range(4))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -92,10 +95,12 @@ def test_pairwise_marginalizes_to_marginal():
     space = SlateSpace.ranking(4, 3)
     rng = np.random.default_rng(12)
     policy = random_explicit_policy(space, ["q"], rng, sparsity=0.6)
+    gamma = moment_matrix(policy, "q").entries
+    c = space.coord
     for j, k in ((0, 1), (2, 0)):
         for a in range(4):
-            total = sum(policy.pairwise_prob("q", j, a, k, b) for b in range(4))
-            assert total == pytest.approx(policy.marginal_prob("q", j, a), abs=1e-9)
+            total = sum(gamma[c(j, a), c(k, b)] for b in range(4))
+            assert total == pytest.approx(gamma[c(j, a), c(j, a)], abs=1e-9)
 
 
 def test_mean_indicator_matches_marginals():
@@ -103,9 +108,11 @@ def test_mean_indicator_matches_marginals():
     rng = np.random.default_rng(13)
     policy = random_explicit_policy(space, ["q"], rng)
     q = policy.mean_indicator("q")
+    gamma = moment_matrix(policy, "q").entries
     for j in range(space.num_slots):
         for a in range(space.slot_counts[j]):
-            assert q[space.coord(j, a)] == pytest.approx(policy.marginal_prob("q", j, a))
+            c = space.coord(j, a)
+            assert q[c] == pytest.approx(gamma[c, c])
 
 
 def test_sample_frequencies_uniform_ranking():
@@ -142,7 +149,9 @@ def test_mixture_pairwise_dominates_scaled_uniform():
     policy = UniformMixturePolicy(
         random_explicit_policy(space, ["q"], rng, sparsity=0.3), kappa
     )
-    uniform = UniformPolicy(space)
+    gamma = moment_matrix(policy, "q").entries
+    gamma_uniform = moment_matrix(UniformPolicy(space), "q").entries
+    c = space.coord
     for j in range(2):
         for k in range(2):
             if j == k:
@@ -150,8 +159,8 @@ def test_mixture_pairwise_dominates_scaled_uniform():
             for a in range(4):
                 for b in range(4):
                     assert (
-                        policy.pairwise_prob("q", j, a, k, b)
-                        >= kappa * uniform.pairwise_prob("q", j, a, k, b) - 1e-12
+                        gamma[c(j, a), c(k, b)]
+                        >= kappa * gamma_uniform[c(j, a), c(k, b)] - 1e-12
                     )
 
 
@@ -163,7 +172,7 @@ def test_zero_monte_carlo_samples_is_configuration_error():
         space, {"q": np.arange(7.0)}, 1.5, enumeration_cap=10, mc_samples=0
     )
     with pytest.raises(ConfigurationError):
-        policy.marginal_prob("q", 0, 0)
+        moment_matrix(policy, "q")
 
 
 def test_explicit_rejects_invalid_slates():
@@ -231,3 +240,45 @@ def test_mixture_sampling_reproducible():
     a = policy.sample_batch("q", 40, np.random.default_rng(8))
     b = policy.sample_batch("q", 40, np.random.default_rng(8))
     assert np.array_equal(a, b)
+
+
+def test_explicit_rejects_non_finite_probabilities(tmp_path):
+    space = SlateSpace.ranking(2, 1)
+    with pytest.raises(SlateError, match="finite"):
+        ExplicitPolicy(space, {"q": [((0,), float("nan")), ((1,), 1.0)]})
+    path = tmp_path / "policy.tsv"
+    path.write_text("q\t1\t1.0\nq\t0\tnan\n")
+    with pytest.raises(SlateError, match=":2:"):
+        load_explicit_policy(path, space)
+
+
+def test_explicit_rejects_duplicate_slates(tmp_path):
+    space = SlateSpace.ranking(2, 1)
+    with pytest.raises(SlateError, match="twice"):
+        ExplicitPolicy(space, {"q": [((0,), 0.25), ((0,), 0.25), ((1,), 0.5)]})
+    path = tmp_path / "policy.tsv"
+    path.write_text("q\t0\t0.25\nq\t1\t0.5\nq\t0\t0.25\n")
+    with pytest.raises(SlateError, match=r":3: .*line 1"):
+        load_explicit_policy(path, space)
+
+
+def test_explicit_slate_prob_batch_looks_up_every_row():
+    space = SlateSpace.cartesian((3, 2))
+    policy = ExplicitPolicy(space, {"q": [((2, 1), 0.5), ((0, 0), 0.3), ((1, 1), 0.2)]})
+    rows = np.array([[0, 0], [1, 0], [2, 1], [1, 1], [2, 0], [0, 0]])
+    np.testing.assert_array_equal(
+        policy.slate_prob_batch("q", rows), [0.3, 0.0, 0.5, 0.2, 0.0, 0.3]
+    )
+    with pytest.raises(SlateError, match="'q'.*out of range"):
+        policy.slate_prob_batch("q", np.array([[0, 0], [0, 2]]))
+
+
+def test_scalar_slate_prob_override_alone_is_rejected_clearly():
+    from slateval.policies import Policy
+
+    class ScalarOnly(Policy):
+        def slate_prob(self, context, slate):
+            return 0.5
+
+    with pytest.raises(NotImplementedError, match="ScalarOnly must implement slate_prob_batch"):
+        ScalarOnly(SlateSpace.ranking(2, 1)).moment_arrays("q")

@@ -167,6 +167,42 @@ def test_wsb_no_worse_than_sb():
     assert result.rmse("wsb", 10_000) <= result.rmse("sb", 10_000)
 
 
+def test_sb_above_enumeration_cap_reads_the_second_moment_sample():
+    """Above the cap, per-slot marginals are masked sums over the
+    mc_samples draws of moment_arrays, not the smaller mean sample."""
+    from slateval import SlateSpace
+    from slateval.policies import MultinomialWoRPolicy, UniformMixturePolicy
+    from slateval.simulation import SemibanditExample, estimate_sb
+
+    space = SlateSpace.ranking(6, 3)  # 120 slates, above a cap of 50
+    scores = {c: np.linspace(0.0, 1.5, 6)[::s] for c, s in (("a", 1), ("b", -1))}
+    kw = dict(enumeration_cap=50, mc_samples=4000, mc_mean_samples=400, mc_seed=5)
+    logging = MultinomialWoRPolicy(space, scores, temperature=2.0, **kw)
+    base = MultinomialWoRPolicy(space, scores, temperature=0.5, **kw)
+    target = UniformMixturePolicy(base, 0.3, **kw)
+    rng = np.random.default_rng(3)
+    data = []
+    for i in range(40):
+        c = "ab"[i % 2]
+        slate = tuple(int(a) for a in logging.sample_batch(c, 1, rng)[0])
+        vals = tuple(float(v) for v in rng.random(3) / 3)
+        data.append(SemibanditExample(c, slate, sum(vals), vals))
+
+    def marginal(policy, context, slot, action):
+        arrays = policy.moment_arrays(context)
+        return float(arrays.probs[arrays.actions[:, slot] == action].sum())
+
+    expected = 0.0
+    for ex in data:
+        for slot, (action, value) in enumerate(zip(ex.slate, ex.slot_values)):
+            t = 0.3 / 6 + 0.7 * marginal(base, ex.context, slot, action)
+            expected += value * t / marginal(logging, ex.context, slot, action) / len(data)
+    sb = estimate_sb(data, logging, target).estimate
+    assert sb == pytest.approx(expected, rel=1e-12)
+    assert sb == pytest.approx(0.495935681519692, rel=1e-12)
+    assert estimate_wsb(data, logging, target).estimate == pytest.approx(0.5190328075073, rel=1e-12)
+
+
 def test_sweep_records_zero_estimate_when_wips_has_no_matches():
     """At tiny n a deterministic target rarely matches any logged slate;
     the sweep then records the squared error of a zero estimate instead of

@@ -82,3 +82,33 @@ def test_space_resolution_constant_mapping_callable():
     assert space_of(small, "anything") is small
     assert space_of({"a": small, "b": big}, "b") is big
     assert space_of(lambda c: small if c == "a" else big, "a") is small
+
+
+def test_validate_batch_agrees_with_validate():
+    for space in (SlateSpace.ranking(4, 2), SlateSpace.cartesian((3, 2))):
+        rows = np.array([[a, b] for a in range(-1, 5) for b in range(-1, 5)])
+        flags = [space.is_valid(tuple(row)) for row in rows]
+        valid = rows[flags]
+        np.testing.assert_array_equal(space.validate_batch(valid), valid)
+        for row in rows[np.logical_not(flags)]:
+            with pytest.raises(SlateError, match=r"context 'q'"):
+                space.validate_batch(np.vstack([valid, row]), "q")
+
+
+def test_validate_batch_checks_slot_count():
+    space = SlateSpace.ranking(4, 2)
+    with pytest.raises(SlateError, match="3 slots"):
+        space.validate_batch(np.array([[0, 1, 2]]))
+    assert space.validate_batch(np.empty((0, 3), dtype=np.int64)).shape == (0, 2)
+
+
+def test_slate_array_and_keys():
+    for space in (SlateSpace.ranking(4, 3), SlateSpace.cartesian((2, 3, 2))):
+        rows = space.slate_array()
+        assert [tuple(r) for r in rows.tolist()] == list(space.enumerate_slates())
+        keys = space.slate_keys(rows)
+        assert len(set(keys.tolist())) == len(rows)
+    huge = SlateSpace.ranking(100, 10)  # 100**10 does not fit an int64 key
+    rows = np.array([list(range(10)), list(range(1, 11)), list(range(10))])
+    keys = huge.slate_keys(rows)
+    assert keys[0] == keys[2] and keys[0] != keys[1]
