@@ -15,8 +15,8 @@ an on-policy rollout) share the same report type.
 Logged data is taken as a ``LoggedBatch`` (plain sequences of examples are
 converted once), and the per-example work runs vectorized per context:
 slates are validated, scored and gathered one context group at a time.
-Per-example terms are summed with a fixed pairwise (tree) reduction so
-results do not depend on how work was split across threads.
+Per-example terms are summed with a fixed pairwise (tree) reduction in
+example order.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SlateError
-from .spaces import Slate, SlateSpace
+from .spaces import Slate
 from .util import fmt
 
 
@@ -26,11 +26,6 @@ class LoggedExample:
         object.__setattr__(self, "reward", float(self.reward))
         if not -1.0 <= self.reward <= 1.0:
             raise SlateError(f"reward {self.reward} outside [-1, 1]")
-
-    def marginal_reward(self, space: SlateSpace) -> np.ndarray:
-        """Reward-scaled slate indicator: the single-record estimate of the
-        logging policy's per-(slot, action) marginal values."""
-        return self.reward * space.indicator(self.slate)
 
 
 @dataclass(frozen=True)

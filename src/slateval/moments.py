@@ -57,13 +57,6 @@ class PseudoInverse:
     singular_cutoff: float
 
 
-def _slot_ones(space: SlateSpace, slot: int) -> np.ndarray:
-    vec = np.zeros(space.dim)
-    start = space.offsets[slot]
-    vec[start : start + space.slot_counts[slot]] = 1.0
-    return vec
-
-
 def uniform_moment_matrix(space: SlateSpace) -> MomentMatrix:
     """Closed-form moment matrix of the uniform policy (any space size)."""
     dim = space.dim
@@ -114,11 +107,14 @@ def moment_matrix(policy: Policy, context, space: SlateSpace | None = None) -> M
         ind = space.indicator(policy.slate_of(context))
         return MomentMatrix(space, np.outer(ind, ind), Provenance.ENUMERATED)
     arrays = policy.moment_arrays(context)
-    entries = np.zeros((space.dim, space.dim))
+    # Every cell belongs to one (slot j, slot k) pair, so one bincount over
+    # the flattened (row, j, k) cells adds each cell's terms in row order.
     coords = space.coords_of_actions(arrays.actions)
-    for j in range(space.num_slots):
-        for k in range(space.num_slots):
-            np.add.at(entries, (coords[:, j], coords[:, k]), arrays.probs)
+    cells = coords[:, :, None] * space.dim + coords[:, None, :]
+    weights = np.repeat(arrays.probs, space.num_slots**2)
+    entries = np.bincount(cells.ravel(), weights, minlength=space.dim**2).reshape(
+        space.dim, space.dim
+    )
     if arrays.exact:
         return MomentMatrix(space, entries, Provenance.ENUMERATED)
     entries = 0.5 * (entries + entries.T)

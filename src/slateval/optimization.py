@@ -33,25 +33,38 @@ from .ridge import (
     solve_ridge,
 )
 from .spaces import SlateSpace, SpaceKind
-from .util import fmt17
 
 
 @dataclass(frozen=True)
 class DecomposedTargets:
     """Per-(slot, action) regression targets recovered from logged rewards.
 
-    ``phi_hats[i]`` has one entry per indicator coordinate of example i's
-    context; rows pair those entries with (slot one-hot, action features).
+    One block per context: ``rows[b]`` holds the indices of the logged
+    examples of ``contexts[b]``, ascending, and ``phi_hats[b]`` is the
+    ``(len(rows[b]), dim)`` target block, one row per example and one
+    column per indicator coordinate of that context's space. Rows pair the
+    targets with (slot one-hot, action features).
     """
 
     contexts: tuple
+    rows: tuple[np.ndarray, ...]
     phi_hats: tuple[np.ndarray, ...]
     spaces: dict
     features: FeatureMap
     num_slots: int
 
+    def __post_init__(self):
+        pairs = zip(self.contexts, self.rows, strict=True)
+        expected = [(len(rows), self.spaces[context].dim) for context, rows in pairs]
+        seen = np.bincount(np.concatenate([*self.rows, []]).astype(np.int64), minlength=len(self))
+        if not self.rows or [b.shape for b in self.phi_hats] != expected or (seen != 1).any():
+            raise ConfigurationError(
+                "target blocks must be nonempty, shaped (rows, dim), and hold every example "
+                "index exactly once"
+            )
+
     def __len__(self) -> int:
-        return len(self.contexts)
+        return sum(len(rows) for rows in self.rows)
 
 
 def decompose(
@@ -64,28 +77,26 @@ def decompose(
     """Per-example reward decomposition through the logging pseudoinverse.
 
     Works one context at a time: every logged slate of a context gathers
-    its pseudoinverse columns in one step.
+    its pseudoinverse columns in one step, giving one target block.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot decompose an empty dataset")
     batch = LoggedBatch.from_examples(data)
     source = pinv_source if pinv_source is not None else PinvSource()
-    spaces: dict = {}
-    phi_hats: list = [None] * len(batch)
-    for context, rows in batch.groups():
-        space = logging.space_of(context)
-        spaces[context] = space
+    groups = batch.groups()
+    spaces = {context: logging.space_of(context) for context, _ in groups}
+    blocks = []
+    for context, rows in groups:
+        space = spaces[context]
         pinv = source.pseudoinverse(logging, context)
         coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
-        # (dim, rows) column sums, then one contiguous target row per example
+        # (dim, rows) column sums, transposed to one contiguous row per example
         summed = pinv[:, coords].sum(axis=2)
-        hats = np.ascontiguousarray((summed * batch.rewards[rows]).T)
-        for i, hat in zip(rows.tolist(), hats):
-            phi_hats[i] = hat
-    contexts = tuple(batch.contexts[c] for c in batch.codes.tolist())
+        blocks.append(np.ascontiguousarray((summed * batch.rewards[rows]).T))
     return DecomposedTargets(
-        contexts=contexts,
-        phi_hats=tuple(phi_hats),
+        contexts=tuple(context for context, _ in groups),
+        rows=tuple(rows for _, rows in groups),
+        phi_hats=tuple(blocks),
         spaces=spaces,
         features=features,
         num_slots=batch.num_slots,
@@ -143,54 +154,53 @@ def fit_scorer(
     """Ridge fit of the pointwise scorer on the decomposed targets.
 
     Regression rows are ordered example-major, coordinate-major; fold
-    assignment is by global row index modulo the fold count. The fit
-    streams per-fold normal-equation moments instead of materializing the
-    row matrix (one logged example yields a whole coordinate block of rows).
+    assignment is by global row index modulo the fold count.
     """
     probe = targets.features(targets.contexts[0], 0, 0)
     feature_dim = len(np.atleast_1d(probe))
-    width = targets.num_slots + feature_dim
+    moments = _fold_moments(targets, feature_dim, folds)
+    penalize = np.ones(targets.num_slots + feature_dim)
+    alpha = cv_select_alpha(moments, penalize, alphas)
+    weights = solve_ridge(moments.xtx.sum(axis=0), moments.xty.sum(axis=0), alpha, penalize)
+    return PointwiseScorer(
+        weights=weights, num_slots=targets.num_slots, feature_dim=feature_dim, alpha=alpha
+    )
 
-    designs: dict = {}
-    residue_grams: dict = {}
+
+def _fold_moments(targets: DecomposedTargets, feature_dim: int, folds: int) -> FoldMoments:
+    """Per-fold normal-equation moments of the regression rows.
+
+    Every row of a context shares that context's design matrix, so each
+    block reduces to per-(fold, coordinate) row counts, target sums and
+    sums of squares, and the moments follow from a few products with the
+    design matrix; the row matrix is never materialized.
+    """
+    width = targets.num_slots + feature_dim
+    # global row start of every example: cumulative sum of the block dims
+    dims = np.zeros(len(targets), dtype=np.int64)
+    for context, rows in zip(targets.contexts, targets.rows):
+        dims[rows] = targets.spaces[context].dim
+    starts = np.cumsum(dims) - dims
+
     xtx = np.zeros((folds, width, width))
     xty = np.zeros((folds, width))
     yty = np.zeros(folds)
     counts = np.zeros(folds)
-
-    row_start = 0
-    for context, phi_hat in zip(targets.contexts, targets.phi_hats):
+    for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
         space = targets.spaces[context]
-        design = designs.get(context)
-        if design is None:
-            design = _design_matrix(space, context, targets.features, feature_dim)
-            designs[context] = design
-            residue_grams[context] = {}
-        offset = row_start % folds
-        grams = residue_grams[context]
-        masks = grams.get("masks")
-        if masks is None:
-            local = np.arange(space.dim)
-            masks = [local % folds == c for c in range(folds)]
-            grams["masks"] = masks
-            grams["xtx"] = [design[mask].T @ design[mask] for mask in masks]
-        for c in range(folds):
-            fold = (offset + c) % folds
-            mask = masks[c]
-            block = phi_hat[mask]
-            xtx[fold] += grams["xtx"][c]
-            xty[fold] += design[mask].T @ block
-            yty[fold] += float(block @ block)
-            counts[fold] += int(mask.sum())
-        row_start += space.dim
-
-    moments = FoldMoments(xtx=xtx, xty=xty, yty=yty, counts=counts)
-    penalize = np.ones(width)
-    alpha = cv_select_alpha(moments, penalize, alphas)
-    weights = solve_ridge(xtx.sum(axis=0), xty.sum(axis=0), alpha, penalize)
-    return PointwiseScorer(
-        weights=weights, num_slots=targets.num_slots, feature_dim=feature_dim, alpha=alpha
-    )
+        design = _design_matrix(space, context, targets.features, feature_dim)
+        local = np.arange(space.dim)
+        keys = ((starts[rows, None] + local) % folds * space.dim + local).ravel()
+        size = folds * space.dim
+        values = block.ravel()
+        n_rows = np.bincount(keys, minlength=size).reshape(folds, space.dim)
+        sums = np.bincount(keys, weights=values, minlength=size).reshape(folds, space.dim)
+        squares = np.bincount(keys, weights=values * values, minlength=size)
+        xtx += (design.T * n_rows[:, None, :]) @ design
+        xty += sums @ design
+        yty += squares.reshape(folds, space.dim).sum(axis=1)
+        counts += n_rows.sum(axis=1)
+    return FoldMoments(xtx=xtx, xty=xty, yty=yty, counts=counts)
 
 
 def greedy_slate(scorer, context, space: SlateSpace, features: FeatureMap) -> tuple[int, ...]:
@@ -269,24 +279,4 @@ def fit_sup_scorer(
     weights = np.concatenate([np.full(num_slots, fit.weights[-1]), fit.weights[:-1]])
     return PointwiseScorer(
         weights=weights, num_slots=num_slots, feature_dim=X.shape[1], alpha=fit.alpha
-    )
-
-
-# -- scorer text format ----------------------------------------------------------
-
-
-def write_scorer(path, scorer: PointwiseScorer) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"slots {scorer.num_slots} features {scorer.feature_dim} ")
-        handle.write(f"alpha {fmt17(scorer.alpha)}\n")
-        handle.write(" ".join(fmt17(w) for w in scorer.weights) + "\n")
-
-
-def read_scorer(path) -> PointwiseScorer:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().split()
-        weights = np.array([float(x) for x in handle.readline().split()])
-    num_slots, feature_dim, alpha = int(header[1]), int(header[3]), float(header[5])
-    return PointwiseScorer(
-        weights=weights, num_slots=num_slots, feature_dim=feature_dim, alpha=alpha
     )

@@ -7,7 +7,7 @@ support enumeration whenever the slate space is small enough
 seed otherwise, so repeated queries are bit-reproducible.
 
 All policies are immutable after construction; internal moment caches are
-fill-once and safe to share across threads.
+fill-once.
 """
 
 from __future__ import annotations
@@ -191,10 +191,8 @@ class Policy:
 
 def _indicator_sum(space: SlateSpace, actions: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Probability-weighted sum of the indicator vectors of slate rows."""
-    q = np.zeros(space.dim)
-    for j in range(space.num_slots):
-        np.add.at(q, space.offsets[j] + actions[:, j], probs)
-    return q
+    coords = space.coords_of_actions(actions).ravel()
+    return np.bincount(coords, np.repeat(probs, space.num_slots), minlength=space.dim)
 
 
 def uniform_mean_indicator(space: SlateSpace) -> np.ndarray:
@@ -376,11 +374,6 @@ class MultinomialWoRPolicy(Policy):
         self._weights_cache[context] = logits
         return logits
 
-    def action_weights(self, context) -> np.ndarray:
-        """Softmax of temperature * scores over the context's action pool."""
-        weights = np.exp(self.action_logits(context))
-        return weights / weights.sum()
-
     def slate_prob_batch(self, context, actions) -> np.ndarray:
         actions = self.space_of(context).validate_batch(actions, context)
         logits = self.action_logits(context)
@@ -484,8 +477,9 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
 
     Per-context probability sums may drift from 1 by up to 1e-6 (e.g. from
     decimal rounding) and are renormalized; larger drift is rejected. A
-    probability that is not a finite nonnegative number, or a slate listed
-    twice for one context, is rejected with its line number.
+    probability that is not a finite nonnegative number, a slate that is
+    not valid in its context's space, or a slate listed twice for one
+    context, is rejected with its line number.
     """
     table: dict[str, list[tuple[Slate, float]]] = {}
     first_line: dict[tuple, int] = {}  # (context, slate) -> line it was listed on
@@ -523,7 +517,16 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
                 f"drift above {LOAD_DRIFT_TOL} is rejected"
             )
         normalized[context] = [(s, p / total) for s, p in entries]
-    return ExplicitPolicy(space, normalized, **kwargs)
+    try:
+        return ExplicitPolicy(space, normalized, **kwargs)
+    except SlateError:
+        # the table checks each context's slates in one batch; find the line
+        for (context, slate), lineno in first_line.items():
+            try:
+                space_of(space, context).validate(slate)
+            except SlateError as exc:
+                raise SlateError(f"{path}:{lineno}: context {context!r}: {exc}") from None
+        raise
 
 
 def write_explicit_policy(path, policy: ExplicitPolicy) -> None:

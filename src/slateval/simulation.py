@@ -13,7 +13,6 @@ compared against the exactly enumerable target value.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -434,20 +433,16 @@ def _run_once(
 def run_rmse_sweep(
     instance: BanditInstance, config: ExperimentConfig, *, threads: int = 1
 ) -> SweepResult:
-    """Full schedule over n_grid and runs; bit-reproducible for a fixed
-    seed regardless of thread count (each cell owns its rng stream)."""
+    """Full schedule over n_grid and runs, one cell after another.
+
+    Each cell owns its rng stream, so the result is bit-reproducible for a
+    fixed seed. ``threads`` is accepted and ignored: the cells are Python
+    bound, and a thread pool ran them no faster.
+    """
     target_value = instance.policy_value(instance.target)
     pinv_source = PinvSource()
     cells = [(n, run) for n in config.n_grid for run in range(config.runs)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            outputs = list(
-                executor.map(
-                    lambda cell: _run_once(instance, config, cell[0], cell[1], pinv_source), cells
-                )
-            )
-    else:
-        outputs = [_run_once(instance, config, n, run, pinv_source) for n, run in cells]
+    outputs = [_run_once(instance, config, n, run, pinv_source) for n, run in cells]
 
     rows = []
     for (n, run), estimates in zip(cells, outputs):

@@ -11,18 +11,6 @@ def test_reward_range_enforced():
         LoggedExample("q", (0, 1), -1.0000001)
 
 
-def test_marginal_reward_is_scaled_indicator():
-    from slateval import SlateSpace
-
-    space = SlateSpace.ranking(4, 2)
-    ex = LoggedExample("q", (3, 1), -0.5)
-    vec = ex.marginal_reward(space)
-    nonzero = vec[vec != 0.0]
-    assert len(nonzero) == 2
-    assert set(nonzero) == {-0.5}
-    np.testing.assert_array_equal(vec, -0.5 * space.indicator((3, 1)))
-
-
 def test_round_trip(tmp_path):
     examples = [
         LoggedExample("q1", (0, 2, 1), 0.125),

@@ -4,6 +4,7 @@ import pytest
 from helpers import random_explicit_policy
 from slateval import (
     DeterministicPolicy,
+    MultinomialWoRPolicy,
     PinvSource,
     SlateError,
     SlateSpace,
@@ -265,3 +266,34 @@ def test_closed_forms_match_golden_files(tmp_path):
         regenerated = tmp_path / name
         write_matrix(regenerated, pinv.entries)
         assert regenerated.read_text() == open(golden_path).read()
+
+
+def test_bincount_moments_equal_the_add_at_loops_bit_for_bit():
+    """moment_matrix and mean_indicator sum each cell's terms in row order,
+    exactly as the per-slot-pair np.add.at loops they replaced."""
+    rng = np.random.default_rng(21)
+    cases = [
+        MultinomialWoRPolicy(SlateSpace.ranking(10, 3), {"q": rng.normal(size=10)}, 1.0),
+        MultinomialWoRPolicy(SlateSpace.ranking(7, 4), {"q": rng.normal(size=7)}, 2.5),
+        # above the enumeration cap: the Monte Carlo sample takes the same path
+        MultinomialWoRPolicy(
+            SlateSpace.ranking(12, 5), {"q": rng.normal(size=12)}, 1.0,
+            enumeration_cap=1000, mc_samples=5000,
+        ),
+        random_explicit_policy(SlateSpace.cartesian((3, 2, 4)), ["q"], rng, sparsity=0.5),
+    ]
+    for policy in cases:
+        space = policy.space_of("q")
+        arrays = policy.moment_arrays("q")
+        coords = space.coords_of_actions(arrays.actions)
+        entries = np.zeros((space.dim, space.dim))
+        mean = np.zeros(space.dim)
+        for j in range(space.num_slots):
+            np.add.at(mean, coords[:, j], arrays.probs)
+            for k in range(space.num_slots):
+                np.add.at(entries, (coords[:, j], coords[:, k]), arrays.probs)
+        if not arrays.exact:
+            entries = 0.5 * (entries + entries.T)
+        assert np.array_equal(moment_matrix(policy, "q").entries, entries)
+        if arrays.exact:
+            assert np.array_equal(policy.mean_indicator("q"), mean)

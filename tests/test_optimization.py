@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slateval import (
+    ConfigurationError,
     ExperimentConfig,
     GeneratorConfig,
     LoggedExample,
@@ -17,13 +18,7 @@ from slateval import (
     greedy_slate,
 )
 from slateval.moments import moment_matrix
-from slateval.optimization import (
-    DecomposedTargets,
-    PointwiseScorer,
-    _design_matrix,
-    read_scorer,
-    write_scorer,
-)
+from slateval.optimization import DecomposedTargets, _design_matrix, _fold_moments
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
 
 
@@ -40,18 +35,36 @@ def unit_features(dim=4, seed=0):
     return features
 
 
+def per_example_targets(contexts, phi_hats, spaces, features, num_slots):
+    """Target blocks from one (context, target vector) pair per example:
+    one block per distinct context, its rows in example order."""
+    order = list(dict.fromkeys(contexts))
+    rows = [np.array([i for i, c in enumerate(contexts) if c == b]) for b in order]
+    return DecomposedTargets(
+        contexts=tuple(order),
+        rows=tuple(rows),
+        phi_hats=tuple(np.stack([phi_hats[i] for i in r]) for r in rows),
+        spaces=spaces,
+        features=features,
+        num_slots=num_slots,
+    )
+
+
 def test_decompose_uniform_ranking_worked_example():
     space = SlateSpace.ranking(2, 2)
     logging = UniformPolicy(space)
     logs = [LoggedExample("q", (0, 1), 1.0)]
     targets = decompose(logs, logging, features=unit_features())
-    np.testing.assert_allclose(targets.phi_hats[0], [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert targets.contexts == ("q",) and len(targets) == 1
+    np.testing.assert_array_equal(targets.rows[0], [0])
+    np.testing.assert_allclose(targets.phi_hats[0], [[1.0, 0.0, 0.0, 1.0]], atol=1e-12)
 
 
 def test_decompose_zero_reward_zero_targets():
     space = SlateSpace.ranking(3, 2)
     logging = UniformPolicy(space)
     targets = decompose([LoggedExample("q", (1, 2), 0.0)], logging, features=unit_features())
+    assert targets.phi_hats[0].shape == (1, space.dim)
     assert np.all(targets.phi_hats[0] == 0.0)
 
 
@@ -64,9 +77,12 @@ def test_decomposed_targets_recover_reward_through_logging_mean():
     logging = mixture_logging_policy(instance, 0.5, rng)
     logs = draw_ada_logs(instance, logging, 60, rng)
     targets = decompose(logs, logging, features=unit_features())
-    for ex, phi_hat in zip(logs, targets.phi_hats):
-        q = logging.mean_indicator(ex.context)
-        assert q @ phi_hat == pytest.approx(ex.reward, abs=1e-10)
+    assert sorted(np.concatenate(targets.rows).tolist()) == list(range(len(logs)))
+    for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
+        q = logging.mean_indicator(context)
+        for i, phi_hat in zip(rows, block):
+            assert logs[i].context == context
+            assert q @ phi_hat == pytest.approx(logs[i].reward, abs=1e-10)
 
 
 def test_decompose_mean_converges_to_projected_values():
@@ -88,7 +104,8 @@ def test_decompose_mean_converges_to_projected_values():
         slate = logging.sample("q", rng)
         logs.append(LoggedExample("q", slate, reward(slate)))
     targets = decompose(logs, logging, features=unit_features())
-    mean_phi_hat = np.mean(np.stack(targets.phi_hats), axis=0)
+    assert targets.phi_hats[0].shape == (n, space.dim)
+    mean_phi_hat = np.mean(targets.phi_hats[0], axis=0)
 
     theta = np.zeros(space.dim)
     for slate, p in logging.support("q"):
@@ -104,7 +121,8 @@ def test_fit_scorer_constant_targets():
     features = unit_features()
     targets = DecomposedTargets(
         contexts=tuple(f"q{i}" for i in range(100)),
-        phi_hats=tuple(np.full(space.dim, 0.7) for _ in range(100)),
+        rows=tuple(np.array([i]) for i in range(100)),
+        phi_hats=tuple(np.full((1, space.dim), 0.7) for _ in range(100)),
         spaces={f"q{i}": space for i in range(100)},
         features=features,
         num_slots=2,
@@ -127,7 +145,8 @@ def test_fit_scorer_recovers_noiseless_linear_targets():
         phi_hats.append(design @ np.concatenate([slot_offsets, true_w]))
     targets = DecomposedTargets(
         contexts=contexts,
-        phi_hats=tuple(phi_hats),
+        rows=tuple(np.array([i]) for i in range(len(contexts))),
+        phi_hats=tuple(phi[None, :] for phi in phi_hats),
         spaces={c: space for c in contexts},
         features=features,
         num_slots=2,
@@ -138,31 +157,60 @@ def test_fit_scorer_recovers_noiseless_linear_targets():
 
 
 def test_fit_scorer_fold_moments_match_row_reference():
-    """Streaming fold accumulation equals explicit row-indexed folds."""
-    space = SlateSpace.ranking(3, 2)
-    features = unit_features(dim=2, seed=6)
-    rng = np.random.default_rng(6)
-    contexts = tuple(f"q{i % 3}" for i in range(11))
-    phi_hats = tuple(rng.normal(size=space.dim) for _ in contexts)
-    targets = DecomposedTargets(
-        contexts=contexts,
-        phi_hats=phi_hats,
-        spaces={c: space for c in contexts},
-        features=features,
-        num_slots=2,
-    )
-    scorer = fit_scorer(targets, alphas=(0.1,))
+    """Per-block fold moments equal explicit row-indexed folds.
 
-    rows = np.vstack([_design_matrix(space, c, features, 2) for c in contexts])
-    values = np.concatenate(phi_hats)
-    moments = fold_moments_from_rows(rows, values, folds=5)
-    assert cv_select_alpha(moments, np.ones(rows.shape[1]), (0.1,)) == 0.1
+    The second input interleaves contexts whose spaces have 6, 8 and 5
+    coordinates, so the examples' global row starts are not uniform.
+    """
     from slateval.ridge import solve_ridge
 
-    expected = solve_ridge(
-        moments.xtx.sum(axis=0), moments.xty.sum(axis=0), 0.1, np.ones(rows.shape[1])
-    )
-    np.testing.assert_allclose(scorer.weights, expected, atol=1e-10)
+    features = unit_features(dim=2, seed=6)
+    contexts = tuple(f"q{i % 3}" for i in range(11))
+    same_dims = {c: SlateSpace.ranking(3, 2) for c in contexts}
+    mixed_dims = {
+        "q0": SlateSpace.ranking(3, 2),
+        "q1": SlateSpace.ranking(4, 2),
+        "q2": SlateSpace.cartesian((2, 3)),
+    }
+    for spaces in (same_dims, mixed_dims):
+        rng = np.random.default_rng(6)
+        phi_hats = tuple(rng.normal(size=spaces[c].dim) for c in contexts)
+        targets = per_example_targets(contexts, phi_hats, spaces, features, 2)
+        scorer = fit_scorer(targets, alphas=(0.1,))
+
+        rows = np.vstack([_design_matrix(spaces[c], c, features, 2) for c in contexts])
+        values = np.concatenate(phi_hats)
+        moments = fold_moments_from_rows(rows, values, folds=5)
+        streamed = _fold_moments(targets, 2, folds=5)
+        for name in ("xtx", "xty", "yty", "counts"):
+            np.testing.assert_allclose(
+                getattr(streamed, name), getattr(moments, name), rtol=1e-12, atol=1e-12
+            )
+        assert cv_select_alpha(moments, np.ones(rows.shape[1]), (0.1,)) == 0.1
+        expected = solve_ridge(
+            moments.xtx.sum(axis=0), moments.xty.sum(axis=0), 0.1, np.ones(rows.shape[1])
+        )
+        np.testing.assert_allclose(scorer.weights, expected, atol=1e-10)
+
+
+def test_decomposed_targets_reject_malformed_blocks():
+    space = SlateSpace.ranking(3, 2)
+    features = unit_features()
+
+    def build(rows, blocks):
+        return DecomposedTargets(
+            contexts=("a", "b"), rows=rows, phi_hats=blocks,
+            spaces={"a": space, "b": space}, features=features, num_slots=2,
+        )
+
+    assert len(build((np.array([0, 2]), np.array([1])), (np.zeros((2, 6)), np.zeros((1, 6))))) == 3
+    for rows, blocks in (
+        ((np.array([0, 2]), np.array([2])), (np.zeros((2, 6)), np.zeros((1, 6)))),  # repeat
+        ((np.array([0, 3]), np.array([1])), (np.zeros((2, 6)), np.zeros((1, 6)))),  # gap
+        ((np.array([0, 2]), np.array([1])), (np.zeros((2, 6)), np.zeros((1, 5)))),  # shape
+    ):
+        with pytest.raises(ConfigurationError, match="exactly once"):
+            build(rows, blocks)
 
 
 def test_fit_scorer_deterministic():
@@ -170,8 +218,9 @@ def test_fit_scorer_deterministic():
     features = unit_features(dim=2, seed=7)
     rng = np.random.default_rng(7)
     targets = DecomposedTargets(
-        contexts=("a",) * 20,
-        phi_hats=tuple(rng.normal(size=space.dim) for _ in range(20)),
+        contexts=("a",),
+        rows=(np.arange(20),),
+        phi_hats=(rng.normal(size=(20, space.dim)),),
         spaces={"a": space},
         features=features,
         num_slots=2,
@@ -298,14 +347,3 @@ def test_sup_scorer_slates_sort_by_predicted_gain():
     scores = scorer.score_matrix(context, space, instance.features)[0]
     expected = tuple(np.argsort(-scores, kind="stable")[:3])
     assert slate == expected
-
-
-def test_scorer_round_trip(tmp_path):
-    scorer = PointwiseScorer(
-        weights=np.array([0.5, -0.25, 1.5, 2.0]), num_slots=2, feature_dim=2, alpha=0.1
-    )
-    path = tmp_path / "scorer.txt"
-    write_scorer(path, scorer)
-    back = read_scorer(path)
-    np.testing.assert_array_equal(back.weights, scorer.weights)
-    assert back.num_slots == 2 and back.feature_dim == 2 and back.alpha == 0.1

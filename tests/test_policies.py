@@ -262,6 +262,19 @@ def test_explicit_rejects_duplicate_slates(tmp_path):
         load_explicit_policy(path, space)
 
 
+def test_explicit_policy_file_names_the_line_of_an_invalid_slate(tmp_path):
+    space = SlateSpace.ranking(3, 2)
+    path = tmp_path / "policy.tsv"
+    for text, line, reason in (
+        ("c1\t0,1\t0.5\nc1\t1,1\t0.5\n", 2, "repeats an action"),
+        ("c1\t0,1,2\t0.5\nc1\t1,0\t0.5\n", 1, "has 3 slots"),
+        ("c1\t0,1\t1.0\nc2\t2,1\t0.5\nc2\t0,3\t0.5\n", 3, "out of range"),
+    ):
+        path.write_text(text)
+        with pytest.raises(SlateError, match=rf"policy\.tsv:{line}: context 'c\d': .*{reason}"):
+            load_explicit_policy(path, space)
+
+
 def test_explicit_slate_prob_batch_looks_up_every_row():
     space = SlateSpace.cartesian((3, 2))
     policy = ExplicitPolicy(space, {"q": [((2, 1), 0.5), ((0, 0), 0.3), ((1, 1), 0.2)]})

@@ -1,5 +1,6 @@
 """Property-based checks of the batch paths against per-slate and
-per-example references kept in this file."""
+per-example references kept in this file, and of the estimator
+identities on random enumerable spaces and policies."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from slateval import (
     UndefinedEstimateError,
     UniformMixturePolicy,
     UniformPolicy,
+    compute_rho,
+    compute_rho_bar,
+    compute_sigma_sq,
     estimate_ips,
     estimate_pi,
     estimate_wips,
@@ -197,3 +201,62 @@ def test_batch_write_read_round_trip(tmp_path_factory, batch):
     np.testing.assert_array_equal(back.actions, batch.actions)
     np.testing.assert_array_equal(back.rewards, batch.rewards)
     assert [back.contexts[c] for c in back.codes] == [batch.contexts[c] for c in batch.codes]
+
+
+@st.composite
+def overlapping_problems(draw, single_slot=False):
+    """Logs drawn from a random logging policy, plus the logging policy
+    itself or a random target whose support lies inside the logging
+    support at every context."""
+    space = draw(spaces())
+    if single_slot:
+        space = SlateSpace(space.kind, space.slot_counts[:1])
+    logging = draw(references(space)).policy
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        target = logging
+    else:
+        table = {}
+        for c in CONTEXTS:
+            slates, _ = logging.support_arrays(c)
+            keep = rng.random(len(slates)) < 0.5
+            keep[rng.integers(len(slates))] = True
+            weights = rng.gamma(0.5, size=int(keep.sum())) + 1e-3
+            table[c] = list(zip(map(tuple, slates[keep].tolist()), weights / weights.sum()))
+        target = ExplicitPolicy(space, table)
+    n = draw(st.integers(1, 40))
+    rewards = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    logs = []
+    for reward in rewards:
+        context = CONTEXTS[rng.integers(len(CONTEXTS))]
+        logs.append(LoggedExample(context, logging.sample(context, rng), reward))
+    return logs, logging, target
+
+
+@PROPERTY_SETTINGS
+@given(overlapping_problems())
+def test_pi_equals_mean_reward_when_target_is_logging(problem):
+    logs, logging, _ = problem
+    mean_reward = pairwise_sum(np.array([ex.reward for ex in logs])) / len(logs)
+    assert estimate_pi(logs, logging, logging).estimate == pytest.approx(mean_reward, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(overlapping_problems(single_slot=True))
+def test_pi_equals_ips_on_single_slot_spaces(problem):
+    logs, logging, target = problem
+    pi = estimate_pi(logs, logging, target).estimate
+    assert pi == pytest.approx(estimate_ips(logs, logging, target).estimate, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(overlapping_problems())
+def test_sigma_sq_le_rho_le_rho_bar_inside_the_logging_support(problem):
+    _, logging, target = problem
+    source = PinvSource()
+    sigma_sq = compute_sigma_sq(CONTEXTS, logging, target, pinv_source=source)
+    rho = compute_rho(CONTEXTS, logging, target, pinv_source=source)
+    rho_bar = max(compute_rho_bar(logging, c, pinv_source=source) for c in CONTEXTS)
+    tol = 1e-9 * max(1.0, rho_bar)
+    assert sigma_sq <= rho + tol
+    assert rho <= rho_bar + tol
