@@ -8,6 +8,10 @@ class SlateError(ValueError):
 class ContextLookupError(KeyError):
     """A policy was queried at a context it has no entry for."""
 
+    def __str__(self) -> str:
+        # KeyError would show the message quoted, as a repr
+        return Exception.__str__(self)
+
 
 class ConfigurationError(ValueError):
     """Invalid configuration value (e.g. a zero Monte Carlo sample count)."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,45 +167,90 @@ class LoggedBatch(Sequence):
         )
 
 
+class _Columns(NamedTuple):
+    """A parsed ``context<TAB>comma-joined slate<TAB>number`` file, one row per data line."""
+
+    linenos: np.ndarray  # 1-based physical line numbers
+    contexts: tuple  # distinct context ids, in order of first appearance
+    codes: np.ndarray  # each row's index into ``contexts``
+    widths: np.ndarray  # slate tokens per row
+    tokens: np.ndarray  # every row's slate tokens, flat int64
+    numbers: np.ndarray  # the third field, float64
+
+
+def _read_tsv_columns(path, error_type) -> _Columns:
+    """Parse a ``context<TAB>comma-joined slate<TAB>number`` file in bulk.
+
+    The text is split into lines as iterating the file would (universal
+    newlines), and each line is stripped; blank and ``#`` lines are skipped
+    but still count toward line numbers. Slate tokens follow ``int()`` and
+    numbers ``float()``. A line without exactly three tab-separated fields,
+    or with a token or number that does not parse, raises ``error_type``
+    naming ``path:lineno``; field counts are checked first.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    lines = list(map(str.strip, text.split("\n")))
+    keep = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
+    if "#" in text:
+        keep &= ~np.fromiter(map(str.startswith, lines, repeat("#")), dtype=bool, count=len(lines))
+    del text
+    linenos = np.flatnonzero(keep) + 1
+    lines = list(compress(lines, keep))
+    n = len(lines)
+    misfit = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=n) != 2
+    if misfit.any():
+        raise error_type(f"{path}:{linenos[np.argmax(misfit)]}: expected 3 tab-separated fields")
+    fields = "\t".join(lines).split("\t") if n else []
+    del lines
+    context_texts, slate_texts, number_texts = fields[0::3], fields[1::3], fields[2::3]
+    del fields
+    index = {context: code for code, context in enumerate(dict.fromkeys(context_texts))}
+    codes = np.fromiter(map(index.__getitem__, context_texts), dtype=np.int64, count=n)
+    del context_texts
+    widths = np.fromiter(map(str.count, slate_texts, repeat(",")), dtype=np.int64, count=n) + 1
+    try:
+        tokens = np.array(",".join(slate_texts).split(",") if n else [], dtype=np.int64)
+        numbers = np.array(number_texts, dtype=np.float64)
+    except (ValueError, OverflowError):
+        _raise_unparsable(path, error_type, linenos, slate_texts, number_texts)
+        raise
+    return _Columns(linenos, tuple(index), codes, widths, tokens, numbers)
+
+
+def _raise_unparsable(path, error_type, linenos, slate_texts, number_texts) -> None:
+    """Raise ``error_type`` for the first line whose tokens or number do not parse."""
+    for lineno, slate_text, number_text in zip(linenos.tolist(), slate_texts, number_texts):
+        try:
+            actions = list(map(int, slate_text.split(",")))
+            float(number_text)
+        except ValueError as exc:
+            raise error_type(f"{path}:{lineno}: {exc}") from exc
+        if not all(-(2**63) <= a < 2**63 for a in actions):
+            raise error_type(f"{path}:{lineno}: slate {slate_text!r} does not fit in int64")
+
+
 def read_logged_dataset(path) -> LoggedBatch:
     """Read tab-separated lines: context_id, comma-joined slate, reward.
 
     Every slate must have as many slots as the first one.
     """
-    index: dict = {}
-    codes: list[int] = []
-    slates: list[list[int]] = []
-    rewards: list[float] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            context, slate_text, reward_text = parts
-            try:
-                slate = list(map(int, slate_text.split(",")))
-                reward = float(reward_text)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not -1.0 <= reward <= 1.0:
-                raise ParseError(f"{path}:{lineno}: reward {reward} outside [-1, 1]")
-            if width is None:
-                width = len(slate)
-            elif len(slate) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: slate has {len(slate)} slots, earlier lines have {width}"
-                )
-            codes.append(index.setdefault(context, len(index)))
-            slates.append(slate)
-            rewards.append(reward)
+    columns = _read_tsv_columns(path, ParseError)
+    rewards, widths = columns.numbers, columns.widths
+    outside = ~((rewards >= -1.0) & (rewards <= 1.0))
+    ragged = widths != widths[:1]
+    if (outside | ragged).any():
+        i = int(np.argmax(outside | ragged))
+        if outside[i]:
+            problem = f"reward {float(rewards[i])} outside [-1, 1]"
+        else:
+            problem = f"slate has {widths[i]} slots, earlier lines have {widths[0]}"
+        raise ParseError(f"{path}:{columns.linenos[i]}: {problem}")
+    n = len(rewards)
     return LoggedBatch(
-        contexts=index,
-        codes=codes,
-        actions=np.asarray(slates, dtype=np.int64).reshape(len(codes), width or 0),
+        contexts=columns.contexts,
+        codes=columns.codes,
+        actions=columns.tokens.reshape(n, int(widths[0]) if n else 0),
         rewards=rewards,
     )
 

@@ -12,13 +12,15 @@ fill-once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError, ContextLookupError, SlateError
+from .logs import _read_tsv_columns
 from .spaces import Slate, SlateSpace, SpaceKind, space_of
 from .util import context_rng
 
@@ -266,40 +268,83 @@ class ExplicitPolicy(Policy):
 
     def __init__(self, space, table: Mapping[object, Iterable[tuple[Slate, float]]], **kwargs):
         super().__init__(space, **kwargs)
+        contexts = list(table)
+        entries = [list(table[context]) for context in contexts]
+        pairs = list(chain.from_iterable(entries))
+        slates = list(map(itemgetter(0), pairs))
+        self._build(
+            contexts,
+            np.repeat(np.arange(len(contexts)), list(map(len, entries))),
+            np.fromiter(map(len, slates), dtype=np.int64, count=len(slates)),
+            np.fromiter(chain.from_iterable(slates), dtype=np.int64),
+            np.fromiter(map(float, map(itemgetter(1), pairs)), dtype=np.float64, count=len(pairs)),
+        )
+
+    @classmethod
+    def _from_columns(cls, space, contexts, codes, widths, tokens, probs, **kwargs):
+        """A policy from one row per listed slate: context codes, slot widths,
+        the slates' tokens back to back, and probabilities."""
+        policy = cls.__new__(cls)
+        Policy.__init__(policy, space, **kwargs)
+        policy._build(contexts, codes, widths, tokens, probs)
+        return policy
+
+    def _build(self, contexts, codes, widths, tokens, probs) -> None:
+        """Check and store the table; the one construction path of both
+        ``__init__`` and ``_from_columns``."""
+        starts = np.cumsum(widths) - widths
+        bad = ~np.isfinite(probs) | (probs < 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            slate = tuple(tokens[starts[i] : starts[i] + widths[i]].tolist())
+            raise SlateError(
+                f"probability {probs[i]} for slate {slate} at context {contexts[codes[i]]!r} "
+                f"is not a finite nonnegative number"
+            )
+        counts = np.bincount(codes, minlength=len(contexts))
+        sorted_rows = np.argsort(codes, kind="stable")
+        by_context = [sorted_rows[end - n : end] for end, n in zip(np.cumsum(counts).tolist(), counts)]
+        # the contexts that share a space are validated and keyed in one batch
+        members: dict = {}
+        for code, context in enumerate(contexts):
+            members.setdefault(self.space_of(context), []).append(code)
+        slates = [None] * len(contexts)  # per context: (actions, slate keys)
+        for sp, group in members.items():
+            rows = np.concatenate([by_context[c] for c in group])
+            wrong = widths[rows] != sp.num_slots
+            if wrong.any():
+                i = rows[np.argmax(wrong)]
+                sp.validate(tokens[starts[i] : starts[i] + widths[i]])
+            actions = tokens[starts[rows, None] + np.arange(sp.num_slots)]
+            ends = np.cumsum(counts[group]).tolist()
+            spans = list(zip(group, [0] + ends[:-1], ends))
+            try:
+                sp.validate_batch(actions)
+            except SlateError:
+                for c, start, end in spans:
+                    sp.validate_batch(actions[start:end], contexts[c])  # names the context
+                raise
+            keys = sp.slate_keys(actions)
+            for c, start, end in spans:
+                slates[c] = (actions[start:end], keys[start:end])
         self._table: dict = {}
         self._lookup: dict = {}  # context -> (sorted slate keys, their probabilities)
-        for context, entries in table.items():
-            sp = self.space_of(context)
-            entries = list(entries)
-            slates = [tuple(slate) for slate, _ in entries]
-            for slate in slates:
-                if len(slate) != sp.num_slots:
-                    sp.validate(slate)
-            actions = sp.validate_batch(
-                np.asarray(slates, dtype=np.int64).reshape(-1, sp.num_slots), context
-            )
-            probs = np.asarray([float(p) for _, p in entries], dtype=np.float64)
-            bad = ~np.isfinite(probs) | (probs < 0.0)
-            if bad.any():
-                i = int(np.argmax(bad))
+        for context, rows, (actions, keys) in zip(contexts, by_context, slates):
+            p = probs[rows]
+            total = p.sum()
+            if abs(total - 1.0) > PROB_SUM_TOL:
                 raise SlateError(
-                    f"probability {probs[i]} for slate {slates[i]} at context {context!r} "
-                    f"is not a finite nonnegative number"
+                    f"probabilities for context {context!r} sum to {total:.12g}, not 1"
                 )
-            if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-                raise SlateError(
-                    f"probabilities for context {context!r} sum to {probs.sum():.12g}, not 1"
-                )
-            probs = probs / probs.sum()
-            keys = sp.slate_keys(actions)
+            p = p / total
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
             repeats = sorted_keys[1:] == sorted_keys[:-1]
             if repeats.any():
-                slate = slates[order[int(np.argmax(repeats))]]
+                slate = tuple(actions[order[int(np.argmax(repeats))]].tolist())
                 raise SlateError(f"slate {slate} is listed twice for context {context!r}")
-            self._table[context] = (actions, probs)
-            self._lookup[context] = (sorted_keys, probs[order])
+            self._table[context] = (actions, p)
+            self._lookup[context] = (sorted_keys, p[order])
 
     @property
     def contexts(self) -> list:
@@ -479,54 +524,64 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
     decimal rounding) and are renormalized; larger drift is rejected. A
     probability that is not a finite nonnegative number, a slate that is
     not valid in its context's space, or a slate listed twice for one
-    context, is rejected with its line number.
+    context, is rejected with its line number, and so is a file without
+    entries.
     """
-    table: dict[str, list[tuple[Slate, float]]] = {}
-    first_line: dict[tuple, int] = {}  # (context, slate) -> line it was listed on
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SlateError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            context, slate_text, prob_text = parts
-            try:
-                slate = tuple(map(int, slate_text.split(",")))
-                prob = float(prob_text)
-            except ValueError as exc:
-                raise SlateError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(prob) and prob >= 0.0):
-                raise SlateError(
-                    f"{path}:{lineno}: probability {prob_text!r} is not a finite nonnegative number"
-                )
-            seen = first_line.setdefault((context, slate), lineno)
-            if seen != lineno:
-                raise SlateError(
-                    f"{path}:{lineno}: slate {slate} for context {context!r} was already "
-                    f"listed on line {seen}"
-                )
-            table.setdefault(context, []).append((slate, prob))
-    normalized: dict[str, list[tuple[Slate, float]]] = {}
-    for context, entries in table.items():
-        total = sum(p for _, p in entries)
-        if abs(total - 1.0) > LOAD_DRIFT_TOL:
-            raise SlateError(
-                f"{path}: probabilities for context {context!r} sum to {total:.9g}; "
-                f"drift above {LOAD_DRIFT_TOL} is rejected"
+    columns = _read_tsv_columns(path, SlateError)
+    contexts, codes, linenos = columns.contexts, columns.codes, columns.linenos
+    if not len(codes):
+        raise SlateError(f"{path}: no policy entries")
+    probs = columns.numbers
+    bad = ~np.isfinite(probs) | (probs < 0.0)
+    first = _first_listings(codes, columns.widths, columns.tokens)
+    repeated = first != np.arange(len(codes))
+    if (bad | repeated).any():
+        i = int(np.argmax(bad | repeated))
+        if bad[i]:
+            problem = f"probability {probs[i]} is not a finite nonnegative number"
+        else:
+            start = int(columns.widths[:i].sum())
+            slate = tuple(columns.tokens[start : start + columns.widths[i]].tolist())
+            problem = (
+                f"slate {slate} for context {contexts[codes[i]]!r} was already "
+                f"listed on line {linenos[first[i]]}"
             )
-        normalized[context] = [(s, p / total) for s, p in entries]
+        raise SlateError(f"{path}:{linenos[i]}: {problem}")
+    totals = np.bincount(codes, weights=probs, minlength=len(contexts))  # in line order
+    drift = np.abs(totals - 1.0) > LOAD_DRIFT_TOL
+    if drift.any():
+        c = int(np.argmax(drift))
+        raise SlateError(
+            f"{path}: probabilities for context {contexts[c]!r} sum to {totals[c]:.9g}; "
+            f"drift above {LOAD_DRIFT_TOL} is rejected"
+        )
     try:
-        return ExplicitPolicy(space, normalized, **kwargs)
+        return ExplicitPolicy._from_columns(
+            space, contexts, codes, columns.widths, columns.tokens, probs / totals[codes], **kwargs
+        )
     except SlateError:
-        # the table checks each context's slates in one batch; find the line
-        for (context, slate), lineno in first_line.items():
+        # the table checks slates in bulk; find the line of the first invalid one
+        slates = np.split(columns.tokens, np.cumsum(columns.widths)[:-1])
+        for lineno, code, slate in zip(linenos.tolist(), codes.tolist(), slates):
             try:
-                space_of(space, context).validate(slate)
+                space_of(space, contexts[code]).validate(slate)
             except SlateError as exc:
-                raise SlateError(f"{path}:{lineno}: context {context!r}: {exc}") from None
+                raise SlateError(f"{path}:{lineno}: context {contexts[code]!r}: {exc}") from None
         raise
+
+
+def _first_listings(codes, widths, tokens) -> np.ndarray:
+    """For each row, the first row listing the same context and slate."""
+    n = len(codes)
+    padded = np.zeros((n, int(widths.max())), dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < widths[:, None]] = tokens
+    rows = np.column_stack((codes, widths, padded))
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep line order
+    rows = rows[order]
+    starts = np.where(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)], np.arange(n), 0)
+    first = np.empty(n, dtype=np.int64)
+    first[order] = order[np.maximum.accumulate(starts)]
+    return first
 
 
 def write_explicit_policy(path, policy: ExplicitPolicy) -> None:

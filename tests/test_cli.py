@@ -106,6 +106,37 @@ def test_evaluate_abs_violation_exits_1(tmp_path):
     assert code == 1
 
 
+def test_evaluate_names_a_context_missing_from_the_policy_unquoted(tmp_path, capsys):
+    logs_path = tmp_path / "logs.tsv"
+    write_logs_file(logs_path, [("z", (0, 1), 0.5)])
+    logging_path = tmp_path / "logging.tsv"
+    write_policy_file(logging_path, [("q", (0, 1), 1.0)])
+    code = main([
+        "evaluate",
+        "--logs", str(logs_path),
+        "--logging-policy", str(logging_path),
+        "--target-policy", "uniform",
+        "--space", "ranking:m=3,slots=2",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no table entry for context 'z'\n"
+
+
+def test_diagnose_rejects_a_policy_file_without_entries(tmp_path, capsys):
+    policy_path = tmp_path / "empty.tsv"
+    policy_path.write_text("# no entries\n\n")
+    code = main([
+        "diagnose",
+        "--logging-policy", str(policy_path),
+        "--target-policy", "uniform",
+        "--space", "ranking:m=3,slots=2",
+        "--out-dir", str(tmp_path / "diag"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {policy_path}: no policy entries\n"
+
+
 def test_diagnose_identity_policies(tmp_path, capsys):
     policy_path = tmp_path / "policy.tsv"
     write_policy_file(

@@ -106,3 +106,35 @@ def test_read_rejects_slates_of_another_length(tmp_path):
     path.write_text("q\t0,1\t0.5\nq\t0,1,2\t0.5\n")
     with pytest.raises(ParseError, match=":2"):
         read_logged_dataset(path)
+
+
+def test_read_names_the_line_of_a_bad_reward(tmp_path):
+    path = tmp_path / "logs.tsv"
+    for text, message in (
+        ("q\t0,1\t0.5\nq\t1,0\t1.5\n", ":2: reward 1.5 outside"),
+        ("q\t0,1\t0.5\nq\t1,0\tnan\n", ":2: reward nan outside"),
+        ("q\t0,1\t0.5\nq\t1,0\thalf\n", ":2: could not convert string to float: 'half'"),
+        ("q\t0,1\t0.5\nq\t1,0\t\t\n", ":2: expected 3"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_logged_dataset(path)
+
+
+def test_read_counts_skipped_lines_in_line_numbers(tmp_path):
+    path = tmp_path / "logs.tsv"
+    path.write_text("# header\n\n   \nq\t0,1\t0.5\r\n# note\nq\t0,z\t0.5\n")
+    with pytest.raises(ParseError, match=r"logs\.tsv:6: invalid literal for int\(\) with base 10: 'z'"):
+        read_logged_dataset(path)
+
+
+def test_read_follows_int_and_float_syntax(tmp_path):
+    path = tmp_path / "logs.tsv"
+    path.write_text("  q\t+1, 0\t+.5  \nr\t1_0,2\t-1e-1\n")
+    logs = read_logged_dataset(path)
+    assert logs.contexts == ("q", "r")
+    np.testing.assert_array_equal(logs.actions, [[1, 0], [10, 2]])
+    np.testing.assert_array_equal(logs.rewards, [0.5, -0.1])
+    path.write_text("q\t0,1\t0.5\nq\t0,99999999999999999999\t0.5\n")
+    with pytest.raises(ParseError, match=":2: .*int64"):
+        read_logged_dataset(path)

@@ -295,3 +295,45 @@ def test_scalar_slate_prob_override_alone_is_rejected_clearly():
 
     with pytest.raises(NotImplementedError, match="ScalarOnly must implement slate_prob_batch"):
         ScalarOnly(SlateSpace.ranking(2, 1)).moment_arrays("q")
+
+
+def test_explicit_policy_file_names_the_line_of_a_bad_field(tmp_path):
+    space = SlateSpace.ranking(3, 2)
+    path = tmp_path / "policy.tsv"
+    for text, message in (
+        ("q\t0,1\t0.5\nq\t1,0\n", ":2: expected 3 tab-separated fields"),
+        ("q\t0,1\t0.5\nq\t1,0\t0.5\t0.1\n", ":2: expected 3 tab-separated fields"),
+        ("q\t0,1\t0.5\nq\t1,a\t0.5\n", ":2: invalid literal for int"),
+        ("q\t0,1\t0.5\nq\t1,0\tp\n", ":2: could not convert string to float"),
+        ("q\t0,1\t1.25\nq\t1,0\t-0.25\n", ":2: probability -0.25 is not a finite nonnegative"),
+        ("# policy\n\nq\t0,1\t0.5\n\n# more\nq\t1,0\t-0.5\n", ":6: probability -0.5"),
+    ):
+        path.write_text(text)
+        with pytest.raises(SlateError, match=message):
+            load_explicit_policy(path, space)
+
+
+def test_explicit_policy_file_rejects_a_file_without_entries(tmp_path):
+    path = tmp_path / "policy.tsv"
+    for text in ("", "\n\n", "# only a comment\n   \n"):
+        path.write_text(text)
+        with pytest.raises(SlateError, match=r"policy\.tsv: no policy entries"):
+            load_explicit_policy(path, SlateSpace.ranking(3, 2))
+
+
+def test_explicit_policy_with_a_space_per_context(tmp_path):
+    spaces = {"a": SlateSpace.ranking(3, 1), "b": SlateSpace.ranking(3, 2)}
+    table = {"a": [((0,), 0.25), ((2,), 0.75)], "b": [((0, 1), 1.0)]}
+    policy = ExplicitPolicy(spaces, table)
+    assert policy.slate_prob("a", (2,)) == 0.75 and policy.slate_prob("b", (0, 1)) == 1.0
+    path = tmp_path / "policy.tsv"
+    path.write_text("a\t0\t0.25\nb\t0,1\t1.0\na\t2\t0.75\n")
+    loaded = load_explicit_policy(path, spaces)
+    for context in spaces:
+        for got, want in zip(loaded.support_arrays(context), policy.support_arrays(context)):
+            np.testing.assert_array_equal(got, want)
+    path.write_text("a\t0\t0.25\nb\t0,1\t1.0\na\t2,1\t0.75\n")
+    with pytest.raises(SlateError, match=r"policy\.tsv:3: context 'a': .*has 2 slots"):
+        load_explicit_policy(path, spaces)
+    with pytest.raises(SlateError, match="has 2 slots, expected 1"):
+        ExplicitPolicy(spaces, {"a": [((0,), 0.5), ((1, 2), 0.5)]})

@@ -13,6 +13,7 @@ from slateval import (
     LoggedBatch,
     LoggedExample,
     MultinomialWoRPolicy,
+    ParseError,
     PinvSource,
     SlateError,
     SlateSpace,
@@ -26,9 +27,11 @@ from slateval import (
     estimate_ips,
     estimate_pi,
     estimate_wips,
+    load_explicit_policy,
     read_logged_dataset,
     write_logged_dataset,
 )
+from slateval.spaces import space_of
 from slateval.util import pairwise_sum
 
 # derandomized so the suite gives the same verdict on every run
@@ -260,3 +263,259 @@ def test_sigma_sq_le_rho_le_rho_bar_inside_the_logging_support(problem):
     tol = 1e-9 * max(1.0, rho_bar)
     assert sigma_sq <= rho + tol
     assert rho <= rho_bar + tol
+
+
+# -- the bulk TSV readers against the per-line loops they replaced -------------
+
+
+def reference_read_logs(path):
+    """The per-line log reader; returns the batch columns."""
+    index: dict = {}
+    codes, slates, rewards = [], [], []
+    width = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            context, slate_text, reward_text = parts
+            try:
+                slate = list(map(int, slate_text.split(",")))
+                reward = float(reward_text)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not -1.0 <= reward <= 1.0:
+                raise ParseError(f"{path}:{lineno}: reward {reward} outside [-1, 1]")
+            if width is None:
+                width = len(slate)
+            elif len(slate) != width:
+                raise ParseError(
+                    f"{path}:{lineno}: slate has {len(slate)} slots, earlier lines have {width}"
+                )
+            codes.append(index.setdefault(context, len(index)))
+            slates.append(slate)
+            rewards.append(reward)
+    actions = np.asarray(slates, dtype=np.int64).reshape(len(codes), width or 0)
+    return tuple(index), np.asarray(codes, dtype=np.int64), actions, np.asarray(rewards)
+
+
+def reference_load_policy(path, space):
+    """The per-line policy loader, followed by the per-context arithmetic of
+    the table it built; returns {context: (actions, probabilities)}."""
+    table: dict = {}
+    first_line: dict = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise SlateError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            context, slate_text, prob_text = parts
+            try:
+                slate = tuple(map(int, slate_text.split(",")))
+                prob = float(prob_text)
+            except ValueError as exc:
+                raise SlateError(f"{path}:{lineno}: {exc}") from exc
+            if not (np.isfinite(prob) and prob >= 0.0):
+                raise SlateError(
+                    f"{path}:{lineno}: probability {prob_text!r} is not a finite nonnegative number"
+                )
+            seen = first_line.setdefault((context, slate), lineno)
+            if seen != lineno:
+                raise SlateError(
+                    f"{path}:{lineno}: slate {slate} for context {context!r} was already "
+                    f"listed on line {seen}"
+                )
+            table.setdefault(context, []).append((slate, prob))
+    normalized = {}
+    for context, entries in table.items():
+        total = sum(p for _, p in entries)
+        if abs(total - 1.0) > 1e-6:
+            raise SlateError(
+                f"{path}: probabilities for context {context!r} sum to {total:.9g}; "
+                f"drift above 1e-06 is rejected"
+            )
+        normalized[context] = [(s, p / total) for s, p in entries]
+    for (context, slate), lineno in first_line.items():
+        try:
+            space_of(space, context).validate(slate)
+        except SlateError as exc:
+            raise SlateError(f"{path}:{lineno}: context {context!r}: {exc}") from None
+    tables = {}
+    for context, entries in normalized.items():
+        width = space_of(space, context).num_slots
+        probs = np.asarray([p for _, p in entries])
+        actions = np.asarray([s for s, _ in entries], dtype=np.int64).reshape(-1, width)
+        tables[context] = (actions, probs / probs.sum())
+    return tables
+
+
+def outcome(call, *args):
+    try:
+        return call(*args), None
+    except (ParseError, SlateError) as exc:
+        return None, exc
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want), (got, want)
+    # path:lineno, or the path alone for a per-context sum
+    assert str(got).split(": ")[0] == str(want).split(": ")[0], (got, want)
+    if "probability" not in str(want):  # the bulk reader prints the parsed value
+        assert str(got) == str(want)
+
+
+TOKEN_STYLES = ("{}", "+{}", " {}", "{} ", "0{}")
+LOG_DEFECTS = ("fields2", "fields4", "token", "number", "range", "width")
+POLICY_DEFECTS = ("fields2", "fields4", "token", "number", "negative", "nonfinite",
+                  "duplicate", "drift", "slate")
+
+
+def pick(rng, options):
+    return options[rng.integers(len(options))]
+
+
+def render(rows, rng):
+    """File text for [context, slate, more fields...] rows, with blank and
+    comment lines, surrounding whitespace, varied token styles and line ends."""
+    ending = pick(rng, ("\n", "\r\n", "\r"))
+    lines = []
+    for context, slate, *rest in rows:
+        if lines and rng.random() < 0.2:
+            lines.append(pick(rng, ("", "   ", "# comment", "#\tq\t0\t1")))
+        tokens = [
+            pick(rng, TOKEN_STYLES).format(a) if isinstance(a, int) and a >= 0 else str(a)
+            for a in slate
+        ]
+        fields = "\t".join([context, ",".join(tokens), *rest])
+        lines.append(pick(rng, ("", " ", "\t")) + fields + pick(rng, ("", "  ", " \t")))
+    return ending.join(lines) + pick(rng, ("", ending))
+
+
+def inject(rows, defect, rng, invalid_slate=None):
+    """A copy of the rows with one defect at a random row."""
+    rows = [[c, list(slate), *rest] for c, slate, *rest in rows]
+    at = int(rng.integers(len(rows)))
+    row = rows[at]
+    if defect == "fields2":
+        del row[2]
+    elif defect == "fields4":
+        row.append("1")
+    elif defect == "token":
+        row[1][rng.integers(len(row[1]))] = pick(rng, ("x", "", "3.5", "1e3"))
+    elif defect == "number":
+        row[2] = pick(rng, ("abc", "", "0x1", "1,5"))
+    elif defect == "range":
+        row[2] = pick(rng, ("1.5", "nan", "-inf", "-1.0000001"))
+    elif defect == "width":
+        row[1].append(0)
+    elif defect == "negative":
+        row[2] = "-0.25"
+    elif defect == "nonfinite":
+        row[2] = pick(rng, ("nan", "inf", "1e400"))
+    elif defect == "drift":
+        row[2] = repr(float(row[2]) + 0.01)
+    elif defect == "duplicate":
+        rows.insert(int(rng.integers(at + 1, len(rows) + 1)), list(row))
+    elif defect == "slate":
+        row[1] = invalid_slate(row[0], row[1], rng.random() < 0.5)
+    return rows
+
+
+@st.composite
+def tsv_files(draw, rows, defects, invalid_slate=None):
+    """The text of a file of (context, slate, number text) rows, then one
+    text per defect kind, each with that defect at a random row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [render(rows, rng)] + [
+        render(inject(rows, defect, rng, invalid_slate), rng) for defect in defects
+    ]
+
+
+# "\x0b", "\x1c" and "\u2028" end a line for str.splitlines, not for file iteration
+log_contexts = st.sampled_from(("a", "b", "c1", "x y", "q,r", "u\x0bv", "w\x1c\u2028z"))
+
+
+@st.composite
+def log_files(draw):
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 25))
+    rows = [
+        (
+            draw(log_contexts),
+            draw(st.lists(st.integers(-3, 99), min_size=width, max_size=width)),
+            repr(draw(st.floats(-1.0, 1.0))),
+        )
+        for _ in range(n)
+    ]
+    return draw(tsv_files(rows, LOG_DEFECTS))
+
+
+@PROPERTY_SETTINGS
+@given(log_files())
+def test_bulk_log_reader_matches_the_per_line_loop(tmp_path_factory, texts):
+    path = tmp_path_factory.mktemp("logs") / "logs.tsv"
+    for text in texts:
+        path.write_bytes(text.encode("utf-8"))
+        want, want_error = outcome(reference_read_logs, path)
+        got, got_error = outcome(read_logged_dataset, path)
+        if want_error is not None:
+            assert_same_error(got_error, want_error)
+            continue
+        assert got_error is None, got_error
+        contexts, codes, actions, rewards = want
+        assert got.contexts == contexts
+        for column, expected in ((got.codes, codes), (got.actions, actions),
+                                 (got.rewards, rewards)):
+            assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
+@st.composite
+def policy_files(draw):
+    contexts = draw(st.lists(log_contexts, min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        space_map = draw(spaces())
+    else:  # a ranking space per context, with different slot counts
+        space_map = {c: SlateSpace.ranking(4, draw(st.integers(1, 3))) for c in contexts}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for c in contexts:
+        slates = space_of(space_map, c).slate_array()
+        keep = rng.permutation(len(slates))[: draw(st.integers(1, min(24, len(slates))))]
+        weights = rng.gamma(0.5, size=len(keep)) * (rng.random(len(keep)) < 0.8)
+        weights[0] += 1.0
+        weights = weights / weights.sum() * (1.0 + draw(st.sampled_from((0.0, 3e-7))))
+        rows += [(c, s, repr(p)) for s, p in zip(slates[keep].tolist(), weights.tolist())]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+
+    def invalid_slate(context, slate, longer):
+        if longer:
+            return slate + [0]
+        return [space_of(space_map, context).slot_counts[0]] + slate[1:]  # out of range
+
+    return draw(tsv_files(rows, POLICY_DEFECTS, invalid_slate)), space_map
+
+
+@PROPERTY_SETTINGS
+@given(policy_files())
+def test_bulk_policy_loader_matches_the_per_line_loop(tmp_path_factory, case):
+    texts, space_map = case
+    path = tmp_path_factory.mktemp("policy") / "policy.tsv"
+    for text in texts:
+        path.write_bytes(text.encode("utf-8"))
+        want, want_error = outcome(reference_load_policy, path, space_map)
+        got, got_error = outcome(load_explicit_policy, path, space_map)
+        if want_error is not None:
+            assert_same_error(got_error, want_error)
+            continue
+        assert got_error is None, got_error
+        assert got.contexts == list(want)
+        for context, (actions, probs) in want.items():
+            got_actions, got_probs = got._table[context]
+            assert got_actions.dtype == actions.dtype and np.array_equal(got_actions, actions)
+            assert got_probs.dtype == probs.dtype and np.array_equal(got_probs, probs)
