@@ -302,13 +302,9 @@ def cmd_diagnose(args) -> int:
         profile.CSV_HEADER + "\n" + profile.to_csv_row() + "\n", encoding="utf-8"
     )
     print(profile.to_kv_block())
-    if profile.kappa is not None:
-        limit = (
-            float("inf")
-            if profile.kappa == 0.0
-            else kappa_uniform_rho_limit(space) / profile.kappa
-        )
-        print(f"rho_kappa_limit={fmt(limit)}")
+    kappa = profile.kappa
+    limit = float("inf") if kappa == 0.0 else kappa_uniform_rho_limit(space) / kappa
+    print(f"rho_kappa_limit={fmt(limit)}")
     write_manifest(out_dir, "diagnose", vars(args), args.seed, [csv_path])
     return 0
 

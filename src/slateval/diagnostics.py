@@ -6,6 +6,10 @@ slates), and ``rho_bar`` (largest slate self-overlap on the logging
 support). They satisfy sigma_sq <= rho <= rho_bar, all equal 1 when the
 target equals the logging policy, and plug into a Bernstein-style
 deviation bound.
+
+The slate maxima run over the logging policy's ``moment_arrays`` rows: its
+exact support when the policy lists it, else the same seeded sample its
+second moments and mean indicator are built from.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import AbsoluteContinuityError, ConfigurationError
 from .moments import PinvSource, moment_matrix, uniform_moment_matrix
 from .policies import Policy
-from .util import context_rng, fmt
+from .util import fmt
 
 
 @dataclass(frozen=True)
@@ -33,23 +37,18 @@ class OverlapProfile:
     sigma_sq: float
     rho: float
     rho_bar: float
-    kappa: float | None = None
+    kappa: float
 
     CSV_HEADER: ClassVar[str] = "sigma_sq,rho,rho_bar,kappa"
 
     def to_csv_row(self) -> str:
-        kappa = "" if self.kappa is None else fmt(self.kappa)
-        return f"{fmt(self.sigma_sq)},{fmt(self.rho)},{fmt(self.rho_bar)},{kappa}"
+        return f"{fmt(self.sigma_sq)},{fmt(self.rho)},{fmt(self.rho_bar)},{fmt(self.kappa)}"
 
     def to_kv_block(self) -> str:
-        lines = [
-            f"sigma_sq={fmt(self.sigma_sq)}",
-            f"rho={fmt(self.rho)}",
-            f"rho_bar={fmt(self.rho_bar)}",
-        ]
-        if self.kappa is not None:
-            lines.append(f"kappa={fmt(self.kappa)}")
-        return "\n".join(lines)
+        return (
+            f"sigma_sq={fmt(self.sigma_sq)}\nrho={fmt(self.rho)}\n"
+            f"rho_bar={fmt(self.rho_bar)}\nkappa={fmt(self.kappa)}"
+        )
 
 
 def bernstein_bound(sigma_sq: float, rho: float, n: int, delta: float) -> float:
@@ -60,17 +59,6 @@ def bernstein_bound(sigma_sq: float, rho: float, n: int, delta: float) -> float:
         raise ConfigurationError(f"need at least one sample, got n={n}")
     log_term = math.log(2.0 / delta)
     return math.sqrt(2.0 * sigma_sq * log_term / n) + 2.0 * (rho + 1.0) * log_term / (3.0 * n)
-
-
-def _support_coords(logging: Policy, context, slate_sample: int, seed: int) -> np.ndarray:
-    """Coordinate rows of the logging support (or a sample of it)."""
-    space = logging.space_of(context)
-    if space.num_slates() <= logging.enumeration_cap:
-        arrays = logging.moment_arrays(context)
-        return space.coords_of_actions(arrays.actions)
-    rng = context_rng(seed, context)
-    actions = logging.sample_batch(context, slate_sample, rng)
-    return space.coords_of_actions(actions)
 
 
 def compute_sigma_sq(
@@ -96,21 +84,19 @@ def compute_rho(
     target: Policy,
     *,
     pinv_source: PinvSource | None = None,
-    slate_sample: int = 1000,
-    seed: int = 0,
 ) -> float:
     """Largest absolute overlap coefficient over contexts and logged slates.
 
-    The inner maximum is exact when the logging support is enumerable and
-    is taken over a fixed-seed slate sample otherwise.
+    The inner maximum is exact when the logging policy lists its support and
+    is taken over its seeded moment sample otherwise.
     """
     source = pinv_source if pinv_source is not None else PinvSource()
     worst = 0.0
     for context in contexts:
         q = target.mean_indicator(context)
         w = q @ source.pseudoinverse(logging, context)
-        coords = _support_coords(logging, context, slate_sample, seed)
-        values = w[coords].sum(axis=1)
+        actions = logging.moment_arrays(context).actions
+        values = w[logging.space_of(context).coords_of_actions(actions)].sum(axis=1)
         worst = max(worst, float(np.abs(values).max()))
     return worst
 
@@ -120,13 +106,12 @@ def compute_rho_bar(
     context,
     *,
     pinv_source: PinvSource | None = None,
-    slate_sample: int = 1000,
-    seed: int = 0,
 ) -> float:
     """Largest slate self-overlap on the logging support at one context."""
     source = pinv_source if pinv_source is not None else PinvSource()
     pinv = source.pseudoinverse(logging, context)
-    coords = _support_coords(logging, context, slate_sample, seed)
+    actions = logging.moment_arrays(context).actions
+    coords = logging.space_of(context).coords_of_actions(actions)
     num_slots = coords.shape[1]
     values = np.zeros(len(coords))
     for j in range(num_slots):
@@ -181,18 +166,16 @@ def check_translation(
     """Check kappa * rho_bar(logging) <= rho_bar(reference) at one context.
 
     Requires the logging policy to be absolutely continuous with respect
-    to the reference on the enumerated support.
+    to the reference on its moment rows (support or sample).
     """
-    space = logging.space_of(context)
-    if space.num_slates() <= logging.enumeration_cap:
-        actions = logging.moment_arrays(context).actions
-        outside = reference.slate_prob_batch(context, actions) <= 0.0
-        if outside.any():
-            slate = tuple(actions[np.argmax(outside)].tolist())
-            raise AbsoluteContinuityError(
-                f"logging slate {slate} at context {context!r} is outside the "
-                f"reference policy's support"
-            )
+    actions = logging.moment_arrays(context).actions
+    outside = reference.slate_prob_batch(context, actions) <= 0.0
+    if outside.any():
+        slate = tuple(actions[np.argmax(outside)].tolist())
+        raise AbsoluteContinuityError(
+            f"logging slate {slate} at context {context!r} is outside the "
+            f"reference policy's support"
+        )
     kappa = kappa_of(logging, context, reference=reference)
     lhs = kappa * compute_rho_bar(logging, context, pinv_source=pinv_source)
     rhs = compute_rho_bar(reference, context, pinv_source=pinv_source)
@@ -211,7 +194,6 @@ def overlap_profile(
     target: Policy,
     *,
     pinv_source: PinvSource | None = None,
-    with_kappa: bool = True,
 ) -> OverlapProfile:
     """Convenience aggregation of all diagnostics over a context sample."""
     source = pinv_source if pinv_source is not None else PinvSource()
@@ -220,7 +202,5 @@ def overlap_profile(
     rho_bar = max(
         compute_rho_bar(logging, context, pinv_source=source) for context in contexts
     )
-    kappa = None
-    if with_kappa:
-        kappa = min(kappa_of(logging, context) for context in contexts)
+    kappa = min(kappa_of(logging, context) for context in contexts)
     return OverlapProfile(sigma_sq=sigma_sq, rho=rho, rho_bar=rho_bar, kappa=kappa)

@@ -8,7 +8,9 @@ pseudoinverse of this matrix is what turns logged page-level rewards back
 into per-(slot, action) quantities.
 
 Uniform logging admits exact closed-form pseudoinverses for both space
-shapes; everything else goes through a symmetric eigendecomposition.
+shapes; everything else goes through a symmetric eigendecomposition of the
+matrix summed over the policy's ``moment_arrays`` rows (exact support or
+seeded sample, as the policy decides).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SlateError
-from .policies import DeterministicPolicy, Policy, UniformMixturePolicy
+from .errors import ParseError, SlateError
+from .policies import Policy, UniformMixturePolicy
 from .spaces import SlateSpace, SpaceKind
 from .util import fmt17
 
@@ -89,9 +91,9 @@ def uniform_moment_matrix(space: SlateSpace) -> MomentMatrix:
 def moment_matrix(policy: Policy, context, space: SlateSpace | None = None) -> MomentMatrix:
     """Build the indicator second-moment matrix of ``policy`` at ``context``.
 
-    Exact closed form for uniform policies; exact accumulation over the
-    support when the space is enumerable; otherwise a Monte Carlo average
-    of sampled indicator outer products, symmetrized by construction.
+    Exact closed form for uniform policies; otherwise the probability-weighted
+    sum of indicator outer products over ``policy.moment_arrays``: exact over
+    a listed support, and a Monte Carlo average, symmetrized, over a sample.
     Mixtures combine their components so they stay exact whenever the
     components are.
     """
@@ -103,9 +105,6 @@ def moment_matrix(policy: Policy, context, space: SlateSpace | None = None) -> M
         base_part = moment_matrix(policy.base, context, space)
         entries = policy.kappa * uniform_part.entries + (1.0 - policy.kappa) * base_part.entries
         return MomentMatrix(space, entries, base_part.provenance, base_part.sample_count)
-    if isinstance(policy, DeterministicPolicy):
-        ind = space.indicator(policy.slate_of(context))
-        return MomentMatrix(space, np.outer(ind, ind), Provenance.ENUMERATED)
     arrays = policy.moment_arrays(context)
     # Every cell belongs to one (slot j, slot k) pair, so one bincount over
     # the flattened (row, j, k) cells adds each cell's terms in row order.
@@ -224,18 +223,10 @@ def rho_bar_uniform(space: SlateSpace) -> float:
 
 
 class PinvSource:
-    """Builds and caches pseudoinverses per (policy, context).
+    """Builds and caches pseudoinverses per (policy, context): the closed form
+    for uniform policies, the numeric one of the moment matrix otherwise."""
 
-    Modes: ``auto`` takes the closed form for uniform policies and the
-    numeric path otherwise; ``numeric`` always decomposes the built moment
-    matrix; ``closed_form`` insists on a uniform policy.
-    """
-
-    def __init__(self, mode: str = "auto", rcond: float = DEFAULT_RCOND):
-        if mode not in ("auto", "numeric", "closed_form"):
-            raise ConfigurationError(f"unknown pseudoinverse mode {mode!r}")
-        self.mode = mode
-        self.rcond = rcond
+    def __init__(self):
         self._cache: dict = {}
 
     def pseudoinverse(self, policy: Policy, context) -> np.ndarray:
@@ -244,12 +235,10 @@ class PinvSource:
         if cached is not None:
             return cached
         space = policy.space_of(context)
-        if self.mode == "closed_form" or (self.mode == "auto" and policy.is_uniform(context)):
-            if not policy.is_uniform(context):
-                raise ConfigurationError("closed-form pseudoinverse needs a uniform policy")
+        if policy.is_uniform(context):
             result = pinv_uniform(space).entries
         else:
-            result = pinv_numeric(moment_matrix(policy, context, space), self.rcond).entries
+            result = pinv_numeric(moment_matrix(policy, context, space)).entries
         self._cache[key] = result
         return result
 

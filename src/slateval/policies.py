@@ -1,10 +1,14 @@
 """Stochastic slate policies and their low-order moments.
 
 Every policy answers slate probabilities (for a whole array of slates at
-once), the mean indicator vector, and sampling. Moments are exact by
-support enumeration whenever the slate space is small enough
-(``enumeration_cap``) and Monte Carlo estimates with a fixed per-context
-seed otherwise, so repeated queries are bit-reproducible.
+once), the mean indicator vector, and sampling. ``Policy.moment_arrays`` is
+the one place that picks the slate rows standing for a policy at a context:
+the exact support whenever the policy can list it (always for explicit
+tables and deterministic policies, otherwise when the space has at most
+``enumeration_cap`` slates), else one sample of ``mc_samples`` draws with a
+fixed per-context seed, so repeated queries are bit-reproducible. The mean
+indicator, the second-moment matrix and the overlap diagnostics all read
+those rows.
 
 All policies are immutable after construction; internal moment caches are
 fill-once.
@@ -26,7 +30,6 @@ from .util import context_rng
 
 DEFAULT_ENUMERATION_CAP = 100_000
 DEFAULT_MC_SAMPLES = 100_000
-DEFAULT_MC_MEAN_SAMPLES = 10_000
 
 PROB_SUM_TOL = 1e-9
 LOAD_DRIFT_TOL = 1e-6
@@ -61,17 +64,14 @@ class Policy:
         *,
         enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
         mc_samples: int = DEFAULT_MC_SAMPLES,
-        mc_mean_samples: int = DEFAULT_MC_MEAN_SAMPLES,
         mc_seed: int = 0,
     ):
         self._space = space
         self.enumeration_cap = int(enumeration_cap)
         self.mc_samples = int(mc_samples)
-        self.mc_mean_samples = int(mc_mean_samples)
         self.mc_seed = int(mc_seed)
         self._moment_cache: dict = {}
         self._mean_cache: dict = {}
-        self._marginal_cache: dict = {}
 
     def space_of(self, context) -> SlateSpace:
         return space_of(self._space, context)
@@ -100,20 +100,31 @@ class Policy:
         """(n, num_slots) array of action ids; overridden where vectorizable."""
         return np.array([self.sample(context, rng) for _ in range(n)], dtype=np.int64)
 
-    def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray]:
+    def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray] | None:
         """Slates with positive probability, one per row, and their probabilities.
 
-        The default scores the whole space in one batch, so it is only
-        usable when the space is enumerable.
+        The default scores the whole space in one batch, so it lists the
+        support only when the space has at most ``enumeration_cap`` slates,
+        and returns None above it.
         """
-        slates = self.space_of(context).slate_array()
+        space = self.space_of(context)
+        if space.num_slates() > self.enumeration_cap:
+            return None
+        slates = space.slate_array()
         probs = self.slate_prob_batch(context, slates)
         keep = probs > 0.0
         return slates[keep], probs[keep]
 
     def support(self, context) -> Iterator[tuple[Slate, float]]:
         """Iterate (slate, probability) pairs with positive probability."""
-        actions, probs = self.support_arrays(context)
+        listed = self.support_arrays(context)
+        if listed is None:
+            raise ConfigurationError(
+                f"the support at context {context!r} is not listed: its space has "
+                f"{self.space_of(context).num_slates()} slates, above the enumeration cap "
+                f"of {self.enumeration_cap}"
+            )
+        actions, probs = listed
         for row, p in zip(actions.tolist(), probs.tolist()):
             yield tuple(row), p
 
@@ -124,13 +135,14 @@ class Policy:
     # -- moments ------------------------------------------------------------
 
     def moment_arrays(self, context) -> MomentArrays:
+        """The slate rows that stand for the policy at ``context``: the exact
+        support when ``support_arrays`` lists it, else one seeded sample."""
         cached = self._moment_cache.get(context)
         if cached is not None:
             return cached
-        space = self.space_of(context)
-        if space.num_slates() <= self.enumeration_cap:
-            actions, probs = self.support_arrays(context)
-            arrays = MomentArrays(actions=actions, probs=probs, exact=True)
+        listed = self.support_arrays(context)
+        if listed is not None:
+            arrays = MomentArrays(actions=listed[0], probs=listed[1], exact=True)
         else:
             if self.mc_samples <= 0:
                 raise ConfigurationError(
@@ -147,47 +159,14 @@ class Policy:
         return arrays
 
     def mean_indicator(self, context) -> np.ndarray:
-        """Expected slate-indicator vector: the per-slot action marginals.
-
-        Exact under the enumeration cap; above it a dedicated (smaller)
-        sample is drawn, since the mean needs far fewer draws than the
-        second moments do.
-        """
+        """Expected slate-indicator vector: the per-slot action marginals,
+        summed over the ``moment_arrays`` rows. Above the cap it is the mean
+        of the same sample as the second moments, so it lies in their range."""
         cached = self._mean_cache.get(context)
-        if cached is not None:
-            return cached
-        space = self.space_of(context)
-        if space.num_slates() <= self.enumeration_cap:
-            arrays = self.moment_arrays(context)
-            actions, probs = arrays.actions, arrays.probs
-        else:
-            if self.mc_mean_samples <= 0:
-                raise ConfigurationError(
-                    "Monte Carlo mean indicator requested with a non-positive sample count"
-                )
-            rng = context_rng(self.mc_seed, context, stream=1)
-            actions = self.sample_batch(context, self.mc_mean_samples, rng)
-            probs = np.full(len(actions), 1.0 / len(actions))
-        q = _indicator_sum(space, actions, probs)
-        self._mean_cache[context] = q
-        return q
-
-    def slot_marginals(self, context) -> np.ndarray:
-        """Per-slot action marginals for per-slot (semi-bandit) weights.
-
-        Equal to ``mean_indicator`` under the enumeration cap and for uniform
-        policies. Above the cap they are summed from the second-moment sample
-        (``mc_samples`` draws), not the smaller mean sample, so that a rare
-        logged action keeps a nonzero, less noisy marginal.
-        """
-        space = self.space_of(context)
-        if space.num_slates() <= self.enumeration_cap or self.is_uniform(context):
-            return self.mean_indicator(context)
-        cached = self._marginal_cache.get(context)
         if cached is None:
             arrays = self.moment_arrays(context)
-            cached = _indicator_sum(space, arrays.actions, arrays.probs)
-            self._marginal_cache[context] = cached
+            cached = _indicator_sum(self.space_of(context), arrays.actions, arrays.probs)
+            self._mean_cache[context] = cached
         return cached
 
 
@@ -254,9 +233,6 @@ class DeterministicPolicy(Policy):
 
     def mean_indicator(self, context) -> np.ndarray:
         return self.space_of(context).indicator(self.slate_of(context))
-
-    def slot_marginals(self, context) -> np.ndarray:
-        return self.mean_indicator(context)
 
 
 class ExplicitPolicy(Policy):
@@ -507,11 +483,6 @@ class UniformMixturePolicy(Policy):
         return self.kappa * self._uniform.mean_indicator(context) + (
             1.0 - self.kappa
         ) * self.base.mean_indicator(context)
-
-    def slot_marginals(self, context) -> np.ndarray:
-        return self.kappa * self._uniform.slot_marginals(context) + (
-            1.0 - self.kappa
-        ) * self.base.slot_marginals(context)
 
 
 # -- explicit-policy text format ------------------------------------------

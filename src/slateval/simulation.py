@@ -305,7 +305,7 @@ def _slot_weights(batch: LoggedBatch, logging: Policy, target: Policy) -> np.nda
     for context, rows in batch.groups():
         space = logging.space_of(context)
         coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
-        mu = logging.slot_marginals(context)[coords]
+        mu = logging.mean_indicator(context)[coords]
         zero = mu <= 0.0
         if zero.any():
             i, slot = np.argwhere(zero)[0]
@@ -313,7 +313,7 @@ def _slot_weights(batch: LoggedBatch, logging: Policy, target: Policy) -> np.nda
                 f"logged action {batch.actions[rows[i], slot]} in slot {slot} at context "
                 f"{context!r} has zero marginal probability under the logging policy"
             )
-        weights[rows] = target.slot_marginals(context)[coords] / mu
+        weights[rows] = target.mean_indicator(context)[coords] / mu
     return weights
 
 

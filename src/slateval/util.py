@@ -28,10 +28,11 @@ def context_entropy(context) -> int:
     return zlib.crc32(repr(context).encode("utf-8"))
 
 
-def context_rng(base_seed: int, context, stream: int = 0) -> np.random.Generator:
-    """Generator with a fixed stream per (seed, context, stream) triple."""
+def context_rng(base_seed: int, context) -> np.random.Generator:
+    """Generator with a fixed stream per (seed, context) pair."""
+    # the trailing 0 is part of the seed: dropping it would change every sample
     return np.random.default_rng(
-        np.random.SeedSequence([base_seed & 0xFFFFFFFF, context_entropy(context), stream])
+        np.random.SeedSequence([base_seed & 0xFFFFFFFF, context_entropy(context), 0])
     )
 
 

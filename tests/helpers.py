@@ -26,6 +26,19 @@ def random_explicit_policy(space, contexts, rng, sparsity=None) -> ExplicitPolic
     return ExplicitPolicy(space, table)
 
 
+def few_slate_table(space, contexts, slates_per_context, rng) -> dict:
+    """Explicit-policy table listing a few distinct random slates per context
+    of a ranking space, for spaces far too large to enumerate."""
+    table = {}
+    for context in contexts:
+        slates = set()
+        while len(slates) < slates_per_context:
+            slates.add(tuple(rng.permutation(space.num_actions)[: space.num_slots].tolist()))
+        probs = rng.dirichlet(np.ones(slates_per_context))
+        table[context] = list(zip(sorted(slates), probs.tolist()))
+    return table
+
+
 class AdaInstance:
     """Tiny environment with additive rewards and enumerable slate sets."""
 

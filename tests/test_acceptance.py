@@ -199,7 +199,7 @@ def test_criterion_04_exact_identities():
 def test_criterion_05_mean_overlap_identity():
     with criterion(5, "mean-indicator overlap equals 1 on the logging support"):
         rng = np.random.default_rng(55)
-        source = PinvSource(mode="numeric")
+        source = PinvSource()
         spaces = (
             SlateSpace.ranking(4, 2),
             SlateSpace.ranking(3, 3),

@@ -1,3 +1,9 @@
+import csv
+
+import numpy as np
+import pytest
+
+from helpers import few_slate_table
 from slateval import parse_letor
 from slateval.cli import main, parse_config_file, parse_space_spec
 
@@ -261,3 +267,44 @@ def test_parse_config_file_skips_comments(tmp_path):
     path.write_text("# comment\n\nkey=value\nother = padded \n")
     values = parse_config_file(path)
     assert values == {"key": "value", "other": "padded"}
+
+
+def test_explicit_policy_above_the_enumeration_cap_gets_exact_diagnostics(tmp_path, capsys):
+    """An explicit policy lists its own support, so a space above the cap
+    (1.86M slates) still gets exact moments: with target = logging,
+    sigma_sq = rho = 1, PI equals IPS (the mean reward), and rho_bar matches
+    a dense pseudoinverse of the table's second moments."""
+    space_spec = "ranking:m=20,slots=5"
+    space = parse_space_spec(space_spec)
+    rng = np.random.default_rng(23)
+    table = few_slate_table(space, ["a", "b", "c"], 6, rng)
+    policy_path, logs_path = tmp_path / "policy.tsv", tmp_path / "logs.tsv"
+    write_policy_file(policy_path, [(c, s, p) for c, rows in table.items() for s, p in rows])
+    logs = []
+    for context, rows in table.items():
+        for i in rng.choice(len(rows), size=40, p=[p for _, p in rows]):
+            logs.append((context, rows[i][0], float(rng.uniform(-1.0, 1.0))))
+    write_logs_file(logs_path, logs)
+    rho_bar = 0.0
+    for rows in table.values():
+        indicators = np.stack([space.indicator(s) for s, _ in rows])
+        probs = np.array([p for _, p in rows])
+        pinv = np.linalg.pinv((indicators * probs[:, None]).T @ indicators)
+        rho_bar = max(rho_bar, float(np.einsum("ij,jk,ik->i", indicators, pinv, indicators).max()))
+
+    policy = ["--logging-policy", str(policy_path), "--target-policy", str(policy_path)]
+    assert main(["diagnose", *policy, "--space", space_spec,
+                 "--out-dir", str(tmp_path / "diag")]) == 0
+    profile = dict(line.split("=") for line in capsys.readouterr().out.split())
+    assert abs(float(profile["sigma_sq"]) - 1.0) <= 1e-9
+    assert abs(float(profile["rho"]) - 1.0) <= 1e-9
+    assert float(profile["rho_bar"]) == pytest.approx(rho_bar, rel=1e-9)
+
+    assert main(["evaluate", "--logs", str(logs_path), *policy, "--space", space_spec,
+                 "--estimator", "pi", "--estimator", "ips", "--diagnostics",
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    lines = (tmp_path / "eval" / "reports.csv").read_text().splitlines()
+    reports = {row["estimator"]: row for row in csv.DictReader(lines)}
+    assert abs(float(reports["pi"]["estimate"]) - float(reports["ips"]["estimate"])) <= 1e-12
+    assert abs(float(reports["pi"]["sigma_sq"]) - 1.0) <= 1e-9
+    assert abs(float(reports["pi"]["rho"]) - 1.0) <= 1e-9

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_explicit_policy
+from helpers import few_slate_table, random_explicit_policy
 from slateval import (
     DeterministicPolicy,
+    ExplicitPolicy,
     MultinomialWoRPolicy,
     PinvSource,
     SlateError,
@@ -53,6 +54,22 @@ def test_deterministic_moment_is_outer_product():
     result = moment_matrix(policy, "q")
     np.testing.assert_allclose(result.entries, np.outer(ind, ind))
     assert result.provenance is Provenance.ENUMERATED
+
+
+def test_listed_supports_stay_exact_above_the_enumeration_cap():
+    """Explicit and deterministic policies list their own support, so their
+    moments are enumerated even on a space of 1.86M slates."""
+    space = SlateSpace.ranking(20, 5)
+    rows = few_slate_table(space, ["q"], 6, np.random.default_rng(23))["q"]
+    explicit = moment_matrix(ExplicitPolicy(space, {"q": rows}), "q")
+    assert explicit.provenance is Provenance.ENUMERATED
+    want = sum(p * np.outer(space.indicator(s), space.indicator(s)) for s, p in rows)
+    np.testing.assert_allclose(explicit.entries, want, rtol=0, atol=1e-15)
+    slate = rows[0][0]
+    deterministic = moment_matrix(DeterministicPolicy(space, {"q": slate}), "q")
+    assert deterministic.provenance is Provenance.ENUMERATED
+    ind = space.indicator(slate)
+    np.testing.assert_array_equal(deterministic.entries, np.outer(ind, ind))
 
 
 def test_enumerated_matrix_structure():
@@ -225,14 +242,12 @@ def test_pinv_source_caches():
 
 def test_monte_carlo_moment_matrix_close_to_exact():
     space = SlateSpace.ranking(4, 2)
-    rng = np.random.default_rng(31)
-    exact_policy = random_explicit_policy(space, ["q"], rng)
-    sampled_policy = random_explicit_policy(space, ["q"], rng)
-    # rebuild the first policy with enumeration disabled to force sampling
-    from slateval import ExplicitPolicy
-
-    table = {"q": list(exact_policy.support("q"))}
-    forced = ExplicitPolicy(space, table, enumeration_cap=1, mc_samples=200_000, mc_seed=4)
+    scores = {"q": np.random.default_rng(31).normal(size=4)}
+    exact_policy = MultinomialWoRPolicy(space, scores, 1.0)
+    # the same policy with a cap below its 12 slates samples its moments
+    forced = MultinomialWoRPolicy(
+        space, scores, 1.0, enumeration_cap=1, mc_samples=200_000, mc_seed=4
+    )
     approx = moment_matrix(forced, "q")
     assert approx.provenance is Provenance.MONTE_CARLO
     assert approx.sample_count == 200_000

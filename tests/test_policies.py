@@ -175,6 +175,17 @@ def test_zero_monte_carlo_samples_is_configuration_error():
         moment_matrix(policy, "q")
 
 
+def test_support_above_the_enumeration_cap_is_configuration_error():
+    from slateval import ConfigurationError
+
+    space = SlateSpace.ranking(7, 4)  # 840 slates, above the forced cap
+    policy = MultinomialWoRPolicy(space, {"q": np.arange(7.0)}, 1.5, enumeration_cap=10)
+    assert policy.support_arrays("q") is None
+    with pytest.raises(ConfigurationError, match=r"'q'.*840 slates.*cap of 10"):
+        list(policy.support("q"))
+    assert not policy.moment_arrays("q").exact
+
+
 def test_explicit_rejects_invalid_slates():
     space = SlateSpace.ranking(3, 2)
     with pytest.raises(SlateError):

@@ -236,8 +236,32 @@ def overlapping_problems(draw, single_slot=False):
     return logs, logging, target
 
 
+@st.composite
+def sampled_plackett_luce_problems(draw):
+    """A Plackett-Luce logging policy with its cap below its space's size,
+    so its moments come from a small seeded sample, and logs drawn from
+    that sample. PI's identity is exact for every slate of the sample."""
+    m = draw(st.integers(2, 5))
+    space = SlateSpace.ranking(m, draw(st.integers(1, min(m, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = {c: rng.normal(size=m) for c in CONTEXTS}
+    logging = MultinomialWoRPolicy(
+        space, scores, draw(st.sampled_from(TEMPERATURES)),
+        enumeration_cap=space.num_slates() - 1, mc_samples=draw(st.integers(1, 60)),
+        mc_seed=draw(st.integers(0, 9)),
+    )
+    n = draw(st.integers(1, 40))
+    rewards = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    logs = []
+    for reward in rewards:
+        context = CONTEXTS[rng.integers(len(CONTEXTS))]
+        sample = logging.moment_arrays(context).actions.tolist()
+        logs.append(LoggedExample(context, tuple(sample[rng.integers(len(sample))]), reward))
+    return logs, logging, logging
+
+
 @PROPERTY_SETTINGS
-@given(overlapping_problems())
+@given(st.one_of(overlapping_problems(), sampled_plackett_luce_problems()))
 def test_pi_equals_mean_reward_when_target_is_logging(problem):
     logs, logging, _ = problem
     mean_reward = pairwise_sum(np.array([ex.reward for ex in logs])) / len(logs)

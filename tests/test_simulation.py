@@ -169,14 +169,14 @@ def test_wsb_no_worse_than_sb():
 
 def test_sb_above_enumeration_cap_reads_the_second_moment_sample():
     """Above the cap, per-slot marginals are masked sums over the
-    mc_samples draws of moment_arrays, not the smaller mean sample."""
+    mc_samples draws of moment_arrays."""
     from slateval import SlateSpace
     from slateval.policies import MultinomialWoRPolicy, UniformMixturePolicy
     from slateval.simulation import SemibanditExample, estimate_sb
 
     space = SlateSpace.ranking(6, 3)  # 120 slates, above a cap of 50
     scores = {c: np.linspace(0.0, 1.5, 6)[::s] for c, s in (("a", 1), ("b", -1))}
-    kw = dict(enumeration_cap=50, mc_samples=4000, mc_mean_samples=400, mc_seed=5)
+    kw = dict(enumeration_cap=50, mc_samples=4000, mc_seed=5)
     logging = MultinomialWoRPolicy(space, scores, temperature=2.0, **kw)
     base = MultinomialWoRPolicy(space, scores, temperature=0.5, **kw)
     target = UniformMixturePolicy(base, 0.3, **kw)
