@@ -27,7 +27,9 @@ from .estimators import (
     estimate_ips,
     estimate_onpolicy,
     estimate_pi,
+    estimate_sb,
     estimate_wips,
+    estimate_wsb,
     exact_policy_value,
     fit_dm,
 )
@@ -47,7 +49,6 @@ from .moments import (
     pinv_numeric,
     pinv_uniform_cartesian,
     pinv_uniform_ranking,
-    rho_bar_uniform,
 )
 from .optimization import (
     DecomposedTargets,
@@ -66,15 +67,12 @@ from .policies import (
     UniformMixturePolicy,
     UniformPolicy,
     load_explicit_policy,
-    write_explicit_policy,
 )
 from .simulation import (
     BanditInstance,
     ExperimentConfig,
     build_instance,
     draw_logs,
-    estimate_sb,
-    estimate_wsb,
     run_rmse_sweep,
 )
 from .spaces import Slate, SlateSpace, SpaceKind

@@ -31,7 +31,7 @@ from .errors import (
     SlateError,
     UndefinedEstimateError,
 )
-from .estimators import EstimatorReport, estimate_ips, estimate_pi, estimate_wips
+from .estimators import EstimatorReport, _ScoredBatch
 from .letor import GeneratorConfig, generate_synthetic, parse_letor, write_letor
 from .logs import read_logged_dataset
 from .moments import PinvSource
@@ -173,24 +173,11 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    source = PinvSource()
-    reports: list[EstimatorReport] = []
-    for name in args.estimator:
-        if name == "pi":
-            reports.append(
-                estimate_pi(
-                    data,
-                    logging_policy,
-                    target_policy,
-                    pinv_source=source,
-                    diagnostics=args.diagnostics,
-                    delta=args.delta,
-                )
-            )
-        elif name == "ips":
-            reports.append(estimate_ips(data, logging_policy, target_policy))
-        else:
-            reports.append(estimate_wips(data, logging_policy, target_policy))
+    scored = _ScoredBatch(data, logging_policy, target_policy, args.estimator, PinvSource())
+    reports = [
+        scored.pi(args.diagnostics, args.delta) if name == "pi" else getattr(scored, name)()
+        for name in args.estimator
+    ]
     csv_path = out_dir / "reports.csv"
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(EstimatorReport.CSV_HEADER + "\n")

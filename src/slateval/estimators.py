@@ -9,20 +9,23 @@ pseudoinverse of the logging policy's indicator second moment:
 
 It is exact inverse propensity scoring for single-slot spaces and reduces
 to the plain reward average when the target equals the logging policy.
-Standard baselines (IPS, weighted IPS, a ridge direct-method model, and
-an on-policy rollout) share the same report type.
+Standard baselines (IPS, weighted IPS, the semi-bandit per-slot IPS ``sb``
+and its self-normalized ``wsb``, a ridge direct-method model, and an
+on-policy rollout) share the same report type.
 
 Logged data is taken as a ``LoggedBatch`` (plain sequences of examples are
-converted once), and the per-example work runs vectorized per context:
-slates are validated, scored and gathered one context group at a time.
-Per-example terms are summed with a fixed pairwise (tree) reduction in
-example order.
+converted once). The importance-weighted estimators share one scoring pass
+per (batch, logging, target): one loop over the context groups validates
+and scores each group's slates once and gathers the per-example terms the
+requested estimators need; each estimator is then a reduction over those
+terms. Per-example terms are summed with a fixed pairwise (tree) reduction
+in example order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import (
     SlateError,
     UndefinedEstimateError,
 )
-from .logs import LoggedBatch, LoggedExample
+from .logs import LoggedBatch, LoggedExample, SemibanditExample
 from .moments import PinvSource
 from .policies import DeterministicPolicy, Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
@@ -77,37 +80,132 @@ def _require_data(data: Sequence[LoggedExample]) -> None:
         raise SlateError("cannot estimate from an empty dataset")
 
 
-def _batch(data: Sequence[LoggedExample]) -> LoggedBatch:
-    _require_data(data)
-    return LoggedBatch.from_examples(data)
+class _ScoredBatch:
+    """One scoring pass of a logged batch under a (logging, target) pair.
 
+    The constructor runs one loop over the batch's context groups. Each
+    group's slates are validated and scored by one ``slate_prob_batch`` call
+    of the logging policy; a zero logging propensity is always an error (an
+    absolute-continuity violation if the target puts mass on the slate, else
+    a record that contradicts the stated logging policy). The group then
+    fills only what the named estimators reduce:
 
-def _logged_groups(
-    batch: LoggedBatch, logging: Policy, target: Policy
-) -> Iterator[tuple[object, np.ndarray, np.ndarray, np.ndarray]]:
-    """Validate the logged slates per context against the policy pair.
+    - ``weights``: whole-slate importance weights, from one
+      ``slate_prob_batch`` call of the target (ips, wips);
+    - ``coefficients`` and ``quad``: ``w[coords].sum()`` and ``w' q`` with
+      ``w = q' P``, ``q`` the target's mean indicator and ``P`` the
+      logging pseudoinverse from the given ``PinvSource`` (pi);
+    - ``slot_weights``: per-slot ratios of target to logging marginals (sb,
+      wsb).
 
-    Yields (context, rows, slates, logging propensities) per context. A zero
-    propensity is always an error: if the target puts mass on the slate it
-    is an absolute-continuity violation, otherwise the record contradicts
-    the stated logging policy.
+    Each estimator method is a reduction over these per-example arrays.
     """
-    for context, rows in batch.groups():
-        actions = batch.actions[rows]
-        mu = logging.slate_prob_batch(context, actions)
-        zero = mu <= 0.0
-        if zero.any():
-            slate = tuple(actions[np.argmax(zero)].tolist())
-            if target.slate_prob(context, slate) > 0.0:
-                raise AbsoluteContinuityError(
-                    f"target puts positive probability on slate {slate} at context "
-                    f"{context!r} but the logging policy does not"
-                )
-            raise AbsoluteContinuityError(
-                f"logged slate {slate} at context {context!r} has zero probability "
-                f"under the stated logging policy"
+
+    ESTIMATORS = ("pi", "ips", "wips", "sb", "wsb")
+
+    def __init__(
+        self,
+        data: Sequence[LoggedExample],
+        logging: Policy,
+        target: Policy,
+        names: Sequence[str],
+        pinv_source: PinvSource | None = None,
+    ):
+        _require_data(data)
+        batch = self.batch = LoggedBatch.from_examples(data)
+        n = len(batch)
+        want_weights = "ips" in names or "wips" in names
+        want_pi = "pi" in names
+        want_slots = "sb" in names or "wsb" in names
+        if want_slots and batch.slot_values is None:
+            raise ConfigurationError(
+                "semi-bandit estimators need per-slot values for every example"
             )
-        yield context, rows, actions, mu
+        source = pinv_source if pinv_source is not None else PinvSource()
+        self.weights = np.empty(n) if want_weights else None
+        self.coefficients = np.empty(n) if want_pi else None
+        self.quad = np.empty(n) if want_pi else None
+        self.slot_weights = np.empty(batch.actions.shape) if want_slots else None
+        for context, rows in batch.groups():
+            actions = batch.actions[rows]
+            mu = logging.slate_prob_batch(context, actions)  # validates the rows
+            zero = mu <= 0.0
+            if zero.any():
+                slate = tuple(actions[np.argmax(zero)].tolist())
+                if target.slate_prob(context, slate) > 0.0:
+                    raise AbsoluteContinuityError(
+                        f"target puts positive probability on slate {slate} at context "
+                        f"{context!r} but the logging policy does not"
+                    )
+                raise AbsoluteContinuityError(
+                    f"logged slate {slate} at context {context!r} has zero probability "
+                    f"under the stated logging policy"
+                )
+            if want_weights:
+                self.weights[rows] = target.slate_prob_batch(context, actions) / mu
+            if not (want_pi or want_slots):
+                continue
+            coords = logging.space_of(context).coords_of_actions(actions)
+            q = target.mean_indicator(context)
+            if want_pi:
+                w = q @ source.pseudoinverse(logging, context)
+                self.coefficients[rows] = w[coords].sum(axis=1)
+                self.quad[rows] = float(w @ q)
+            if want_slots:
+                marginals = logging.mean_indicator(context)[coords]
+                zero = marginals <= 0.0
+                if zero.any():
+                    i, slot = np.argwhere(zero)[0]
+                    raise AbsoluteContinuityError(
+                        f"logged action {actions[i, slot]} in slot {slot} at context "
+                        f"{context!r} has zero marginal probability under the logging policy"
+                    )
+                self.slot_weights[rows] = q[coords] / marginals
+
+    def pi(self, diagnostics: bool = False, delta: float = 0.05) -> EstimatorReport:
+        n = len(self.batch)
+        estimate = pairwise_sum(self.batch.rewards * self.coefficients) / n
+        if not diagnostics:
+            return EstimatorReport("pi", estimate, n)
+        sigma_sq = pairwise_sum(self.quad) / n
+        rho_empirical = float(np.abs(self.coefficients).max())
+        bound = bernstein_bound(sigma_sq, rho_empirical, n, delta)
+        return EstimatorReport(
+            "pi", estimate, n, sigma_sq=sigma_sq, rho=rho_empirical, bound=bound, delta=delta
+        )
+
+    def ips(self) -> EstimatorReport:
+        n = len(self.batch)
+        return EstimatorReport("ips", pairwise_sum(self.batch.rewards * self.weights) / n, n)
+
+    def wips(self) -> EstimatorReport:
+        normalizer = pairwise_sum(self.weights)
+        if normalizer <= 0.0:
+            raise UndefinedEstimateError(
+                "all importance weights are zero; the self-normalized estimate is undefined"
+            )
+        estimate = pairwise_sum(self.batch.rewards * self.weights) / normalizer
+        return EstimatorReport("wips", estimate, len(self.batch))
+
+    def sb(self) -> EstimatorReport:
+        n = len(self.batch)
+        total = 0.0
+        for j in range(self.batch.num_slots):
+            total += pairwise_sum(self.batch.slot_values[:, j] * self.slot_weights[:, j]) / n
+        return EstimatorReport("sb", total, n)
+
+    def wsb(self) -> EstimatorReport:
+        total = 0.0
+        for j in range(self.batch.num_slots):
+            weights = self.slot_weights[:, j]
+            normalizer = pairwise_sum(weights)
+            if normalizer <= 0.0:
+                raise UndefinedEstimateError(
+                    f"all importance weights in slot {j} are zero; the self-normalized "
+                    f"per-slot estimate is undefined"
+                )
+            total += pairwise_sum(self.batch.slot_values[:, j] * weights) / normalizer
+        return EstimatorReport("wsb", total, len(self.batch))
 
 
 def estimate_pi(
@@ -125,54 +223,31 @@ def estimate_pi(
     across repeated calls; by default a fresh one is used (closed form under
     uniform logging, numeric otherwise).
     """
-    batch = _batch(data)
-    n = len(batch)
-    source = pinv_source if pinv_source is not None else PinvSource()
-    coefficients = np.empty(n)  # q_target' P 1_s per example
-    quad = np.empty(n)  # q_target' P q_target of each example's context
-    for context, rows, actions, _ in _logged_groups(batch, logging, target):
-        space = logging.space_of(context)
-        q = target.mean_indicator(context)
-        w = q @ source.pseudoinverse(logging, context)
-        coefficients[rows] = w[space.coords_of_actions(actions)].sum(axis=1)
-        quad[rows] = float(w @ q)
-    estimate = pairwise_sum(batch.rewards * coefficients) / n
-    if not diagnostics:
-        return EstimatorReport("pi", estimate, n)
-    sigma_sq = pairwise_sum(quad) / n
-    rho_empirical = float(np.abs(coefficients).max())
-    bound = bernstein_bound(sigma_sq, rho_empirical, n, delta)
-    return EstimatorReport(
-        "pi", estimate, n, sigma_sq=sigma_sq, rho=rho_empirical, bound=bound, delta=delta
-    )
-
-
-def _importance_weights(batch: LoggedBatch, logging: Policy, target: Policy) -> np.ndarray:
-    weights = np.empty(len(batch))
-    for context, rows, actions, mu in _logged_groups(batch, logging, target):
-        weights[rows] = target.slate_prob_batch(context, actions) / mu
-    return weights
+    return _ScoredBatch(data, logging, target, ("pi",), pinv_source).pi(diagnostics, delta)
 
 
 def estimate_ips(data: Sequence[LoggedExample], logging: Policy, target: Policy) -> EstimatorReport:
     """Inverse propensity scoring with whole-slate probability ratios."""
-    batch = _batch(data)
-    weights = _importance_weights(batch, logging, target)
-    estimate = pairwise_sum(batch.rewards * weights) / len(batch)
-    return EstimatorReport("ips", estimate, len(batch))
+    return _ScoredBatch(data, logging, target, ("ips",)).ips()
 
 
 def estimate_wips(data: Sequence[LoggedExample], logging: Policy, target: Policy) -> EstimatorReport:
     """Self-normalized (weighted) inverse propensity scoring."""
-    batch = _batch(data)
-    weights = _importance_weights(batch, logging, target)
-    normalizer = pairwise_sum(weights)
-    if normalizer <= 0.0:
-        raise UndefinedEstimateError(
-            "all importance weights are zero; the self-normalized estimate is undefined"
-        )
-    estimate = pairwise_sum(batch.rewards * weights) / normalizer
-    return EstimatorReport("wips", estimate, len(batch))
+    return _ScoredBatch(data, logging, target, ("wips",)).wips()
+
+
+def estimate_sb(
+    data: Sequence[SemibanditExample], logging: Policy, target: Policy
+) -> EstimatorReport:
+    """Per-slot inverse propensity scoring on observed intrinsic values."""
+    return _ScoredBatch(data, logging, target, ("sb",)).sb()
+
+
+def estimate_wsb(
+    data: Sequence[SemibanditExample], logging: Policy, target: Policy
+) -> EstimatorReport:
+    """Per-slot self-normalized inverse propensity scoring, summed over slots."""
+    return _ScoredBatch(data, logging, target, ("wsb",)).wsb()
 
 
 # -- direct method -----------------------------------------------------------

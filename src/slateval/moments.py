@@ -20,10 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParseError, SlateError
+from .errors import SlateError
 from .policies import Policy, UniformMixturePolicy
 from .spaces import SlateSpace, SpaceKind
-from .util import fmt17
 
 DEFAULT_RCOND = 1e-10
 SYMMETRY_TOL = 1e-8
@@ -212,55 +211,24 @@ def pinv_uniform(space: SlateSpace) -> PseudoInverse:
     return pinv_uniform_ranking(space)
 
 
-def rho_bar_uniform(space: SlateSpace) -> float:
-    """Largest slate self-overlap under uniform logging, in closed form."""
-    if space.kind is SpaceKind.CARTESIAN:
-        return float(sum(space.slot_counts) - space.num_slots + 1)
-    m, ell = space.num_actions, space.num_slots
-    if ell < m:
-        return float(m * ell - ell + 1)
-    return float(m * m - 2 * m + 2)
-
-
 class PinvSource:
-    """Builds and caches pseudoinverses per (policy, context): the closed form
-    for uniform policies, the numeric one of the moment matrix otherwise."""
+    """Builds and caches pseudoinverses: the closed form for uniform policies,
+    keyed by space since it depends on nothing else, and the numeric one of
+    the moment matrix otherwise, keyed by (policy, context)."""
 
     def __init__(self):
         self._cache: dict = {}
 
     def pseudoinverse(self, policy: Policy, context) -> np.ndarray:
-        key = (policy, context)
+        space = policy.space_of(context)
+        uniform = policy.is_uniform(context)
+        key = space if uniform else (policy, context)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        space = policy.space_of(context)
-        if policy.is_uniform(context):
+        if uniform:
             result = pinv_uniform(space).entries
         else:
             result = pinv_numeric(moment_matrix(policy, context, space)).entries
         self._cache[key] = result
         return result
-
-
-# -- golden-file text format ------------------------------------------------
-
-
-def write_matrix(path, matrix: np.ndarray) -> None:
-    """Row-major text serialization at 17 significant digits."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            handle.write(" ".join(fmt17(x) for x in row) + "\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        data = [[float(x) for x in handle.readline().split()] for _ in range(rows)]
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.shape != (rows, cols):
-        raise ParseError(f"{path}: matrix body does not match header {rows}x{cols}")
-    return matrix

@@ -305,6 +305,7 @@ class ExplicitPolicy(Policy):
                 slates[c] = (actions[start:end], keys[start:end])
         self._table: dict = {}
         self._lookup: dict = {}  # context -> (sorted slate keys, their probabilities)
+        self._cdf: dict = {}  # context -> cumulative probabilities, for sampling
         for context, rows, (actions, keys) in zip(contexts, by_context, slates):
             p = probs[rows]
             total = p.sum()
@@ -321,6 +322,8 @@ class ExplicitPolicy(Policy):
                 raise SlateError(f"slate {slate} is listed twice for context {context!r}")
             self._table[context] = (actions, p)
             self._lookup[context] = (sorted_keys, p[order])
+            cdf = self._cdf[context] = p.cumsum()
+            cdf /= cdf[-1]
 
     @property
     def contexts(self) -> list:
@@ -345,15 +348,15 @@ class ExplicitPolicy(Policy):
         keep = probs > 0.0
         return actions[keep], probs[keep]
 
+    # Inverse-CDF draws on rng.choice's own CDF give its draws and leave the
+    # generator in the same state, without its per-call checks of the weights.
     def sample(self, context, rng) -> Slate:
-        actions, probs = self._entry(context)
-        idx = rng.choice(len(probs), p=probs)
-        return tuple(int(a) for a in actions[idx])
+        actions, _ = self._entry(context)
+        return tuple(actions[self._cdf[context].searchsorted(rng.random(), "right")].tolist())
 
     def sample_batch(self, context, n, rng) -> np.ndarray:
-        actions, probs = self._entry(context)
-        idx = rng.choice(len(probs), size=n, p=probs)
-        return actions[idx]
+        actions, _ = self._entry(context)
+        return actions[self._cdf[context].searchsorted(rng.random(n), "right")]
 
 
 class MultinomialWoRPolicy(Policy):
@@ -553,11 +556,3 @@ def _first_listings(codes, widths, tokens) -> np.ndarray:
     first = np.empty(n, dtype=np.int64)
     first[order] = order[np.maximum.accumulate(starts)]
     return first
-
-
-def write_explicit_policy(path, policy: ExplicitPolicy) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for context in policy.contexts:
-            for slate, prob in policy.support(context):
-                slate_text = ",".join(str(a) for a in slate)
-                handle.write(f"{context}\t{slate_text}\t{prob!r}\n")

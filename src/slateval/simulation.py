@@ -7,8 +7,12 @@ the top-m documents by title score; the logging policy samples slates
 slot-by-slot without replacement from a softmax of title scores at a
 temperature knob; the target policy deterministically ranks the top
 slots by body score. The reward is NDCG, which decomposes exactly into
-per-(slot, action) intrinsic values, so every estimator here can be
-compared against the exactly enumerable target value.
+per-(slot, action) intrinsic values, so every estimator can be compared
+against the exactly enumerable target value. Each cell of the RMSE sweep
+draws one log and scores it once for all the configured importance-weighted
+estimators (pi, ips, wips, sb, wsb); dm and onpolicy run on their own.
+The semi-bandit estimators live in ``slateval.estimators`` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -18,18 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError, ConfigurationError, UndefinedEstimateError
-from .estimators import (
-    EstimatorReport,
+from .errors import ConfigurationError, UndefinedEstimateError
+from .estimators import (  # estimate_sb and estimate_wsb are re-exported
+    _ScoredBatch,
     estimate_dm,
-    estimate_ips,
     estimate_onpolicy,
-    estimate_pi,
-    estimate_wips,
+    estimate_sb,
+    estimate_wsb,
     fit_dm,
 )
 from .letor import RankingDataset
-from .logs import LoggedBatch, SemibanditExample, group_rows
+from .logs import LoggedBatch, SemibanditExample, group_rows  # SemibanditExample is re-exported
 from .moments import PinvSource
 from .policies import DeterministicPolicy, MultinomialWoRPolicy, Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
@@ -296,68 +299,6 @@ def draw_logs(
     return LoggedBatch(pool, picks, actions, rewards, slot_values)
 
 
-# -- semi-bandit baselines -----------------------------------------------------------
-
-
-def _slot_weights(batch: LoggedBatch, logging: Policy, target: Policy) -> np.ndarray:
-    """(n, slots) ratios of target to logging per-(slot, action) marginals."""
-    weights = np.empty(batch.actions.shape)
-    for context, rows in batch.groups():
-        space = logging.space_of(context)
-        coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
-        mu = logging.mean_indicator(context)[coords]
-        zero = mu <= 0.0
-        if zero.any():
-            i, slot = np.argwhere(zero)[0]
-            raise AbsoluteContinuityError(
-                f"logged action {batch.actions[rows[i], slot]} in slot {slot} at context "
-                f"{context!r} has zero marginal probability under the logging policy"
-            )
-        weights[rows] = target.mean_indicator(context)[coords] / mu
-    return weights
-
-
-def _semibandit_batch(data: Sequence[SemibanditExample]) -> LoggedBatch:
-    if len(data) == 0:
-        raise ConfigurationError("cannot estimate from an empty dataset")
-    batch = LoggedBatch.from_examples(data)
-    if batch.slot_values is None:
-        raise ConfigurationError("semi-bandit estimators need per-slot values for every example")
-    return batch
-
-
-def estimate_sb(
-    data: Sequence[SemibanditExample], logging: Policy, target: Policy
-) -> EstimatorReport:
-    """Per-slot inverse propensity scoring on observed intrinsic values."""
-    batch = _semibandit_batch(data)
-    weights = _slot_weights(batch, logging, target)
-    total = 0.0
-    for j in range(batch.num_slots):
-        total += pairwise_sum(batch.slot_values[:, j] * weights[:, j]) / len(batch)
-    return EstimatorReport("sb", total, len(batch))
-
-
-def estimate_wsb(
-    data: Sequence[SemibanditExample], logging: Policy, target: Policy
-) -> EstimatorReport:
-    """Per-slot self-normalized inverse propensity scoring, summed over slots."""
-    batch = _semibandit_batch(data)
-    all_weights = _slot_weights(batch, logging, target)
-    total = 0.0
-    for j in range(batch.num_slots):
-        weights = all_weights[:, j]
-        values = batch.slot_values[:, j]
-        normalizer = pairwise_sum(weights)
-        if normalizer <= 0.0:
-            raise UndefinedEstimateError(
-                f"all importance weights in slot {j} are zero; the self-normalized "
-                f"per-slot estimate is undefined"
-            )
-        total += pairwise_sum(values * weights) / normalizer
-    return EstimatorReport("wsb", total, len(batch))
-
-
 # -- RMSE sweep ----------------------------------------------------------------------
 
 
@@ -405,26 +346,24 @@ def _run_once(
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, run, n]))
     logs = draw_logs(instance, n, rng)
+    scored_names = [name for name in config.estimators if name in _ScoredBatch.ESTIMATORS]
+    scored = (
+        _ScoredBatch(logs, instance.logging, instance.target, scored_names, pinv_source)
+        if scored_names
+        else None
+    )
+
+    def dm():
+        half = max(len(logs) // 2, 1)
+        model = fit_dm(logs[:half], instance.features)
+        return estimate_dm(model, logs[half:] or logs[:half], instance.target)
+
+    unscored = {"dm": dm, "onpolicy": lambda: estimate_onpolicy(instance.target, instance, n, rng)}
     estimates = []
     for name in config.estimators:
+        reduce = unscored[name] if name in unscored else getattr(scored, name)
         try:
-            if name == "pi":
-                report = estimate_pi(logs, instance.logging, instance.target, pinv_source=pinv_source)
-            elif name == "ips":
-                report = estimate_ips(logs, instance.logging, instance.target)
-            elif name == "wips":
-                report = estimate_wips(logs, instance.logging, instance.target)
-            elif name == "dm":
-                half = max(len(logs) // 2, 1)
-                model = fit_dm(logs[:half], instance.features)
-                report = estimate_dm(model, logs[half:] or logs[:half], instance.target)
-            elif name == "onpolicy":
-                report = estimate_onpolicy(instance.target, instance, n, rng)
-            elif name == "sb":
-                report = estimate_sb(logs, instance.logging, instance.target)
-            else:
-                report = estimate_wsb(logs, instance.logging, instance.target)
-            estimates.append((name, report.estimate))
+            estimates.append((name, reduce().estimate))
         except UndefinedEstimateError:
             estimates.append((name, 0.0))
     return estimates

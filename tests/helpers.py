@@ -5,9 +5,12 @@ import numpy as np
 from slateval import (
     ExplicitPolicy,
     LoggedExample,
+    ParseError,
     SlateSpace,
+    SpaceKind,
     UniformMixturePolicy,
 )
+from slateval.util import fmt17
 
 
 def random_explicit_policy(space, contexts, rng, sparsity=None) -> ExplicitPolicy:
@@ -75,3 +78,42 @@ def draw_ada_logs(instance, logging, n, rng) -> list[LoggedExample]:
         slate = logging.sample(context, rng)
         logs.append(LoggedExample(context, slate, instance.reward(context, slate)))
     return logs
+
+
+def rho_bar_uniform(space) -> float:
+    """Largest slate self-overlap under uniform logging, in closed form."""
+    if space.kind is SpaceKind.CARTESIAN:
+        return float(sum(space.slot_counts) - space.num_slots + 1)
+    m, ell = space.num_actions, space.num_slots
+    if ell < m:
+        return float(m * ell - ell + 1)
+    return float(m * m - 2 * m + 2)
+
+
+def write_matrix(path, matrix) -> None:
+    """Row-major text serialization at 17 significant digits."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+        for row in matrix:
+            handle.write(" ".join(fmt17(x) for x in row) + "\n")
+
+
+def read_matrix(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as handle:
+        header = handle.readline().split()
+        rows, cols = int(header[0]), int(header[1])
+        data = [[float(x) for x in handle.readline().split()] for _ in range(rows)]
+    matrix = np.asarray(data, dtype=np.float64)
+    if matrix.shape != (rows, cols):
+        raise ParseError(f"{path}: matrix body does not match header {rows}x{cols}")
+    return matrix
+
+
+def write_explicit_policy(path, policy: ExplicitPolicy) -> None:
+    """Write a policy in the tab-separated format ``load_explicit_policy`` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for context in policy.contexts:
+            for slate, prob in policy.support(context):
+                slate_text = ",".join(str(a) for a in slate)
+                handle.write(f"{context}\t{slate_text}\t{prob!r}\n")

@@ -1,10 +1,11 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import few_slate_table
-from slateval import parse_letor
+from helpers import few_slate_table, random_explicit_policy, write_explicit_policy
+from slateval import ExplicitPolicy, SlateSpace, parse_letor
 from slateval.cli import main, parse_config_file, parse_space_spec
 
 
@@ -308,3 +309,44 @@ def test_explicit_policy_above_the_enumeration_cap_gets_exact_diagnostics(tmp_pa
     assert abs(float(reports["pi"]["estimate"]) - float(reports["ips"]["estimate"])) <= 1e-12
     assert abs(float(reports["pi"]["sigma_sq"]) - 1.0) <= 1e-9
     assert abs(float(reports["pi"]["rho"]) - 1.0) <= 1e-9
+
+
+def test_evaluate_scores_each_context_once_per_policy(tmp_path, monkeypatch):
+    """pi, ips and wips share one scoring pass: each context's logged slates
+    go through one logging and one target slate_prob_batch call."""
+    space = SlateSpace.ranking(4, 2)
+    rng = np.random.default_rng(23)
+    contexts = [f"c{i}" for i in range(7)]
+    logging = random_explicit_policy(space, contexts, rng)
+    target = random_explicit_policy(space, contexts, rng, sparsity=0.5)
+    logging_path, target_path = tmp_path / "logging.tsv", tmp_path / "target.tsv"
+    write_explicit_policy(logging_path, logging)
+    write_explicit_policy(target_path, target)
+    rows = []
+    for i in range(140):
+        context = contexts[i % len(contexts)]
+        rows.append((context, logging.sample(context, rng), round(rng.uniform(-1, 1), 6)))
+    logs_path = tmp_path / "logs.tsv"
+    write_logs_file(logs_path, rows)
+
+    calls = Counter()
+    score = ExplicitPolicy.slate_prob_batch
+
+    def counted(self, context, actions):
+        calls[id(self), context] += 1
+        return score(self, context, actions)
+
+    monkeypatch.setattr(ExplicitPolicy, "slate_prob_batch", counted)
+    code = main([
+        "evaluate", "--logs", str(logs_path),
+        "--logging-policy", str(logging_path), "--target-policy", str(target_path),
+        "--space", "ranking:m=4,slots=2",
+        "--estimator", "pi", "--estimator", "ips", "--estimator", "wips",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    policies = {policy for policy, _ in calls}
+    assert len(policies) == 2
+    for policy in policies:
+        assert sorted(c for p, c in calls if p == policy) == sorted(contexts)
+    assert set(calls.values()) == {1}

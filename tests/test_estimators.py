@@ -16,6 +16,7 @@ from slateval import (
     LoggedBatch,
     LoggedExample,
     PinvSource,
+    SemibanditExample,
     SlateError,
     SlateSpace,
     UndefinedEstimateError,
@@ -24,7 +25,9 @@ from slateval import (
     estimate_ips,
     estimate_onpolicy,
     estimate_pi,
+    estimate_sb,
     estimate_wips,
+    estimate_wsb,
     exact_policy_value,
     fit_dm,
 )
@@ -155,6 +158,33 @@ def test_ips_zero_propensity_errors():
     target = UniformPolicy(space)
     with pytest.raises(AbsoluteContinuityError):
         estimate_ips([LoggedExample("q", (2, 1), 0.1)], logging, target)
+
+
+IMPORTANCE_WEIGHTED = (estimate_pi, estimate_ips, estimate_wips, estimate_sb, estimate_wsb)
+
+
+@pytest.mark.parametrize("estimate", IMPORTANCE_WEIGHTED, ids=lambda f: f.__name__)
+def test_importance_weighted_estimators_reject_empty_data_alike(estimate):
+    policy = UniformPolicy(SlateSpace.ranking(3, 2))
+    for empty in ([], LoggedBatch((), [], np.empty((0, 2)), [])):
+        with pytest.raises(SlateError, match="empty dataset"):
+            estimate(empty, policy, policy)
+
+
+@pytest.mark.parametrize("estimate", IMPORTANCE_WEIGHTED, ids=lambda f: f.__name__)
+def test_importance_weighted_estimators_reject_a_slate_the_logging_policy_cannot_log(estimate):
+    """(0, 2) has zero probability under the logging policy, although each of
+    its slot actions has a positive marginal."""
+    space = SlateSpace.ranking(3, 2)
+    logging = ExplicitPolicy(space, {"q": [((0, 1), 0.5), ((1, 2), 0.5)]})
+    logs = [
+        SemibanditExample("q", (0, 1), 0.5, (0.25, 0.25)),
+        SemibanditExample("q", (0, 2), 0.4, (0.2, 0.2)),
+    ]
+    with pytest.raises(AbsoluteContinuityError, match="zero probability under the stated"):
+        estimate(logs, logging, logging)
+    with pytest.raises(AbsoluteContinuityError, match=r"target puts positive .* slate \(0, 2\)"):
+        estimate(logs, logging, UniformPolicy(space))
 
 
 def _constant_features(dim=3):

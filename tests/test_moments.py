@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import few_slate_table, random_explicit_policy
+from helpers import (
+    few_slate_table,
+    random_explicit_policy,
+    read_matrix,
+    rho_bar_uniform,
+    write_matrix,
+)
 from slateval import (
     DeterministicPolicy,
     ExplicitPolicy,
@@ -14,9 +20,9 @@ from slateval import (
     pinv_numeric,
     pinv_uniform_cartesian,
     pinv_uniform_ranking,
-    rho_bar_uniform,
 )
-from slateval.moments import Provenance, read_matrix, uniform_moment_matrix, write_matrix
+from slateval import moments
+from slateval.moments import Provenance, uniform_moment_matrix
 
 
 def enumerated_uniform(space) -> np.ndarray:
@@ -233,11 +239,32 @@ def test_pinv_source_uses_closed_form_for_uniform():
     np.testing.assert_allclose(result, pinv_uniform_ranking(space).entries)
 
 
-def test_pinv_source_caches():
+def test_pinv_source_caches(monkeypatch):
     space = SlateSpace.ranking(4, 2)
     policy = UniformPolicy(space)
     source = PinvSource()
     assert source.pseudoinverse(policy, "q") is source.pseudoinverse(policy, "q")
+
+    # the closed form depends on the space alone: uniform contexts sharing a
+    # space build it once, whichever uniform policy asks
+    calls = []
+    build = moments.pinv_uniform
+    monkeypatch.setattr(moments, "pinv_uniform", lambda sp: calls.append(sp) or build(sp))
+    source = PinvSource()
+    softmax_at_zero = MultinomialWoRPolicy(space, {"b": np.arange(4.0)}, 0.0)
+    first = source.pseudoinverse(policy, "a")
+    assert source.pseudoinverse(policy, "b") is first
+    assert source.pseudoinverse(softmax_at_zero, "b") is first
+    assert calls == [space]
+    other = SlateSpace.cartesian((3, 3))
+    source.pseudoinverse(UniformPolicy(other), "a")
+    assert calls == [space, other]
+
+    # numeric pseudoinverses stay keyed by (policy, context)
+    explicit = random_explicit_policy(space, ["a", "b"], np.random.default_rng(8))
+    at_a = source.pseudoinverse(explicit, "a")
+    assert source.pseudoinverse(explicit, "a") is at_a
+    assert not np.array_equal(source.pseudoinverse(explicit, "b"), at_a)
 
 
 def test_monte_carlo_moment_matrix_close_to_exact():

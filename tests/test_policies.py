@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_explicit_policy
+from helpers import random_explicit_policy, write_explicit_policy
 from slateval import (
     ContextLookupError,
     DeterministicPolicy,
@@ -13,7 +13,6 @@ from slateval import (
     UniformPolicy,
     load_explicit_policy,
     moment_matrix,
-    write_explicit_policy,
 )
 
 
@@ -234,6 +233,35 @@ def test_explicit_round_trip(tmp_path):
             assert loaded.slate_prob(context, slate) == pytest.approx(
                 policy.slate_prob(context, slate), abs=1e-12
             )
+
+
+def test_explicit_sampling_matches_rng_choice_draws_and_generator_state():
+    """One draw or many, the policy draws what rng.choice(p=) draws on its
+    table and leaves the generator where rng.choice leaves it."""
+    space = SlateSpace.ranking(4, 2)
+    slates = np.asarray(list(space.enumerate_slates()), dtype=np.int64)
+    rng = np.random.default_rng(12)
+    table = {}
+    for context in ("a", "b"):
+        weights = rng.gamma(0.5, size=len(slates)) * (rng.random(len(slates)) < 0.6)
+        weights[rng.integers(len(slates))] += 0.1
+        table[context] = list(zip(map(tuple, slates.tolist()), (weights / weights.sum()).tolist()))
+    policy = ExplicitPolicy(space, table)
+    for seed in range(400):
+        context = "ab"[seed % 2]
+        probs = np.array([p for _, p in table[context]])
+        probs = probs / probs.sum()
+        for size in (None, 1, 37):
+            reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = slates[reference.choice(len(probs), size=size, p=probs)]
+            if size is None:
+                got = policy.sample(context, rng)
+                assert got == tuple(want.tolist())
+                assert all(type(a) is int for a in got)
+            else:
+                got = policy.sample_batch(context, size, rng)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert rng.random() == reference.random()
 
 
 def test_sampling_reproducible_given_seed():

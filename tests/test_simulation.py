@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from slateval import (
     generate_synthetic,
     run_rmse_sweep,
 )
+from slateval.moments import PinvSource
+from slateval.policies import DeterministicPolicy, MultinomialWoRPolicy
 from slateval.simulation import (
+    _run_once,
     fit_score_model,
     position_discounts,
     sweep_aggregate_csv,
@@ -280,3 +285,32 @@ def test_score_model_orders_relevance():
     y = np.array([d.relevance for q in dataset.queries for d in q.documents], dtype=float)
     corr = np.corrcoef(model.score(X), y)[0, 1]
     assert corr > 0.3
+
+
+def test_a_sweep_cell_scores_each_context_once_per_policy(monkeypatch):
+    """pi, wips and sb share one scoring pass: each context's logged slates
+    go through one logging and one target slate_prob_batch call."""
+    instance, config = small_instance(
+        alpha=1.0, n_grid=(300,), runs=1, estimators=("pi", "wips", "sb")
+    )
+    source = PinvSource()
+    # the first cell fills the softmax policy's moment cache, which scores
+    # each context's whole slate space once
+    first = _run_once(instance, config, 300, 0, source)
+    calls = Counter()
+    for cls in (MultinomialWoRPolicy, DeterministicPolicy):
+        score = cls.slate_prob_batch
+
+        def counted(self, context, actions, score=score):
+            calls[id(self), context] += 1
+            return score(self, context, actions)
+
+        monkeypatch.setattr(cls, "slate_prob_batch", counted)
+    assert _run_once(instance, config, 300, 0, source) == first
+    cell_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 300]))
+    logs = draw_logs(instance, 300, cell_rng)
+    contexts = sorted({ex.context for ex in logs})
+    assert len(contexts) > 1
+    for policy in (instance.logging, instance.target):
+        assert sorted(c for p, c in calls if p == id(policy)) == contexts
+    assert len(calls) == 2 * len(contexts) and set(calls.values()) == {1}
