@@ -42,6 +42,8 @@ from .policies import DeterministicPolicy, Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .util import context_rng, fmt, pairwise_sum
 
+# features(context, slot, action) -> 1-d feature vector of that (slot, action)
+# pair. The optimizer calls it once per coordinate per context per call.
 FeatureMap = Callable[[object, int, int], np.ndarray]
 
 

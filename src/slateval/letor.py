@@ -12,6 +12,7 @@ block-restricted score models informative but imperfect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,9 @@ def generate_synthetic(config: GeneratorConfig) -> RankingDataset:
     )
     latent = features @ hidden + query_shift + config.feature_noise * rng.normal(size=num_docs)
 
-    hi_cut = np.quantile(latent, 1.0 - config.highly_relevant_fraction)
-    lo_cut = np.quantile(latent, 1.0 - config.highly_relevant_fraction - config.relevant_fraction)
+    ordered = np.sort(latent)
+    hi_cut = _quantile(ordered, 1.0 - config.highly_relevant_fraction)
+    lo_cut = _quantile(ordered, 1.0 - config.highly_relevant_fraction - config.relevant_fraction)
     relevance = np.where(latent >= hi_cut, 2, np.where(latent >= lo_cut, 1, 0))
 
     queries = []
@@ -183,3 +185,14 @@ def generate_synthetic(config: GeneratorConfig) -> RankingDataset:
         )
         queries.append(Query(f"q{qi}", docs))
     return RankingDataset(tuple(queries))
+
+
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of the default linear method, from the
+    values sorted ascending; bit for bit, without the lazy ``numpy.ma``
+    import ``np.quantile`` makes."""
+    pos = (len(ordered) - 1) * q
+    below = math.floor(pos)
+    t = pos - below
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t

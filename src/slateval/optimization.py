@@ -121,28 +121,36 @@ class PointwiseScorer:
 
     def score_matrix(self, context, space: SlateSpace, features: FeatureMap) -> np.ndarray:
         """(slots, max actions) score table; impossible cells are -inf."""
+        scores = _feature_table(space, context, features) @ self.feature_weights()
+        scores += np.repeat(self.slot_weights(), space.slot_counts)
         width = max(space.slot_counts)
+        if space.dim == space.num_slots * width:
+            return scores.reshape(space.num_slots, width)
         table = np.full((space.num_slots, width), -np.inf)
-        for j in range(space.num_slots):
-            action_features = np.stack(
-                [features(context, j, a) for a in range(space.slot_counts[j])]
-            )
-            table[j, : space.slot_counts[j]] = (
-                self.slot_weights()[j] + action_features @ self.feature_weights()
-            )
+        table[np.arange(width) < np.array(space.slot_counts)[:, None]] = scores
         return table
+
+
+def _feature_table(space: SlateSpace, context, features: FeatureMap) -> np.ndarray:
+    """(dim, feature_dim) features of every (slot, action) coordinate,
+    slot-major action-minor: the one place this module calls the feature
+    map, once per coordinate."""
+    rows = [features(context, j, a) for j, count in enumerate(space.slot_counts) for a in range(count)]
+    return np.asarray(rows, dtype=np.float64).reshape(space.dim, -1)
 
 
 def _design_matrix(space: SlateSpace, context, features: FeatureMap, feature_dim: int) -> np.ndarray:
     """Rows for every (slot, action) coordinate, slot-major action-minor."""
-    num_slots = space.num_slots
-    rows = np.zeros((space.dim, num_slots + feature_dim))
-    for j in range(num_slots):
-        for a in range(space.slot_counts[j]):
-            row = space.coord(j, a)
-            rows[row, j] = 1.0
-            rows[row, num_slots:] = features(context, j, a)
-    return rows
+    return _slot_design(space, _feature_table(space, context, features), feature_dim)
+
+
+def _slot_design(space: SlateSpace, table: np.ndarray, feature_dim: int) -> np.ndarray:
+    """The slot one-hot columns beside a context's feature table."""
+    if table.shape[1] != feature_dim:
+        raise ConfigurationError(
+            f"the feature map gives {table.shape[1]} features per action, expected {feature_dim}"
+        )
+    return np.hstack([np.repeat(np.eye(space.num_slots), space.slot_counts, axis=0), table])
 
 
 def fit_scorer(
@@ -156,9 +164,9 @@ def fit_scorer(
     Regression rows are ordered example-major, coordinate-major; fold
     assignment is by global row index modulo the fold count.
     """
-    probe = targets.features(targets.contexts[0], 0, 0)
-    feature_dim = len(np.atleast_1d(probe))
-    moments = _fold_moments(targets, feature_dim, folds)
+    tables = [_feature_table(targets.spaces[c], c, targets.features) for c in targets.contexts]
+    feature_dim = tables[0].shape[1]
+    moments = _table_moments(targets, tables, feature_dim, folds)
     penalize = np.ones(targets.num_slots + feature_dim)
     alpha = cv_select_alpha(moments, penalize, alphas)
     weights = solve_ridge(moments.xtx.sum(axis=0), moments.xty.sum(axis=0), alpha, penalize)
@@ -168,12 +176,23 @@ def fit_scorer(
 
 
 def _fold_moments(targets: DecomposedTargets, feature_dim: int, folds: int) -> FoldMoments:
-    """Per-fold normal-equation moments of the regression rows.
+    """Per-fold normal-equation moments of the regression rows, reading each
+    context's feature table from the targets' feature map."""
+    tables = [_feature_table(targets.spaces[c], c, targets.features) for c in targets.contexts]
+    return _table_moments(targets, tables, feature_dim, folds)
+
+
+def _table_moments(targets: DecomposedTargets, tables, feature_dim: int, folds: int) -> FoldMoments:
+    """Per-fold normal-equation moments from one feature table per context.
 
     Every row of a context shares that context's design matrix, so each
     block reduces to per-(fold, coordinate) row counts, target sums and
     sums of squares, and the moments follow from a few products with the
-    design matrix; the row matrix is never materialized.
+    design matrix; the row matrix is never materialized. Coordinate ``k``
+    of an example whose rows start at ``s`` lands in fold ``(s + k) %
+    folds``, so cell ``(fold, k)`` holds the examples of residue class
+    ``s % folds == (fold - k) % folds``, and the block's rows are summed
+    once per class.
     """
     width = targets.num_slots + feature_dim
     # global row start of every example: cumulative sum of the block dims
@@ -186,58 +205,82 @@ def _fold_moments(targets: DecomposedTargets, feature_dim: int, folds: int) -> F
     xty = np.zeros((folds, width))
     yty = np.zeros(folds)
     counts = np.zeros(folds)
-    for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
+    for context, rows, block, table in zip(targets.contexts, targets.rows, targets.phi_hats, tables):
         space = targets.spaces[context]
-        design = _design_matrix(space, context, targets.features, feature_dim)
+        design = _slot_design(space, table, feature_dim)
+        residues = starts[rows] % folds
+        class_counts = np.bincount(residues, minlength=folds)
+        class_sums = np.zeros((folds, space.dim))
+        class_squares = np.zeros((folds, space.dim))
+        for r in np.flatnonzero(class_counts):
+            members = block[residues == r]
+            class_sums[r] = members.sum(axis=0)
+            class_squares[r] = (members * members).sum(axis=0)
         local = np.arange(space.dim)
-        keys = ((starts[rows, None] + local) % folds * space.dim + local).ravel()
-        size = folds * space.dim
-        values = block.ravel()
-        n_rows = np.bincount(keys, minlength=size).reshape(folds, space.dim)
-        sums = np.bincount(keys, weights=values, minlength=size).reshape(folds, space.dim)
-        squares = np.bincount(keys, weights=values * values, minlength=size)
+        cls = (np.arange(folds)[:, None] - local) % folds
+        n_rows = class_counts[cls]
         xtx += (design.T * n_rows[:, None, :]) @ design
-        xty += sums @ design
-        yty += squares.reshape(folds, space.dim).sum(axis=1)
+        xty += class_sums[cls, local] @ design
+        yty += class_squares[cls, local].sum(axis=1)
         counts += n_rows.sum(axis=1)
     return FoldMoments(xtx=xtx, xty=xty, yty=yty, counts=counts)
 
 
-def greedy_slate(scorer, context, space: SlateSpace, features: FeatureMap) -> tuple[int, ...]:
-    """Build a slate by repeatedly taking the best available (slot, action).
+def _greedy_slates(scores: np.ndarray, space: SlateSpace) -> np.ndarray:
+    """Greedy slates of a (contexts, slots, max actions) stack of score
+    tables of one space, one row of action ids per context.
 
-    A chosen slot never recurs; in ranking spaces the chosen action is
+    Each round takes, per context, the best available (slot, action); a
+    chosen slot never recurs, and in ranking spaces the chosen action is
     excluded too (product spaces have disjoint per-slot action sets). Ties
     resolve to the smallest (slot, action) pair in a slot-major scan;
     scores within a small relative tolerance of the round maximum count as
     tied, so rounding dust cannot scramble slot placement.
     """
-    scores = np.asarray(scorer.score_matrix(context, space, features), dtype=np.float64)
-    num_slots = space.num_slots
+    scores = np.asarray(scores, dtype=np.float64)
+    count, num_slots, width = scores.shape
+    every = np.arange(count)
     available = np.isfinite(scores)
-    slate = [-1] * num_slots
+    slates = np.full((count, num_slots), -1, dtype=np.int64)
     for _ in range(num_slots):
-        masked = np.where(available, scores, -np.inf)
-        best = float(masked.max())
-        if not np.isfinite(best):
+        masked = np.where(available, scores, -np.inf).reshape(count, -1)
+        best = masked.max(axis=1)
+        if not np.isfinite(best).all():
             raise ConfigurationError("no available (slot, action) pair left to place")
-        tol = 1e-9 * max(1.0, abs(best))
-        flat = int(np.argmax(masked >= best - tol))
-        slot, action = divmod(flat, scores.shape[1])
-        slate[slot] = action
-        available[slot, :] = False
+        tol = 1e-9 * np.maximum(1.0, np.abs(best))
+        slot, action = np.divmod(np.argmax(masked >= (best - tol)[:, None], axis=1), width)
+        slates[every, slot] = action
+        available[every, slot, :] = False
         if space.kind is SpaceKind.RANKING:
-            available[:, action] = False
-    return space.validate(tuple(slate))
+            available[every, :, action] = False
+    return slates
+
+
+def greedy_slate(scorer, context, space: SlateSpace, features: FeatureMap) -> tuple[int, ...]:
+    """Build a slate by repeatedly taking the best available (slot, action);
+    see ``_greedy_slates`` for the rule."""
+    scores = scorer.score_matrix(context, space, features)
+    return space.validate(_greedy_slates([scores], space)[0])
 
 
 def evaluate_learned(scorer, instance, contexts=None) -> float:
-    """Mean NDCG of the scorer's greedy slates over an instance's queries."""
+    """Mean NDCG of the scorer's greedy slates over an instance's queries.
+
+    Contexts sharing a space are scored into one stack and built by one
+    greedy pass.
+    """
     contexts = tuple(instance.contexts if contexts is None else contexts)
+    groups: dict[SlateSpace, list] = {}
+    for context in contexts:
+        groups.setdefault(instance.space_of(context), []).append(context)
+    slates = {}
+    for space, group in groups.items():
+        scores = [scorer.score_matrix(c, space, instance.features) for c in group]
+        for context, slate in zip(group, _greedy_slates(scores, space)):
+            slates[context] = space.validate(slate)
     total = 0.0
     for context in contexts:
-        slate = greedy_slate(scorer, context, instance.space_of(context), instance.features)
-        total += instance.ndcg(context, slate)
+        total += instance.ndcg(context, slates[context])
     return total / len(contexts)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from slateval import (
+    ConfigurationError,
     ExplicitPolicy,
     LoggedExample,
     ParseError,
@@ -10,6 +11,7 @@ from slateval import (
     SpaceKind,
     UniformMixturePolicy,
 )
+from slateval.ridge import FoldMoments
 from slateval.util import fmt17
 
 
@@ -117,3 +119,58 @@ def write_explicit_policy(path, policy: ExplicitPolicy) -> None:
             for slate, prob in policy.support(context):
                 slate_text = ",".join(str(a) for a in slate)
                 handle.write(f"{context}\t{slate_text}\t{prob!r}\n")
+
+
+def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:
+    """Per-fold regression moments from per-(fold, coordinate) ``bincount``s
+    over every row of each target block, with the design matrix filled one
+    (slot, action) coordinate at a time."""
+    width = targets.num_slots + feature_dim
+    dims = np.zeros(len(targets), dtype=np.int64)
+    for context, rows in zip(targets.contexts, targets.rows):
+        dims[rows] = targets.spaces[context].dim
+    starts = np.cumsum(dims) - dims
+
+    xtx = np.zeros((folds, width, width))
+    xty = np.zeros((folds, width))
+    yty = np.zeros(folds)
+    counts = np.zeros(folds)
+    for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
+        space = targets.spaces[context]
+        design = np.zeros((space.dim, width))
+        for j in range(space.num_slots):
+            for a in range(space.slot_counts[j]):
+                design[space.coord(j, a), j] = 1.0
+                design[space.coord(j, a), targets.num_slots:] = targets.features(context, j, a)
+        local = np.arange(space.dim)
+        keys = ((starts[rows, None] + local) % folds * space.dim + local).ravel()
+        size = folds * space.dim
+        values = block.ravel()
+        n_rows = np.bincount(keys, minlength=size).reshape(folds, space.dim)
+        sums = np.bincount(keys, weights=values, minlength=size).reshape(folds, space.dim)
+        squares = np.bincount(keys, weights=values * values, minlength=size)
+        xtx += (design.T * n_rows[:, None, :]) @ design
+        xty += sums @ design
+        yty += squares.reshape(folds, space.dim).sum(axis=1)
+        counts += n_rows.sum(axis=1)
+    return FoldMoments(xtx=xtx, xty=xty, yty=yty, counts=counts)
+
+
+def greedy_reference(scores, space) -> tuple[int, ...]:
+    """Greedy slate of one score table, one (slot, action) pick per round,
+    with the optimizer's tie tolerance and exclusion rules."""
+    scores = np.asarray(scores, dtype=np.float64)
+    available = np.isfinite(scores)
+    slate = [-1] * space.num_slots
+    for _ in range(space.num_slots):
+        masked = np.where(available, scores, -np.inf)
+        best = float(masked.max())
+        if not np.isfinite(best):
+            raise ConfigurationError("no available (slot, action) pair left to place")
+        tol = 1e-9 * max(1.0, abs(best))
+        slot, action = divmod(int(np.argmax(masked >= best - tol)), scores.shape[1])
+        slate[slot] = action
+        available[slot, :] = False
+        if space.kind is SpaceKind.RANKING:
+            available[:, action] = False
+    return space.validate(tuple(slate))

@@ -1,5 +1,6 @@
 import csv
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,18 @@ def test_optimize_emits_fold_table(tmp_path):
     assert lines[0] == "fold,logger,sup_rel,sup_gain,pi_opt"
     assert len(lines) == 1 + 3 + 1
     assert lines[-1].startswith("avg,")
+
+
+def test_optimize_ndcg_table_matches_golden_bytes(tmp_path):
+    config = tmp_path / "opt.cfg"
+    config.write_text(
+        "m=6\nslots=2\nseed=4\nn=4000\nfolds=3\n"
+        "queries=30\ndocs_per_query=9\nfeature_dim=12\ntitle_dims=6\n"
+    )
+    out_dir = tmp_path / "opt"
+    assert main(["optimize", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    golden = Path(__file__).parent / "data" / "optimize_small_ndcg.csv"
+    assert (out_dir / "ndcg.csv").read_bytes() == golden.read_bytes()
 
 
 def test_experiment_set_overrides_config_fields(tmp_path):

@@ -101,3 +101,15 @@ def test_generator_plants_learnable_signal():
     scores = X @ weights
     corr = np.corrcoef(scores, y)[0, 1]
     assert corr > 0.4
+
+
+def test_sorted_quantile_matches_numpy_quantile_bit_for_bit():
+    from slateval.letor import _quantile
+
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        values = rng.normal(size=int(rng.integers(1, 500))) * 10.0 ** rng.uniform(-4, 4)
+        ordered = np.sort(values)
+        quantiles = np.array([0.0, 0.15, 0.5, 0.5 + 1e-12, 0.65, 0.85, 1.0])
+        got = [_quantile(ordered, q) for q in quantiles]
+        np.testing.assert_array_equal(got, [np.quantile(values, q) for q in quantiles])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from slateval import (
     ExperimentConfig,
     GeneratorConfig,
     LoggedExample,
+    RankingDataset,
     SlateSpace,
     UniformPolicy,
     build_instance,
@@ -17,8 +20,10 @@ from slateval import (
     generate_synthetic,
     greedy_slate,
 )
+from helpers import fold_moments_reference, greedy_reference
+from slateval.letor import Query
 from slateval.moments import moment_matrix
-from slateval.optimization import DecomposedTargets, _design_matrix, _fold_moments
+from slateval.optimization import DecomposedTargets, _design_matrix, _fold_moments, _greedy_slates
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
 
 
@@ -347,3 +352,135 @@ def test_sup_scorer_slates_sort_by_predicted_gain():
     scores = scorer.score_matrix(context, space, instance.features)[0]
     expected = tuple(np.argsort(-scores, kind="stable")[:3])
     assert slate == expected
+
+
+def fold_moment_inputs():
+    """The same-dims and mixed-dims target sets of the row-reference test,
+    plus a decomposed log with many rows per context block."""
+    features = unit_features(dim=2, seed=6)
+    contexts = tuple(f"q{i % 3}" for i in range(11))
+    same_dims = {c: SlateSpace.ranking(3, 2) for c in contexts}
+    mixed_dims = {
+        "q0": SlateSpace.ranking(3, 2),
+        "q1": SlateSpace.ranking(4, 2),
+        "q2": SlateSpace.cartesian((2, 3)),
+    }
+    for spaces in (same_dims, mixed_dims):
+        rng = np.random.default_rng(6)
+        phi_hats = tuple(rng.normal(size=spaces[c].dim) for c in contexts)
+        yield per_example_targets(contexts, phi_hats, spaces, features, 2)
+    rng = np.random.default_rng(8)
+    contexts = [f"q{i}" for i in rng.integers(0, 3, size=400)]
+    phi_hats = [rng.normal(size=mixed_dims[c].dim) * 10.0 ** rng.uniform(-3, 3) for c in contexts]
+    yield per_example_targets(contexts, phi_hats, mixed_dims, features, 2)
+
+
+@pytest.mark.parametrize("folds", [2, 3, 5])
+def test_fold_moments_equal_bincount_reference_exactly(folds):
+    for targets in fold_moment_inputs():
+        got = _fold_moments(targets, 2, folds)
+        want = fold_moments_reference(targets, 2, folds)
+        for name in ("xtx", "xty", "yty", "counts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        SlateSpace.ranking(5, 3),
+        SlateSpace.ranking(4, 4),
+        SlateSpace.ranking(9, 2),
+        SlateSpace.cartesian((2, 3)),
+        SlateSpace.cartesian((4, 1, 3)),
+        SlateSpace.cartesian((3, 3)),
+    ],
+    ids=lambda space: f"{space.kind.value}-{'x'.join(map(str, space.slot_counts))}",
+)
+def test_stacked_greedy_matches_one_context_greedy(space):
+    """One greedy pass over a stack of score tables gives every context the
+    slate the one-context greedy and the scalar reference give it, with
+    near-ties planted around the 1e-9 tolerance and tables of repeated
+    values."""
+    rng = np.random.default_rng(space.dim)
+    width = max(space.slot_counts)
+    padding = np.arange(width) >= np.array(space.slot_counts)[:, None]
+    tables = []
+    for i in range(90):
+        table = rng.normal(size=(space.num_slots, width)) * 10.0 ** rng.integers(-3, 7)
+        if i % 3 == 1:
+            best = table[~padding].max()
+            planted = rng.random(table.shape) < 0.5
+            gaps = rng.choice([0.0, 0.4e-9, 0.99e-9, 1.01e-9, 3e-9], size=planted.sum())
+            table[planted] = best - gaps * max(1.0, abs(best))
+        elif i % 3 == 2:
+            table = rng.integers(0, 3, size=table.shape).astype(np.float64)
+        table[padding] = -np.inf
+        tables.append(table)
+    stacked = _greedy_slates(np.stack(tables), space)
+    for table, row in zip(tables, stacked):
+        one = greedy_slate(_TableScorer(table), "q", space, unit_features())
+        assert tuple(row.tolist()) == one == greedy_reference(table, space)
+
+
+def two_space_instance():
+    """Every third query keeps 5 of its 8 documents, so its pool, and its
+    ranking space, is smaller than the m = 6 of the others."""
+    dataset = generate_synthetic(
+        GeneratorConfig(num_queries=24, docs_per_query=8, feature_dim=12, title_dims=6, seed=21)
+    )
+    queries = tuple(
+        Query(q.query_id, q.documents[:5] if i % 3 == 0 else q.documents)
+        for i, q in enumerate(dataset.queries)
+    )
+    instance = build_instance(RankingDataset(queries), ExperimentConfig(m=6, slots=3, title_dims=6))
+    assert {instance.space_of(c).dim for c in instance.contexts} == {15, 18}
+    return instance
+
+
+def test_evaluate_learned_over_two_spaces_matches_per_context_greedy():
+    instance = two_space_instance()
+    logs = draw_logs(instance, 3000, np.random.default_rng(2))
+    for scorer in (
+        fit_scorer(decompose(logs, instance.logging, features=instance.features)),
+        fit_sup_scorer(instance, target="gain"),
+    ):
+        # caller's order: reversed, interleaving the two spaces
+        contexts = instance.contexts[::-1]
+        total = 0.0
+        for context in contexts:
+            slate = greedy_slate(scorer, context, instance.space_of(context), instance.features)
+            total += instance.ndcg(context, slate)
+        assert evaluate_learned(scorer, instance, contexts) == total / len(contexts)
+
+
+class _CountingInstance:
+    """An instance whose feature map counts its calls per context."""
+
+    def __init__(self, instance):
+        self.contexts = instance.contexts
+        self.space_of = instance.space_of
+        self.ndcg = instance.ndcg
+        self.calls = Counter()
+        self._features = instance.features
+
+    def features(self, context, slot, action):
+        self.calls[context] += 1
+        return self._features(context, slot, action)
+
+
+def test_feature_map_is_read_once_per_coordinate_per_context_per_call():
+    instance = two_space_instance()
+    counting = _CountingInstance(instance)
+    train, test = instance.contexts[::2], instance.contexts[1::2]
+    logs = draw_logs(instance, 2000, np.random.default_rng(3), contexts=train)
+    targets = decompose(logs, instance.logging, features=counting.features)
+    assert not counting.calls
+    dims = {c: instance.space_of(c).dim for c in instance.contexts}
+    for _ in range(2):
+        counting.calls.clear()
+        scorer = fit_scorer(targets, folds=3)
+        assert counting.calls == {c: dims[c] for c in targets.contexts}
+    for _ in range(2):
+        counting.calls.clear()
+        evaluate_learned(scorer, counting, test)
+        assert counting.calls == {c: dims[c] for c in test}
