@@ -18,8 +18,11 @@ converted once). The importance-weighted estimators share one scoring pass
 per (batch, logging, target): one loop over the context groups validates
 and scores each group's slates once and gathers the per-example terms the
 requested estimators need; each estimator is then a reduction over those
-terms. Per-example terms are summed with a fixed pairwise (tree) reduction
-in example order.
+terms. The direct method fits a ridge model of the reward on per-slot
+features and averages its predictions over the target's ``moment_arrays``
+rows; a context's features come from one table that both it and the
+optimizer read. Per-example terms are summed with a fixed pairwise (tree)
+reduction in example order.
 """
 
 from __future__ import annotations
@@ -38,13 +41,23 @@ from .errors import (
 )
 from .logs import LoggedBatch, LoggedExample, SemibanditExample
 from .moments import PinvSource
-from .policies import DeterministicPolicy, Policy
+from .policies import Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
-from .util import context_rng, fmt, pairwise_sum
+from .spaces import SlateSpace, space_of
+from .util import fmt, pairwise_sum
 
 # features(context, slot, action) -> 1-d feature vector of that (slot, action)
-# pair. The optimizer calls it once per coordinate per context per call.
+# pair. The optimizer and the direct method read it through _feature_table,
+# once per coordinate per context per call.
 FeatureMap = Callable[[object, int, int], np.ndarray]
+
+
+def _feature_table(space: SlateSpace, context, features: FeatureMap) -> np.ndarray:
+    """(dim, feature_dim) features of every (slot, action) coordinate,
+    slot-major action-minor: the one place the package calls a feature
+    map, once per coordinate."""
+    rows = [features(context, j, a) for j, count in enumerate(space.slot_counts) for a in range(count)]
+    return np.asarray(rows, dtype=np.float64).reshape(space.dim, -1)
 
 
 @dataclass(frozen=True)
@@ -257,73 +270,76 @@ def estimate_wsb(
 
 @dataclass(frozen=True)
 class RewardModel:
-    """Ridge model of the slate reward over concatenated per-slot features."""
+    """Ridge model of the slate reward: one weight block per slot over that
+    slot's action features, an intercept, and a clip to [-1, 1]. ``space``
+    is the space (or per-context mapping/callable) it was fit on."""
 
     weights: np.ndarray
     alpha: float
     features: FeatureMap
+    space: object
     num_slots: int
 
-    def predict(self, context, slate) -> float:
-        row = np.concatenate(
-            [self.features(context, j, a) for j, a in enumerate(slate)] + [[1.0]]
-        )
-        return float(np.clip(row @ self.weights, -1.0, 1.0))
+    def predict(self, context, actions) -> np.ndarray:
+        """Clipped rewards of an (n, slots) array of slates: the intercept
+        plus, per slot, the slot's weight block times the action's features."""
+        space = space_of(self.space, context)
+        coords = space.coords_of_actions(space.validate_batch(actions, context))
+        table = _feature_table(space, context, self.features)
+        blocks = self.weights[:-1].reshape(self.num_slots, -1)
+        if space.num_slots != self.num_slots or table.shape[1] != blocks.shape[1]:
+            raise ConfigurationError(
+                f"the model was fit on {self.num_slots} slots of {blocks.shape[1]} features; "
+                f"context {context!r} has {space.num_slots} slots of {table.shape[1]}"
+            )
+        scores = np.einsum("kf,kf->k", table, np.repeat(blocks, space.slot_counts, axis=0))
+        return np.clip(scores[coords].sum(axis=1) + self.weights[-1], -1.0, 1.0)
 
 
-def fit_dm(train: Sequence[LoggedExample], features: FeatureMap, *, folds: int = 5) -> RewardModel:
-    """Fit the direct-method reward model on logged examples."""
+def fit_dm(
+    train: Sequence[LoggedExample], features: FeatureMap, space, *, folds: int = 5
+) -> RewardModel:
+    """Fit the direct-method reward model on logged examples.
+
+    ``space`` is a ``SlateSpace`` or a per-context mapping/callable, as for
+    a ``Policy``. Each context's logged slates are validated and their
+    design rows gathered from the context's feature table.
+    """
     _require_data(train)
-    num_slots = len(train[0].slate)
-    rows = np.stack(
-        [
-            np.concatenate([features(ex.context, j, a) for j, a in enumerate(ex.slate)])
-            for ex in train
-        ]
+    batch = LoggedBatch.from_examples(train)
+    blocks = []
+    for context, rows in batch.groups():
+        sp = space_of(space, context)
+        coords = sp.coords_of_actions(sp.validate_batch(batch.actions[rows], context))
+        blocks.append((rows, _feature_table(sp, context, features)[coords].reshape(len(rows), -1)))
+    widths = {block.shape[1] for _, block in blocks}
+    if len(widths) != 1:
+        raise ConfigurationError(f"the feature map gives differing row widths: {sorted(widths)}")
+    X = np.empty((len(batch), widths.pop()))
+    for rows, block in blocks:
+        X[rows] = block
+    fit = fit_ridge_cv(
+        add_intercept(X), batch.rewards, folds=folds, penalize=intercept_penalty_mask(X.shape[1])
     )
-    X = add_intercept(rows)
-    y = np.array([ex.reward for ex in train])
-    fit = fit_ridge_cv(X, y, folds=folds, penalize=intercept_penalty_mask(rows.shape[1]))
-    return RewardModel(weights=fit.weights, alpha=fit.alpha, features=features, num_slots=num_slots)
+    return RewardModel(fit.weights, fit.alpha, features, space, batch.num_slots)
 
 
 def estimate_dm(
-    model: RewardModel,
-    eval_data: Sequence[LoggedExample],
-    target: Policy,
-    *,
-    enumeration_cap: int | None = None,
-    mc_slates: int = 10_000,
-    seed: int = 0,
+    model: RewardModel, eval_data: Sequence[LoggedExample], target: Policy
 ) -> EstimatorReport:
-    """Score the target policy with the reward model.
-
-    The inner expectation over target slates is exact when the support is
-    enumerable and a Monte Carlo average over sampled slates otherwise.
-    """
+    """Score the target policy with the reward model: per context, the
+    probability-weighted predictions of the target's ``moment_arrays`` rows
+    (its listed support, else its own seeded sample)."""
     _require_data(eval_data)
-    cap = enumeration_cap if enumeration_cap is not None else target.enumeration_cap
-    per_context: dict = {}
-    values = np.empty(len(eval_data))
-    for i, ex in enumerate(eval_data):
-        value = per_context.get(ex.context)
-        if value is None:
-            space = target.space_of(ex.context)
-            if isinstance(target, DeterministicPolicy):
-                value = model.predict(ex.context, target.slate_of(ex.context))
-            elif space.num_slates() <= cap:
-                value = sum(
-                    p * model.predict(ex.context, slate) for slate, p in target.support(ex.context)
-                )
-            else:
-                rng = context_rng(seed, ex.context)
-                draws = target.sample_batch(ex.context, mc_slates, rng)
-                value = float(
-                    np.mean([model.predict(ex.context, tuple(row)) for row in draws])
-                )
-            per_context[ex.context] = value
-        values[i] = value
-    return EstimatorReport("dm", pairwise_sum(values) / len(eval_data), len(eval_data))
+    batch = LoggedBatch.from_examples(eval_data)
+    values = np.empty(len(batch))
+    for context, rows in batch.groups():
+        space = target.space_of(context)
+        if space != space_of(model.space, context):
+            raise ConfigurationError(f"target space {space} at {context!r} is not the model's")
+        arrays = target.moment_arrays(context)
+        values[rows] = arrays.probs @ model.predict(context, arrays.actions)
+    return EstimatorReport("dm", pairwise_sum(values) / len(batch), len(batch))
 
 
 # -- on-policy rollout ---------------------------------------------------------

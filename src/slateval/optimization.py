@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import FeatureMap
+from .estimators import FeatureMap, _feature_table
 from .logs import LoggedBatch, LoggedExample
 from .moments import PinvSource
 from .policies import Policy
@@ -131,19 +131,6 @@ class PointwiseScorer:
         return table
 
 
-def _feature_table(space: SlateSpace, context, features: FeatureMap) -> np.ndarray:
-    """(dim, feature_dim) features of every (slot, action) coordinate,
-    slot-major action-minor: the one place this module calls the feature
-    map, once per coordinate."""
-    rows = [features(context, j, a) for j, count in enumerate(space.slot_counts) for a in range(count)]
-    return np.asarray(rows, dtype=np.float64).reshape(space.dim, -1)
-
-
-def _design_matrix(space: SlateSpace, context, features: FeatureMap, feature_dim: int) -> np.ndarray:
-    """Rows for every (slot, action) coordinate, slot-major action-minor."""
-    return _slot_design(space, _feature_table(space, context, features), feature_dim)
-
-
 def _slot_design(space: SlateSpace, table: np.ndarray, feature_dim: int) -> np.ndarray:
     """The slot one-hot columns beside a context's feature table."""
     if table.shape[1] != feature_dim:
@@ -173,13 +160,6 @@ def fit_scorer(
     return PointwiseScorer(
         weights=weights, num_slots=targets.num_slots, feature_dim=feature_dim, alpha=alpha
     )
-
-
-def _fold_moments(targets: DecomposedTargets, feature_dim: int, folds: int) -> FoldMoments:
-    """Per-fold normal-equation moments of the regression rows, reading each
-    context's feature table from the targets' feature map."""
-    tables = [_feature_table(targets.spaces[c], c, targets.features) for c in targets.contexts]
-    return _table_moments(targets, tables, feature_dim, folds)
 
 
 def _table_moments(targets: DecomposedTargets, tables, feature_dim: int, folds: int) -> FoldMoments:

@@ -355,7 +355,7 @@ def _run_once(
 
     def dm():
         half = max(len(logs) // 2, 1)
-        model = fit_dm(logs[:half], instance.features)
+        model = fit_dm(logs[:half], instance.features, instance.space_of)
         return estimate_dm(model, logs[half:] or logs[:half], instance.target)
 
     unscored = {"dm": dm, "onpolicy": lambda: estimate_onpolicy(instance.target, instance, n, rng)}

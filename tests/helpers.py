@@ -11,6 +11,8 @@ from slateval import (
     SpaceKind,
     UniformMixturePolicy,
 )
+from slateval.estimators import _feature_table
+from slateval.optimization import _slot_design, _table_moments
 from slateval.ridge import FoldMoments
 from slateval.util import fmt17
 
@@ -119,6 +121,19 @@ def write_explicit_policy(path, policy: ExplicitPolicy) -> None:
             for slate, prob in policy.support(context):
                 slate_text = ",".join(str(a) for a in slate)
                 handle.write(f"{context}\t{slate_text}\t{prob!r}\n")
+
+
+def _design_matrix(space, context, features, feature_dim) -> np.ndarray:
+    """Optimizer design rows for every (slot, action) coordinate,
+    slot-major action-minor."""
+    return _slot_design(space, _feature_table(space, context, features), feature_dim)
+
+
+def _fold_moments(targets, feature_dim, folds) -> FoldMoments:
+    """Per-fold normal-equation moments of the regression rows, reading each
+    context's feature table from the targets' feature map."""
+    tables = [_feature_table(targets.spaces[c], c, targets.features) for c in targets.contexts]
+    return _table_moments(targets, tables, feature_dim, folds)
 
 
 def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:

@@ -185,6 +185,21 @@ def test_experiment_config_and_outputs(tmp_path):
     assert "logscale" in (out_dir / "plot.gp").read_text()
 
 
+def test_experiment_with_direct_method_is_deterministic(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "m=5\nslots=2\nalpha=0.0\nn_grid=150,300\nruns=2\nseed=3\n"
+        "estimators=pi,sb,dm\nqueries=25\ndocs_per_query=8\nfeature_dim=12\ntitle_dims=6\n"
+    )
+    outputs = []
+    for name in ("first", "second"):
+        out_dir = tmp_path / name
+        assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        outputs.append([(out_dir / f).read_bytes() for f in ("runs.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\ndm,") == 2 * 2
+
+
 def test_experiment_single_cell_row_count(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(

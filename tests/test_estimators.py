@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     draw_ada_logs,
+    few_slate_table,
     make_ada_instance,
     mixture_logging_policy,
     random_explicit_policy,
@@ -15,6 +16,7 @@ from slateval import (
     ExplicitPolicy,
     LoggedBatch,
     LoggedExample,
+    MultinomialWoRPolicy,
     PinvSource,
     SemibanditExample,
     SlateError,
@@ -205,7 +207,7 @@ def test_dm_constant_rewards_recovers_constant():
     logging = UniformPolicy(space)
     rng = np.random.default_rng(6)
     logs = [LoggedExample("q", logging.sample("q", rng), 0.42) for _ in range(60)]
-    model = fit_dm(logs, _constant_features())
+    model = fit_dm(logs, _constant_features(), space)
     report = estimate_dm(model, logs, UniformPolicy(space))
     assert report.estimate == pytest.approx(0.42, abs=1e-6)
 
@@ -217,9 +219,9 @@ def test_dm_deterministic_target_scores_target_slate():
     rng = np.random.default_rng(7)
     features = _constant_features()
     logs = [LoggedExample("q", logging.sample("q", rng), rng.uniform(0, 1)) for _ in range(80)]
-    model = fit_dm(logs, features)
+    model = fit_dm(logs, features, space)
     report = estimate_dm(model, logs[:10], target)
-    assert report.estimate == pytest.approx(model.predict("q", (3, 0)))
+    assert report.estimate == pytest.approx(model.predict("q", [(3, 0)])[0])
 
 
 def test_dm_stochastic_target_monte_carlo_inner_sum():
@@ -227,13 +229,17 @@ def test_dm_stochastic_target_monte_carlo_inner_sum():
     fixed per-context seed, so repeated calls agree."""
     space = SlateSpace.ranking(4, 2)
     logging = UniformPolicy(space)
-    target = random_explicit_policy(space, ["q"], np.random.default_rng(21))
+    scores = {"q": np.random.default_rng(21).normal(size=4)}
     rng = np.random.default_rng(22)
     logs = [LoggedExample("q", logging.sample("q", rng), rng.uniform(0, 1)) for _ in range(60)]
-    model = fit_dm(logs, _constant_features())
-    exact = estimate_dm(model, logs, target).estimate
-    sampled_a = estimate_dm(model, logs, target, enumeration_cap=1, mc_slates=4000).estimate
-    sampled_b = estimate_dm(model, logs, target, enumeration_cap=1, mc_slates=4000).estimate
+    model = fit_dm(logs, _constant_features(), space)
+
+    def sampled_target():
+        return MultinomialWoRPolicy(space, scores, 1.0, enumeration_cap=1, mc_samples=4000)
+
+    exact = estimate_dm(model, logs, MultinomialWoRPolicy(space, scores, 1.0)).estimate
+    sampled_a = estimate_dm(model, logs, sampled_target()).estimate
+    sampled_b = estimate_dm(model, logs, sampled_target()).estimate
     assert sampled_a == sampled_b
     assert sampled_a == pytest.approx(exact, abs=0.05)
 
@@ -243,8 +249,81 @@ def test_dm_prediction_clamped():
     model = fit_dm(
         [LoggedExample("q", (0, 1), 1.0), LoggedExample("q", (1, 0), -1.0)],
         _constant_features(),
+        space,
     )
-    assert -1.0 <= model.predict("q", (0, 1)) <= 1.0
+    assert -1.0 <= model.predict("q", [(0, 1)])[0] <= 1.0
+
+
+def _uniform_logs(space, contexts, n, rng, high=0.5):
+    logging = UniformPolicy(space)
+    return [
+        LoggedExample(c, logging.sample(c, rng), rng.uniform(0.0, high))
+        for c in rng.choice(contexts, size=n)
+    ]
+
+
+def test_dm_explicit_target_above_the_cap_sums_its_listed_slates():
+    """An explicit target lists its support whatever the space's size, so
+    its DM value is the probability-weighted prediction of its few slates."""
+    space = SlateSpace.ranking(20, 5)  # 1.86 million slates, above the cap
+    rng = np.random.default_rng(30)
+    logs = _uniform_logs(space, ["a", "b"], 200, rng)
+    model = fit_dm(logs, _constant_features(), space)
+    target = ExplicitPolicy(space, few_slate_table(space, ["a", "b"], 3, rng))
+    for context in ("a", "b"):
+        eval_data = [next(ex for ex in logs if ex.context == context)]
+        expected = sum(p * model.predict(context, [slate])[0] for slate, p in target.support(context))
+        assert estimate_dm(model, eval_data, target).estimate == pytest.approx(expected, abs=1e-15)
+
+
+def test_dm_plackett_luce_target_above_the_cap_reads_its_mean_indicator():
+    """Above the cap DM reads the target's own seeded sample, the one its
+    mean indicator sums: unclipped, the value is the intercept plus the
+    per-coordinate scores times that mean indicator."""
+    space = SlateSpace.ranking(8, 3)  # 336 slates
+    rng = np.random.default_rng(31)
+    logs = _uniform_logs(space, ["q"], 150, rng)
+    features = _constant_features()
+    model = fit_dm(logs, features, space)
+    target = MultinomialWoRPolicy(
+        space, {"q": rng.normal(size=8)}, 1.0, enumeration_cap=100, mc_samples=3000, mc_seed=4
+    )
+    arrays = target.moment_arrays("q")
+    assert not arrays.exact
+    assert np.abs(model.predict("q", arrays.actions)).max() < 1.0  # nothing clipped
+    blocks = model.weights[:-1].reshape(space.num_slots, -1)
+    scores = np.array(
+        [features("q", j, a) @ blocks[j] for j in range(space.num_slots) for a in range(8)]
+    )
+    expected = model.weights[-1] + scores @ target.mean_indicator("q")
+    assert estimate_dm(model, logs, target).estimate == pytest.approx(expected, abs=1e-12)
+
+
+def test_dm_model_and_target_space_mismatch_is_configuration_error():
+    space = SlateSpace.ranking(4, 2)
+    rng = np.random.default_rng(32)
+    logs = _uniform_logs(space, ["q"], 40, rng)
+    model = fit_dm(logs, _constant_features(), space)
+    with pytest.raises(ConfigurationError, match="space"):
+        estimate_dm(model, logs, UniformPolicy(SlateSpace.ranking(5, 2)))
+
+    def widening(context, slot, action):
+        return np.ones(3 if context == "q" else 4)
+
+    wide = fit_dm(logs, widening, lambda context: space)
+    other = [LoggedExample("r", ex.slate, ex.reward) for ex in logs]
+    with pytest.raises(ConfigurationError, match="features"):
+        estimate_dm(wide, other, UniformPolicy(space))
+    with pytest.raises(ConfigurationError, match="widths"):
+        fit_dm(logs + other, widening, space)
+
+
+@pytest.mark.parametrize("slate", [(2, 2), (0, 4), (-1, 0)])
+def test_fit_dm_rejects_invalid_logged_slates_naming_the_context(slate):
+    space = SlateSpace.ranking(4, 2)
+    logs = [LoggedExample("q", (0, 1), 0.5), LoggedExample("bad", slate, 0.5)]
+    with pytest.raises(SlateError, match="context 'bad'"):
+        fit_dm(logs, _constant_features(), space)
 
 
 class _TinyEnv:
@@ -291,8 +370,6 @@ def test_pi_runs_on_monte_carlo_moments_above_cap():
     """Forcing the enumeration cap below the space size exercises the
     sampled-moment path end to end; the estimate stays near the truth and
     is reproducible because per-context sampling is seeded."""
-    from slateval import MultinomialWoRPolicy
-
     space = SlateSpace.ranking(9, 4)  # 3024 slates
     rng = np.random.default_rng(15)
     scores = {"q": rng.normal(size=9)}

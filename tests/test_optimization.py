@@ -14,16 +14,18 @@ from slateval import (
     build_instance,
     decompose,
     draw_logs,
+    estimate_dm,
     evaluate_learned,
+    fit_dm,
     fit_scorer,
     fit_sup_scorer,
     generate_synthetic,
     greedy_slate,
 )
-from helpers import fold_moments_reference, greedy_reference
+from helpers import _design_matrix, _fold_moments, fold_moments_reference, greedy_reference
 from slateval.letor import Query
 from slateval.moments import moment_matrix
-from slateval.optimization import DecomposedTargets, _design_matrix, _fold_moments, _greedy_slates
+from slateval.optimization import DecomposedTargets, _greedy_slates
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
 
 
@@ -483,4 +485,13 @@ def test_feature_map_is_read_once_per_coordinate_per_context_per_call():
     for _ in range(2):
         counting.calls.clear()
         evaluate_learned(scorer, counting, test)
+        assert counting.calls == {c: dims[c] for c in test}
+    held_out = draw_logs(instance, 300, np.random.default_rng(4), contexts=test)
+    for _ in range(2):
+        counting.calls.clear()
+        model = fit_dm(logs, counting.features, instance.space_of)
+        assert counting.calls == {c: dims[c] for c in targets.contexts}
+    for _ in range(2):
+        counting.calls.clear()
+        estimate_dm(model, held_out, instance.target)
         assert counting.calls == {c: dims[c] for c in test}

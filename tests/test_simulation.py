@@ -252,7 +252,7 @@ def test_sweep_dm_split_is_first_half_train():
     estimates = _run_once(instance, config, 240, 0, PinvSource())
     rng = np.random.default_rng(np.random.SeedSequence([13, 0, 240]))
     logs = draw_logs(instance, 240, rng)
-    model = fit_dm(logs[:120], instance.features)
+    model = fit_dm(logs[:120], instance.features, instance.space_of)
     expected = estimate_dm(model, logs[120:], instance.target).estimate
     assert estimates == [("dm", expected)]
 
