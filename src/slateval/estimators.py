@@ -15,10 +15,11 @@ on-policy rollout) share the same report type.
 
 Logged data is taken as a ``LoggedBatch`` (plain sequences of examples are
 converted once). The importance-weighted estimators share one scoring pass
-per (batch, logging, target): one loop over the context groups validates
-and scores each group's slates once and gathers the per-example terms the
-requested estimators need; each estimator is then a reduction over those
-terms. The direct method fits a ridge model of the reward on per-slot
+per (batch, logging, target): per logging space, the slates of all its
+contexts are validated once and scored by one row-level call of each
+policy, and the per-example terms the requested estimators need are
+gathered from per-context stacks; each estimator is then a reduction over
+those terms. The direct method fits a ridge model of the reward on per-slot
 features and averages its predictions over the target's ``moment_arrays``
 rows; a context's features come from one table that both it and the
 optimizer read. Per-example terms are summed with a fixed pairwise (tree)
@@ -98,21 +99,25 @@ def _require_data(data: Sequence[LoggedExample]) -> None:
 class _ScoredBatch:
     """One scoring pass of a logged batch under a (logging, target) pair.
 
-    The constructor runs one loop over the batch's context groups. Each
-    group's slates are validated and scored by one ``slate_prob_batch`` call
-    of the logging policy; a zero logging propensity is always an error (an
+    The constructor groups the batch's contexts by logging space. Per group
+    it validates the rows once and scores them with one row-level call of
+    the logging policy; a zero logging propensity is always an error (an
     absolute-continuity violation if the target puts mass on the slate, else
     a record that contradicts the stated logging policy). The group then
     fills only what the named estimators reduce:
 
-    - ``weights``: whole-slate importance weights, from one
-      ``slate_prob_batch`` call of the target (ips, wips);
+    - ``weights``: whole-slate importance weights, from one row-level call
+      of the target (ips, wips);
     - ``coefficients`` and ``quad``: ``w[coords].sum()`` and ``w' q`` with
       ``w = q' P``, ``q`` the target's mean indicator and ``P`` the
       logging pseudoinverse from the given ``PinvSource`` (pi);
     - ``slot_weights``: per-slot ratios of target to logging marginals (sb,
       wsb).
 
+    ``q``, ``w``, ``w' q`` and the marginals are computed per context and
+    gathered for the rows from (contexts x dim) stacks. If any group fails,
+    the contexts are scored again one at a time in batch order, so the error
+    raised is the one of the first failing context, and of its first row.
     Each estimator method is a reduction over these per-example arrays.
     """
 
@@ -129,53 +134,81 @@ class _ScoredBatch:
         _require_data(data)
         batch = self.batch = LoggedBatch.from_examples(data)
         n = len(batch)
-        want_weights = "ips" in names or "wips" in names
-        want_pi = "pi" in names
-        want_slots = "sb" in names or "wsb" in names
-        if want_slots and batch.slot_values is None:
+        self.want_weights = "ips" in names or "wips" in names
+        self.want_pi = "pi" in names
+        self.want_slots = "sb" in names or "wsb" in names
+        if self.want_slots and batch.slot_values is None:
             raise ConfigurationError(
                 "semi-bandit estimators need per-slot values for every example"
             )
-        source = pinv_source if pinv_source is not None else PinvSource()
-        self.weights = np.empty(n) if want_weights else None
-        self.coefficients = np.empty(n) if want_pi else None
-        self.quad = np.empty(n) if want_pi else None
-        self.slot_weights = np.empty(batch.actions.shape) if want_slots else None
-        for context, rows in batch.groups():
-            actions = batch.actions[rows]
-            mu = logging.slate_prob_batch(context, actions)  # validates the rows
-            zero = mu <= 0.0
-            if zero.any():
-                slate = tuple(actions[np.argmax(zero)].tolist())
-                if target.slate_prob(context, slate) > 0.0:
-                    raise AbsoluteContinuityError(
-                        f"target puts positive probability on slate {slate} at context "
-                        f"{context!r} but the logging policy does not"
-                    )
+        self.logging, self.target = logging, target
+        self.source = pinv_source if pinv_source is not None else PinvSource()
+        self.weights = np.empty(n) if self.want_weights else None
+        self.coefficients = np.empty(n) if self.want_pi else None
+        self.quad = np.empty(n) if self.want_pi else None
+        self.slot_weights = np.empty(batch.actions.shape) if self.want_slots else None
+        try:
+            spaces: dict = {}
+            for context, rows in batch.groups():
+                spaces.setdefault(logging.space_of(context), []).append((context, rows))
+            for space, members in spaces.items():
+                self._score(space, members)
+        except Exception:
+            # whatever failed, the first context to fail alone raises first
+            for context, rows in batch.groups():
+                self._score(logging.space_of(context), [(context, rows)])
+            raise
+
+    def _score(self, space: SlateSpace, members: list) -> None:
+        """Score the rows of the contexts in ``members``, (context, rows)
+        pairs that share the logging space ``space``."""
+        logging, target = self.logging, self.target
+        contexts = tuple(context for context, _ in members)
+        rows = np.concatenate([r for _, r in members]) if len(members) > 1 else members[0][1]
+        codes = np.repeat(np.arange(len(members)), [len(r) for _, r in members])
+        actions = space.validate_batch(
+            self.batch.actions[rows], contexts[0] if len(members) == 1 else None
+        )
+        mu = logging._slate_prob_rows(contexts, codes, actions)
+        zero = mu <= 0.0
+        if zero.any():
+            i = int(np.argmax(zero))
+            context, slate = contexts[codes[i]], tuple(actions[i].tolist())
+            if target.slate_prob(context, slate) > 0.0:
                 raise AbsoluteContinuityError(
-                    f"logged slate {slate} at context {context!r} has zero probability "
-                    f"under the stated logging policy"
+                    f"target puts positive probability on slate {slate} at context "
+                    f"{context!r} but the logging policy does not"
                 )
-            if want_weights:
-                self.weights[rows] = target.slate_prob_batch(context, actions) / mu
-            if not (want_pi or want_slots):
-                continue
-            coords = logging.space_of(context).coords_of_actions(actions)
-            q = target.mean_indicator(context)
-            if want_pi:
-                w = q @ source.pseudoinverse(logging, context)
-                self.coefficients[rows] = w[coords].sum(axis=1)
-                self.quad[rows] = float(w @ q)
-            if want_slots:
-                marginals = logging.mean_indicator(context)[coords]
-                zero = marginals <= 0.0
-                if zero.any():
-                    i, slot = np.argwhere(zero)[0]
-                    raise AbsoluteContinuityError(
-                        f"logged action {actions[i, slot]} in slot {slot} at context "
-                        f"{context!r} has zero marginal probability under the logging policy"
-                    )
-                self.slot_weights[rows] = q[coords] / marginals
+            raise AbsoluteContinuityError(
+                f"logged slate {slate} at context {context!r} has zero probability "
+                f"under the stated logging policy"
+            )
+        if self.want_weights:
+            if all(target.space_of(c) == space for c in contexts):
+                target_probs = target._slate_prob_rows(contexts, codes, actions)
+            else:  # the rows are valid in the logging spaces only
+                target_probs = target.slate_prob_rows(contexts, codes, actions)
+            self.weights[rows] = target_probs / mu
+        if not (self.want_pi or self.want_slots):
+            return
+        at = (codes[:, None], space.coords_of_actions(actions))
+        qs = [target.mean_indicator(c) for c in contexts]
+        if self.want_pi:
+            ws = [q @ self.source.pseudoinverse(logging, c) for c, q in zip(contexts, qs)]
+            quad = np.array([float(w @ q) for w, q in zip(ws, qs)])
+            self.coefficients[rows] = np.asarray(ws)[at].sum(axis=1)
+            self.quad[rows] = quad[codes]
+        if self.want_slots:
+            marginals = np.asarray([logging.mean_indicator(c) for c in contexts])[at]
+            zero = marginals <= 0.0
+            if zero.any():
+                i, slot = np.argwhere(zero)[0]
+                raise AbsoluteContinuityError(
+                    f"logged action {actions[i, slot]} in slot {slot} at context "
+                    f"{contexts[codes[i]]!r} has zero marginal probability under the "
+                    f"logging policy"
+                )
+            self.slot_weights[rows] = np.asarray(qs)[at] / marginals
 
     def pi(self, diagnostics: bool = False, delta: float = 0.05) -> EstimatorReport:
         n = len(self.batch)

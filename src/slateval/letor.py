@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -57,69 +58,124 @@ class RankingDataset:
 def parse_letor(path) -> RankingDataset:
     """Parse an SVMlight-with-qid file into a dataset.
 
-    Malformed lines, inconsistent feature dimensionality, and relevance
-    labels outside {0, 1, 2} are rejected with their line number. An empty
-    file parses to an empty dataset.
+    Malformed lines, non-finite feature values, inconsistent feature
+    dimensionality, and relevance labels outside {0, 1, 2} are rejected
+    with their line number. Features missing from a line are 0, and a
+    repeated key keeps its last value. An empty file parses to an empty
+    dataset.
+
+    The whole file is read at once: labels, query ids and document ids are
+    taken line by line, all feature keys and values are converted with one
+    numpy call each (``int()`` and ``float()`` semantics), and one
+    (documents x dim) matrix holds every document's features.
     """
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    lines = []  # (line number, whitespace-split fields, comment) per data line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        data, _, comment = line.partition("#")
+        fields = data.split()
+        if fields:
+            lines.append((lineno, fields, comment))
+    del text
+    labels = [_relevance(fields[0]) for _, fields, _ in lines]
+    malformed = any(
+        label is None or len(fields) < 2 or not fields[1].startswith("qid:")
+        for label, (_, fields, _) in zip(labels, lines)
+    )
+    widths = np.array([len(fields) - 2 for _, fields, _ in lines], dtype=np.int64)
+    tokens = list(chain.from_iterable(fields[2:] for _, fields, _ in lines))
+    colons = np.fromiter(map(str.count, tokens, repeat(":")), dtype=np.int64, count=len(tokens))
+    if malformed or (colons != 1).any():
+        _raise_first_error(path, lines)
+    pieces = ":".join(tokens).split(":") if tokens else []
+    del tokens
+    try:
+        keys = np.array(pieces[0::2], dtype=np.int64)
+        values = np.array(pieces[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        _raise_first_error(path, lines)
+        raise
+    del pieces
+    line_of = np.repeat(np.arange(len(lines)), widths)
+    dims = np.zeros(len(lines), dtype=np.int64)
+    filled = widths > 0
+    if filled.any():
+        dims[filled] = np.maximum.reduceat(keys, (np.cumsum(widths) - widths)[filled])
+    if (keys < 1).any() or not np.isfinite(values).all() or (dims != dims[:1]).any():
+        _raise_first_error(path, lines)
+    dim = int(dims[0]) if len(lines) else 0
+    features = np.zeros((len(lines), dim))
+    cells = line_of * dim + (keys - 1)
+    if (np.diff(cells) <= 0).any():  # a repeated key keeps its last value
+        by_cell = np.argsort(cells, kind="stable")
+        last = by_cell[np.r_[cells[by_cell][1:] != cells[by_cell][:-1], True]]
+        cells, values = cells[last], values[last]
+    features.flat[cells] = values
+
     order: list[str] = []
     per_query: dict[str, list[Document]] = {}
-    feature_dim: int | None = None
     anonymous = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            comment = ""
-            if "#" in line:
-                line, comment = line.split("#", 1)
-                comment = comment.strip()
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 2 or not parts[1].startswith("qid:"):
-                raise ParseError(f"{path}:{lineno}: expected '<rel> qid:<id> ...'")
+    for (_, fields, comment), label, row in zip(lines, labels, features):
+        words = comment.split(None, 1)
+        if words:
+            doc_id = words[0]
+        else:
+            doc_id = f"doc{anonymous}"
+            anonymous += 1
+        query_id = fields[1][len("qid:") :]
+        if query_id not in per_query:
+            order.append(query_id)
+            per_query[query_id] = []
+        per_query[query_id].append(Document(doc_id, label, row))
+    return RankingDataset(tuple(Query(qid, tuple(per_query[qid])) for qid in order))
+
+
+def _relevance(text: str) -> int | None:
+    """The label ``int(text)`` if it is a valid relevance, else None."""
+    try:
+        label = int(text)
+    except ValueError:
+        return None
+    return label if label in VALID_RELEVANCES else None
+
+
+def _raise_first_error(path, lines) -> None:
+    """Check the data lines one at a time, in order, and raise the ParseError
+    of the first malformed one."""
+    feature_dim = None
+    for lineno, parts, _ in lines:
+        where = f"{path}:{lineno}"
+        if len(parts) < 2 or not parts[1].startswith("qid:"):
+            raise ParseError(f"{where}: expected '<rel> qid:<id> ...'")
+        try:
+            relevance = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"{where}: bad relevance {parts[0]!r}") from exc
+        if relevance not in VALID_RELEVANCES:
+            raise ParseError(f"{where}: relevance {relevance} outside {VALID_RELEVANCES}")
+        dim = 0
+        for token in parts[2:]:
+            if ":" not in token:
+                raise ParseError(f"{where}: bad feature token {token!r}")
+            key_text, value_text = token.split(":", 1)
             try:
-                relevance = int(parts[0])
+                key = int(key_text)
+                value = float(value_text)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad relevance {parts[0]!r}") from exc
-            if relevance not in VALID_RELEVANCES:
-                raise ParseError(
-                    f"{path}:{lineno}: relevance {relevance} outside {VALID_RELEVANCES}"
-                )
-            query_id = parts[1][len("qid:") :]
-            pairs = []
-            for token in parts[2:]:
-                if ":" not in token:
-                    raise ParseError(f"{path}:{lineno}: bad feature token {token!r}")
-                key_text, value_text = token.split(":", 1)
-                try:
-                    key = int(key_text)
-                    value = float(value_text)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad feature token {token!r}") from exc
-                if key < 1:
-                    raise ParseError(f"{path}:{lineno}: feature indices are 1-based")
-                pairs.append((key, value))
-            dim = max((k for k, _ in pairs), default=0)
-            if feature_dim is None:
-                feature_dim = dim
-            elif dim != feature_dim:
-                raise ParseError(
-                    f"{path}:{lineno}: feature dimension {dim} != {feature_dim} seen earlier"
-                )
-            features = np.zeros(feature_dim)
-            for key, value in pairs:
-                features[key - 1] = value
-            if comment:
-                doc_id = comment.split()[0]
-            else:
-                doc_id = f"doc{anonymous}"
-                anonymous += 1
-            if query_id not in per_query:
-                order.append(query_id)
-                per_query[query_id] = []
-            per_query[query_id].append(Document(doc_id, relevance, features))
-    queries = tuple(Query(qid, tuple(per_query[qid])) for qid in order)
-    return RankingDataset(queries)
+                raise ParseError(f"{where}: bad feature token {token!r}") from exc
+            if key < 1:
+                raise ParseError(f"{where}: feature indices are 1-based")
+            if key >= 2**63:
+                raise ParseError(f"{where}: feature index {key} does not fit in int64")
+            if not math.isfinite(value):
+                raise ParseError(f"{where}: feature value {value_text!r} is not finite")
+            dim = max(dim, key)
+        if feature_dim is None:
+            feature_dim = dim
+        elif dim != feature_dim:
+            raise ParseError(f"{where}: feature dimension {dim} != {feature_dim} seen earlier")
+    raise AssertionError("parse_letor flagged a line that the line checks accept")
 
 
 def write_letor(path, dataset: RankingDataset) -> None:

@@ -1,14 +1,22 @@
 """Stochastic slate policies and their low-order moments.
 
-Every policy answers slate probabilities (for a whole array of slates at
-once), the mean indicator vector, and sampling. ``Policy.moment_arrays`` is
-the one place that picks the slate rows standing for a policy at a context:
-the exact support whenever the policy can list it (always for explicit
-tables and deterministic policies, otherwise when the space has at most
-``enumeration_cap`` slates), else one sample of ``mc_samples`` draws with a
-fixed per-context seed, so repeated queries are bit-reproducible. The mean
-indicator, the second-moment matrix and the overlap diagnostics all read
-those rows.
+Every policy answers slate probabilities, the mean indicator vector, and
+sampling. Probabilities come for whole arrays of slates at once: the rows of
+one context (``slate_prob_batch``) or of many (``slate_prob_rows``, which
+takes a ``LoggedBatch``'s context, code and action columns). The built-in
+classes score the rows of many contexts in one call: a Plackett-Luce policy
+gathers each row's logits from a stacked table, an explicit table looks
+every row up in one sorted array of (context, slate) keys.
+
+``Policy.moment_arrays`` is the one place that picks the slate rows standing
+for a policy at a context: the exact support whenever the policy can list it
+(always for explicit tables and deterministic policies, otherwise when the
+space has at most ``enumeration_cap`` slates), else one sample of
+``mc_samples`` draws with a fixed per-context seed, so repeated queries are
+bit-reproducible. A Plackett-Luce policy lists its support over the prefix
+tree of the space's slates, taking each slot's log-sum-exp once per
+distinct prefix. The mean indicator, the second-moment matrix and the
+overlap diagnostics all read those rows.
 
 All policies are immutable after construction; internal moment caches are
 fill-once.
@@ -16,7 +24,9 @@ fill-once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
@@ -24,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ContextLookupError, SlateError
-from .logs import _read_tsv_columns
+from .logs import _read_tsv_columns, group_rows
 from .spaces import Slate, SlateSpace, SpaceKind, space_of
 from .util import context_rng
 
@@ -53,8 +63,11 @@ class MomentArrays:
 class Policy:
     """Conditional distribution over the slates of a space, per context.
 
-    Subclasses implement ``slate_prob_batch`` and ``sample``; the base class
-    derives moments from those. The space may be a single
+    Subclasses implement ``slate_prob_batch`` (one context) and ``sample``;
+    the base class scores the rows of many contexts by calling
+    ``slate_prob_batch`` once per context, and derives moments. The built-in
+    classes implement ``_slate_prob_rows`` instead, which scores the
+    validated rows of many contexts in one call. The space may be a single
     :class:`SlateSpace` or a per-context mapping/callable.
     """
 
@@ -84,10 +97,67 @@ class Policy:
         Raises SlateError, naming the context, if any row is not a valid
         slate of the context's space.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement slate_prob_batch(context, actions); "
-            f"the estimators and moments do not call a scalar slate_prob override"
-        )
+        actions = self.space_of(context).validate_batch(actions, context)
+        if not len(actions):
+            return np.empty(0)
+        return self._slate_prob_rows((context,), np.zeros(len(actions), dtype=np.int64), actions)
+
+    def slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        """Probabilities of an (n, num_slots) array of slates, row i at
+        context ``contexts[codes[i]]``, as in a ``LoggedBatch``.
+
+        Raises SlateError if any row is not a valid slate of its context's
+        space, naming the first such context in code order and its first
+        invalid row.
+        """
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+        actions = np.asarray(actions)
+        if len(codes) != len(actions) or (
+            len(codes) and not 0 <= codes.min() <= codes.max() < len(contexts)
+        ):
+            raise SlateError(
+                f"{len(codes)} context codes into {len(contexts)} contexts do not "
+                f"match {len(actions)} slate rows"
+            )
+        if not len(codes):
+            return np.empty(0)
+        try:
+            for space, rows in self._rows_by_space(contexts, codes):
+                space.validate_batch(actions[rows])
+        except SlateError:
+            for code, rows in group_rows(codes, len(contexts)):
+                self.space_of(contexts[code]).validate_batch(actions[rows], contexts[code])
+            raise
+        return self._slate_prob_rows(contexts, codes, actions.astype(np.int64, copy=False))
+
+    def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        """``slate_prob_rows`` of rows already known to be valid slates of
+        their contexts' spaces. This default calls ``slate_prob_batch`` once
+        per context with rows."""
+        if type(self).slate_prob_batch is Policy.slate_prob_batch:
+            raise NotImplementedError(
+                f"{type(self).__name__} must implement slate_prob_batch(context, actions); "
+                f"the estimators and moments do not call a scalar slate_prob override"
+            )
+        probs = np.empty(len(codes))
+        for code, rows in group_rows(codes, len(contexts)):
+            probs[rows] = self.slate_prob_batch(contexts[code], actions[rows])
+        return probs
+
+    def _rows_by_space(self, contexts, codes) -> list:
+        """(space, rows) per distinct space among the contexts with rows, in
+        order of first context code; rows is a slice of all rows when the
+        contexts share one space, else an index array."""
+        present = np.flatnonzero(np.bincount(codes, minlength=len(contexts))).tolist()
+        spaces = [self.space_of(contexts[c]) for c in present]
+        if all(space == spaces[0] for space in spaces):
+            return [(spaces[0], slice(None))]
+        index: dict = {}
+        group = np.zeros(len(contexts), dtype=np.int64)
+        for c, space in zip(present, spaces):
+            group[c] = index.setdefault(space, len(index))
+        row_group = group[codes]
+        return [(space, np.flatnonzero(row_group == g)) for space, g in index.items()]
 
     def slate_prob(self, context, slate) -> float:
         """Probability of one slate: a one-row ``slate_prob_batch`` call."""
@@ -111,7 +181,7 @@ class Policy:
         if space.num_slates() > self.enumeration_cap:
             return None
         slates = space.slate_array()
-        probs = self.slate_prob_batch(context, slates)
+        probs = self._slate_prob_rows((context,), np.zeros(len(slates), dtype=np.int64), slates)
         keep = probs > 0.0
         return slates[keep], probs[keep]
 
@@ -176,17 +246,35 @@ def _indicator_sum(space: SlateSpace, actions: np.ndarray, probs: np.ndarray) ->
     return np.bincount(coords, np.repeat(probs, space.num_slots), minlength=space.dim)
 
 
+@lru_cache(maxsize=64)
 def uniform_mean_indicator(space: SlateSpace) -> np.ndarray:
-    return np.repeat(1.0 / np.asarray(space.slot_counts, dtype=np.float64), space.slot_counts)
+    """Mean indicator of the uniform policy: read-only, one per space."""
+    q = np.repeat(1.0 / np.asarray(space.slot_counts, dtype=np.float64), space.slot_counts)
+    q.flags.writeable = False
+    return q
+
+
+def _per_context(contexts, codes, value_of, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """``value_of(context)`` for each context with rows, one call each in code
+    order, stacked; and each row's index into that stack."""
+    present = np.flatnonzero(np.bincount(codes, minlength=len(contexts)))
+    table = np.asarray([value_of(contexts[c]) for c in present.tolist()], dtype=dtype)
+    position = np.zeros(len(contexts), dtype=np.int64)
+    position[present] = np.arange(len(present))
+    return table, position[codes]
+
+
+def _uniform_probs(policy: Policy, contexts, codes) -> np.ndarray:
+    """1 / num_slates of each row's space."""
+    table, at = _per_context(contexts, codes, lambda c: 1.0 / policy.space_of(c).num_slates())
+    return table[at]
 
 
 class UniformPolicy(Policy):
     """Uniform distribution over all valid slates; all moments closed-form."""
 
-    def slate_prob_batch(self, context, actions) -> np.ndarray:
-        space = self.space_of(context)
-        actions = space.validate_batch(actions, context)
-        return np.full(len(actions), 1.0 / space.num_slates())
+    def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        return _uniform_probs(self, contexts, codes)
 
     def sample(self, context, rng) -> Slate:
         return tuple(self.sample_batch(context, 1, rng)[0])
@@ -217,10 +305,9 @@ class DeterministicPolicy(Policy):
         picked = self._slates(context) if callable(self._slates) else self._slates[context]
         return self.space_of(context).validate(picked)
 
-    def slate_prob_batch(self, context, actions) -> np.ndarray:
-        actions = self.space_of(context).validate_batch(actions, context)
-        picked = np.asarray(self.slate_of(context), dtype=np.int64)
-        return np.all(actions == picked, axis=1).astype(np.float64)
+    def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        picked, at = _per_context(contexts, codes, self.slate_of, np.int64)
+        return np.all(actions == picked[at], axis=1).astype(np.float64)
 
     def sample(self, context, rng) -> Slate:
         return self.slate_of(context)
@@ -304,8 +391,8 @@ class ExplicitPolicy(Policy):
             for c, start, end in spans:
                 slates[c] = (actions[start:end], keys[start:end])
         self._table: dict = {}
-        self._lookup: dict = {}  # context -> (sorted slate keys, their probabilities)
         self._cdf: dict = {}  # context -> cumulative probabilities, for sampling
+        lookup = []  # per context: (sorted slate keys, their probabilities)
         for context, rows, (actions, keys) in zip(contexts, by_context, slates):
             p = probs[rows]
             total = p.sum()
@@ -321,9 +408,23 @@ class ExplicitPolicy(Policy):
                 slate = tuple(actions[order[int(np.argmax(repeats))]].tolist())
                 raise SlateError(f"slate {slate} is listed twice for context {context!r}")
             self._table[context] = (actions, p)
-            self._lookup[context] = (sorted_keys, p[order])
+            lookup.append((sorted_keys, p[order]))
             cdf = self._cdf[context] = p.cumsum()
             cdf /= cdf[-1]
+        # One sorted table of context position * stride + slate key, where the
+        # stride bounds every space's mixed-radix keys; when those do not fit
+        # in int64 the lookup stays per context.
+        self._index = {context: i for i, context in enumerate(contexts)}
+        stride = max((math.prod(sp.slot_counts) for sp in members), default=1)
+        if len(contexts) * stride < 2**63:
+            self._stride = stride
+            self._keys = np.concatenate(
+                [i * stride + keys for i, (keys, _) in enumerate(lookup)] or [[]]
+            ).astype(np.int64)
+            self._key_probs = np.concatenate([p for _, p in lookup] or [[]])
+            self._lookup = None
+        else:
+            self._lookup = dict(zip(contexts, lookup))
 
     @property
     def contexts(self) -> list:
@@ -334,14 +435,25 @@ class ExplicitPolicy(Policy):
             raise ContextLookupError(f"no table entry for context {context!r}")
         return self._table[context]
 
-    def slate_prob_batch(self, context, actions) -> np.ndarray:
-        space = self.space_of(context)
-        actions = space.validate_batch(actions, context)
-        self._entry(context)
-        keys, probs = self._lookup[context]
-        wanted = space.slate_keys(actions)
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        return np.where(keys[at] == wanted, probs[at], 0.0)
+    def _position(self, context) -> int:
+        position = self._index.get(context)
+        if position is None:
+            self._entry(context)  # raises ContextLookupError
+        return position
+
+    def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        positions, at = _per_context(contexts, codes, self._position, np.int64)
+        probs = np.empty(len(codes))
+        if self._lookup is not None:
+            for code, rows in group_rows(codes, len(contexts)):
+                context = contexts[code]
+                keys, p = self._lookup[context]
+                probs[rows] = _look_up(keys, p, self.space_of(context).slate_keys(actions[rows]))
+            return probs
+        for space, rows in self._rows_by_space(contexts, codes):
+            wanted = positions[at[rows]] * self._stride + space.slate_keys(actions[rows])
+            probs[rows] = _look_up(self._keys, self._key_probs, wanted)
+        return probs
 
     def support_arrays(self, context):
         actions, probs = self._entry(context)
@@ -359,6 +471,12 @@ class ExplicitPolicy(Policy):
         return actions[self._cdf[context].searchsorted(rng.random(n), "right")]
 
 
+def _look_up(keys: np.ndarray, probs: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Probability of each wanted key in a sorted key table, 0 where absent."""
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, probs[at], 0.0)
+
+
 class MultinomialWoRPolicy(Policy):
     """Slot-by-slot sampling without replacement from a softmax over scores.
 
@@ -370,8 +488,10 @@ class MultinomialWoRPolicy(Policy):
 
     def __init__(self, space, scores: Mapping | Callable, temperature: float, **kwargs):
         super().__init__(space, **kwargs)
-        if temperature < 0:
-            raise ConfigurationError(f"temperature must be nonnegative, got {temperature}")
+        if not (math.isfinite(temperature) and temperature >= 0):
+            raise ConfigurationError(
+                f"temperature must be a finite nonnegative number, got {temperature}"
+            )
         self.temperature = float(temperature)
         self._scores = scores
         self._weights_cache: dict = {}
@@ -393,20 +513,41 @@ class MultinomialWoRPolicy(Policy):
             raise SlateError(
                 f"{len(scores)} scores for {space.num_actions} actions at context {context!r}"
             )
-        logits = self.temperature * scores
+        if not np.isfinite(scores).all():
+            raise SlateError(f"scores at context {context!r} are non-finite: {scores.tolist()}")
+        with np.errstate(over="ignore"):
+            logits = self.temperature * scores
+        if not np.isfinite(logits).all():
+            raise SlateError(
+                f"scores at context {context!r} give non-finite logits at temperature "
+                f"{self.temperature}: {scores.tolist()}"
+            )
         logits = logits - logits.max()
         self._weights_cache[context] = logits
         return logits
 
-    def slate_prob_batch(self, context, actions) -> np.ndarray:
-        actions = self.space_of(context).validate_batch(actions, context)
-        logits = self.action_logits(context)
-        probs = np.empty(len(actions))
-        step = max(1, PL_CHUNK_ELEMENTS // len(logits))
-        for start in range(0, len(actions), step):
-            rows = actions[start : start + step]
-            probs[start : start + step] = np.exp(_plackett_luce_log_probs(logits, rows))
+    def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        probs = np.empty(len(codes))
+        for space, rows in self._rows_by_space(contexts, codes):
+            logits, at = _per_context(contexts, codes[rows], self.action_logits)
+            group = actions[rows]
+            out = np.empty(len(group))
+            step = max(1, PL_CHUNK_ELEMENTS // logits.shape[1])
+            for start in range(0, len(group), step):
+                chunk = slice(start, start + step)
+                out[chunk] = np.exp(_plackett_luce_log_probs(logits[at[chunk]], group[chunk]))
+            probs[rows] = out
         return probs
+
+    def support_arrays(self, context):
+        space = self.space_of(context)
+        if space.num_slates() > self.enumeration_cap:
+            return None
+        logits = self.action_logits(context)
+        slates = space.slate_array()
+        probs = np.exp(_plackett_luce_prefix_log_probs(logits, slates))
+        keep = probs > 0.0
+        return slates[keep], probs[keep]
 
     def sample(self, context, rng) -> Slate:
         return tuple(self.sample_batch(context, 1, rng)[0])
@@ -429,22 +570,45 @@ class MultinomialWoRPolicy(Policy):
 
 
 def _plackett_luce_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Log-probability of each slate row under slot-by-slot softmax draws.
+    """Log-probability of each slate row under slot-by-slot softmax draws,
+    row i with its own logits ``logits[i]``.
 
     Evaluated in log space, since sharp temperatures underflow the softmax
     weights of every non-maximal action. Each step compacts the logits still
     available to every row, in pool order, and takes its log-sum-exp.
     """
-    n, m = len(actions), len(logits)
+    n, m = logits.shape
     rows = np.arange(n)
     available = np.ones((n, m), dtype=bool)
     log_prob = np.zeros(n)
     for j in range(actions.shape[1]):
-        rest = logits[np.nonzero(available)[1].reshape(n, m - j)]
+        rest = logits[available].reshape(n, m - j)
         peak = rest.max(axis=1)
         chosen = actions[:, j]
-        log_prob += logits[chosen] - peak - np.log(np.exp(rest - peak[:, None]).sum(axis=1))
+        log_prob += logits[rows, chosen] - peak - np.log(np.exp(rest - peak[:, None]).sum(axis=1))
         available[rows, chosen] = False
+    return log_prob
+
+
+def _plackett_luce_prefix_log_probs(logits: np.ndarray, slates: np.ndarray) -> np.ndarray:
+    """``_plackett_luce_log_probs`` of every slate of a ranking space, given
+    as its ``slate_array``, with the same operations in the same order.
+
+    In that lexicographic array the slates sharing a length-j prefix form one
+    block of (m-j)!/(m-l)! rows, so slot j's peak and log-sum-exp are taken
+    once per distinct prefix and repeated over its block.
+    """
+    n, m = len(slates), len(logits)
+    log_prob = np.zeros(n)
+    for j in range(slates.shape[1]):
+        block = n // math.prod(range(m - j + 1, m + 1))
+        prefixes = slates[::block, :j]
+        available = np.ones((len(prefixes), m), dtype=bool)
+        available[np.arange(len(prefixes))[:, None], prefixes] = False
+        rest = logits[np.nonzero(available)[1].reshape(len(prefixes), m - j)]
+        peak = rest.max(axis=1)
+        lse = np.log(np.exp(rest - peak[:, None]).sum(axis=1))
+        log_prob += logits[slates[:, j]] - np.repeat(peak, block) - np.repeat(lse, block)
     return log_prob
 
 
@@ -463,10 +627,9 @@ class UniformMixturePolicy(Policy):
         self.kappa = float(kappa)
         self._uniform = UniformPolicy(base._space)
 
-    def slate_prob_batch(self, context, actions) -> np.ndarray:
-        base = self.base.slate_prob_batch(context, actions)  # validates the rows
-        u = 1.0 / self.space_of(context).num_slates()
-        return self.kappa * u + (1.0 - self.kappa) * base
+    def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
+        base = self.base._slate_prob_rows(contexts, codes, actions)
+        return self.kappa * _uniform_probs(self, contexts, codes) + (1.0 - self.kappa) * base
 
     def sample(self, context, rng) -> Slate:
         if rng.random() < self.kappa:

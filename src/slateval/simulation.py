@@ -17,6 +17,7 @@ re-exported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,8 +101,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.slots < 1 or self.m < self.slots:
             raise ConfigurationError(f"need 1 <= slots <= m, got slots={self.slots}, m={self.m}")
-        if self.alpha < 0:
-            raise ConfigurationError(f"temperature must be nonnegative, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(
+                f"temperature must be a finite nonnegative number, got {self.alpha}"
+            )
         if self.runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
         if any(n < 1 for n in self.n_grid) or len(self.n_grid) == 0:

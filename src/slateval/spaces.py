@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterator, Mapping
 
@@ -186,11 +186,18 @@ class SlateSpace:
             yield from itertools.permutations(range(self.num_actions), self.num_slots)
 
     def slate_array(self) -> np.ndarray:
-        """All valid slates as one int64 array, one row per slate in
-        lexicographic order."""
-        flat = itertools.chain.from_iterable(self.enumerate_slates())
-        count = self.num_slates() * self.num_slots
-        return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, self.num_slots)
+        """All valid slates as one read-only int64 array, one row per slate
+        in lexicographic order; built once and shared by equal spaces."""
+        return _slate_array(self)
+
+
+@lru_cache(maxsize=16)
+def _slate_array(space: SlateSpace) -> np.ndarray:
+    flat = itertools.chain.from_iterable(space.enumerate_slates())
+    count = space.num_slates() * space.num_slots
+    slates = np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, space.num_slots)
+    slates.flags.writeable = False
+    return slates
 
 
 SpaceMap = SlateSpace | Mapping | None

@@ -3,9 +3,12 @@
 import numpy as np
 
 from slateval import (
+    AbsoluteContinuityError,
     ConfigurationError,
     ExplicitPolicy,
+    LoggedBatch,
     LoggedExample,
+    PinvSource,
     ParseError,
     SlateSpace,
     SpaceKind,
@@ -14,7 +17,8 @@ from slateval import (
 from slateval.estimators import _feature_table
 from slateval.optimization import _slot_design, _table_moments
 from slateval.ridge import FoldMoments
-from slateval.util import fmt17
+from slateval.diagnostics import bernstein_bound
+from slateval.util import fmt17, pairwise_sum
 
 
 def random_explicit_policy(space, contexts, rng, sparsity=None) -> ExplicitPolicy:
@@ -189,3 +193,61 @@ def greedy_reference(scores, space) -> tuple[int, ...]:
         if space.kind is SpaceKind.RANKING:
             available[:, action] = False
     return space.validate(tuple(slate))
+
+
+def plackett_luce_log_probs_reference(logits, actions) -> np.ndarray:
+    """Per-slate Plackett-Luce log-probabilities under one logits vector: each
+    step compacts the logits still available to every row, in pool order,
+    and takes its log-sum-exp."""
+    n, m = len(actions), len(logits)
+    rows = np.arange(n)
+    available = np.ones((n, m), dtype=bool)
+    log_prob = np.zeros(n)
+    for j in range(actions.shape[1]):
+        rest = logits[np.nonzero(available)[1].reshape(n, m - j)]
+        peak = rest.max(axis=1)
+        chosen = actions[:, j]
+        log_prob += logits[chosen] - peak - np.log(np.exp(rest - peak[:, None]).sum(axis=1))
+        available[rows, chosen] = False
+    return log_prob
+
+
+def scored_reference(data, logging, target, delta=0.05) -> dict:
+    """pi (with its diagnostics), ips, wips, sb and wsb from a loop that
+    scores one context at a time through ``slate_prob_batch`` and reads each
+    context's mean indicators and pseudoinverse directly."""
+    batch = LoggedBatch.from_examples(data)
+    n = len(batch)
+    source = PinvSource()
+    weights, coefficients, quad = np.empty(n), np.empty(n), np.empty(n)
+    slot_weights = np.empty(batch.actions.shape)
+    for context, rows in batch.groups():
+        actions = batch.actions[rows]
+        mu = logging.slate_prob_batch(context, actions)
+        if (mu <= 0.0).any():
+            raise AbsoluteContinuityError(f"zero logging propensity at {context!r}")
+        weights[rows] = target.slate_prob_batch(context, actions) / mu
+        coords = logging.space_of(context).coords_of_actions(actions)
+        q = target.mean_indicator(context)
+        w = q @ source.pseudoinverse(logging, context)
+        coefficients[rows] = w[coords].sum(axis=1)
+        quad[rows] = float(w @ q)
+        slot_weights[rows] = q[coords] / logging.mean_indicator(context)[coords]
+    rewards, values = batch.rewards, batch.slot_values
+    sigma_sq = pairwise_sum(quad) / n
+    rho = float(np.abs(coefficients).max())
+    return {
+        "pi": pairwise_sum(rewards * coefficients) / n,
+        "sigma_sq": sigma_sq,
+        "rho": rho,
+        "bound": bernstein_bound(sigma_sq, rho, n, delta),
+        "ips": pairwise_sum(rewards * weights) / n,
+        "wips": pairwise_sum(rewards * weights) / pairwise_sum(weights),
+        "sb": sum(
+            pairwise_sum(values[:, j] * slot_weights[:, j]) / n for j in range(batch.num_slots)
+        ),
+        "wsb": sum(
+            pairwise_sum(values[:, j] * slot_weights[:, j]) / pairwise_sum(slot_weights[:, j])
+            for j in range(batch.num_slots)
+        ),
+    }

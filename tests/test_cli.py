@@ -1,5 +1,4 @@
 import csv
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -340,8 +339,8 @@ def test_explicit_policy_above_the_enumeration_cap_gets_exact_diagnostics(tmp_pa
 
 
 def test_evaluate_scores_each_context_once_per_policy(tmp_path, monkeypatch):
-    """pi, ips and wips share one scoring pass: each context's logged slates
-    go through one logging and one target slate_prob_batch call."""
+    """pi, ips and wips share one scoring pass: the logged slates of all the
+    contexts of a space go through one row-level call of each policy."""
     space = SlateSpace.ranking(4, 2)
     rng = np.random.default_rng(23)
     contexts = [f"c{i}" for i in range(7)]
@@ -357,14 +356,14 @@ def test_evaluate_scores_each_context_once_per_policy(tmp_path, monkeypatch):
     logs_path = tmp_path / "logs.tsv"
     write_logs_file(logs_path, rows)
 
-    calls = Counter()
-    score = ExplicitPolicy.slate_prob_batch
+    calls = []
+    score = ExplicitPolicy._slate_prob_rows
 
-    def counted(self, context, actions):
-        calls[id(self), context] += 1
-        return score(self, context, actions)
+    def counted(self, contexts, codes, actions):
+        calls.append((id(self), sorted(contexts[c] for c in set(codes.tolist()))))
+        return score(self, contexts, codes, actions)
 
-    monkeypatch.setattr(ExplicitPolicy, "slate_prob_batch", counted)
+    monkeypatch.setattr(ExplicitPolicy, "_slate_prob_rows", counted)
     code = main([
         "evaluate", "--logs", str(logs_path),
         "--logging-policy", str(logging_path), "--target-policy", str(target_path),
@@ -373,8 +372,5 @@ def test_evaluate_scores_each_context_once_per_policy(tmp_path, monkeypatch):
         "--out-dir", str(tmp_path / "out"),
     ])
     assert code == 0
-    policies = {policy for policy, _ in calls}
-    assert len(policies) == 2
-    for policy in policies:
-        assert sorted(c for p, c in calls if p == policy) == sorted(contexts)
-    assert set(calls.values()) == {1}
+    assert len(calls) == 2 and calls[0][0] != calls[1][0]
+    assert [seen for _, seen in calls] == [sorted(contexts)] * 2

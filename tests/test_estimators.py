@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     draw_ada_logs,
+    scored_reference,
     few_slate_table,
     make_ada_instance,
     mixture_logging_policy,
@@ -11,6 +12,7 @@ from helpers import (
 from slateval import (
     AbsoluteContinuityError,
     ConfigurationError,
+    ContextLookupError,
     DeterministicPolicy,
     EstimatorReport,
     ExplicitPolicy,
@@ -22,6 +24,7 @@ from slateval import (
     SlateError,
     SlateSpace,
     UndefinedEstimateError,
+    UniformMixturePolicy,
     UniformPolicy,
     estimate_dm,
     estimate_ips,
@@ -464,3 +467,78 @@ def test_invalid_logged_slate_error_names_context_and_slate():
     logs = [LoggedExample("a", (0, 1), 0.1), LoggedExample("b", (2, 2), 0.2)]
     with pytest.raises(SlateError, match=r"context 'b'.*\(2, 2\)"):
         estimate_pi(logs, policy, policy)
+
+
+def _per_context_table(spaces, rng, sparsity=None) -> dict:
+    table = {}
+    for context, space in spaces.items():
+        slates = list(space.enumerate_slates())
+        weights = rng.gamma(0.5, size=len(slates))
+        if sparsity is not None:
+            weights *= rng.random(len(slates)) < sparsity
+            weights[rng.integers(len(slates))] += 0.1
+        table[context] = list(zip(slates, weights / weights.sum()))
+    return table
+
+
+@pytest.mark.parametrize("pair", ["mixture-explicit", "explicit-softmax", "uniform-deterministic"])
+def test_batch_over_two_spaces_matches_a_per_context_scorer_bit_for_bit(pair):
+    spaces = {f"c{i}": SlateSpace.ranking(5 if i % 3 else 4, 2) for i in range(7)}
+    rng = np.random.default_rng(41)
+    scores = {c: rng.normal(size=sp.num_actions) for c, sp in spaces.items()}
+    logging, target = {
+        "mixture-explicit": lambda: (
+            UniformMixturePolicy(MultinomialWoRPolicy(spaces, scores, 1.3), 0.2),
+            ExplicitPolicy(spaces, _per_context_table(spaces, rng, sparsity=0.4)),
+        ),
+        "explicit-softmax": lambda: (
+            ExplicitPolicy(spaces, _per_context_table(spaces, rng)),
+            MultinomialWoRPolicy(spaces, scores, 0.8),
+        ),
+        "uniform-deterministic": lambda: (
+            UniformPolicy(spaces),
+            DeterministicPolicy(spaces, {c: (1, 3) for c in spaces}),
+        ),
+    }[pair]()
+    contexts = tuple(spaces)
+    codes = rng.integers(0, len(contexts), size=400)
+    actions = np.array([logging.sample(contexts[c], rng) for c in codes.tolist()])
+    values = rng.uniform(0.0, 0.5, size=actions.shape)
+    batch = LoggedBatch(contexts, codes, actions, values.sum(axis=1), values)
+    want = scored_reference(batch, logging, target)
+    pi = estimate_pi(batch, logging, target, diagnostics=True)
+    got = {
+        "pi": pi.estimate, "sigma_sq": pi.sigma_sq, "rho": pi.rho, "bound": pi.bound,
+        "ips": estimate_ips(batch, logging, target).estimate,
+        "wips": estimate_wips(batch, logging, target).estimate,
+        "sb": estimate_sb(batch, logging, target).estimate,
+        "wsb": estimate_wsb(batch, logging, target).estimate,
+    }
+    assert got == want
+
+
+def test_a_logged_context_missing_from_the_logging_table_is_a_lookup_error():
+    space = SlateSpace.ranking(3, 2)
+    logging = ExplicitPolicy(space, {"a": [((0, 1), 0.5), ((1, 0), 0.5)]})
+    logs = [
+        LoggedExample("a", (0, 1), 0.1),
+        LoggedExample("x", (0, 1), 0.2),
+        LoggedExample("y", (1, 0), 0.3),
+    ]
+    for estimate in (estimate_pi, estimate_ips, estimate_wips):
+        with pytest.raises(ContextLookupError, match="no table entry for context 'x'"):
+            estimate(logs, logging, UniformPolicy(space))
+
+
+def test_the_first_failing_context_in_batch_order_names_the_error():
+    """Contexts are scored per space at once, but the error raised is still
+    the one of the first failing context, whatever the step that fails."""
+    space = SlateSpace.ranking(3, 2)
+    logging = ExplicitPolicy(space, {c: [((0, 1), 0.5), ((1, 0), 0.5)] for c in "abc"})
+    target = UniformPolicy(space)
+    unlisted = [LoggedExample("a", (0, 1), 0.1), LoggedExample("b", (2, 1), 0.1)]
+    invalid = [LoggedExample("c", (1, 0), 0.1), LoggedExample("c", (1, 1), 0.1)]
+    with pytest.raises(AbsoluteContinuityError, match=r"\(2, 1\) at context 'b'"):
+        estimate_pi(unlisted + invalid, logging, target)
+    with pytest.raises(SlateError, match=r"context 'c'.*\(1, 1\)"):
+        estimate_pi(invalid + unlisted, logging, target)

@@ -113,3 +113,118 @@ def test_sorted_quantile_matches_numpy_quantile_bit_for_bit():
         quantiles = np.array([0.0, 0.15, 0.5, 0.5 + 1e-12, 0.65, 0.85, 1.0])
         got = [_quantile(ordered, q) for q in quantiles]
         np.testing.assert_array_equal(got, [np.quantile(values, q) for q in quantiles])
+
+
+# Line 5 follows a blank line, a comment line and one good line of dimension 2.
+PREAMBLE = "\n# header comment\n0 qid:1 1:0.5 2:0.25 # a\n\n"
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("x qid:1 1:0.5 2:0.25", "bad relevance 'x'"),
+        ("1.0 qid:1 1:0.5 2:0.25", "bad relevance '1.0'"),
+        ("3 qid:1 1:0.5 2:0.25", "relevance 3 outside (0, 1, 2)"),
+        ("-1 qid:1 1:0.5 2:0.25", "relevance -1 outside (0, 1, 2)"),
+        ("1 1:0.5 2:0.25", "expected '<rel> qid:<id> ...'"),
+        ("1", "expected '<rel> qid:<id> ...'"),
+        ("x qid1", "expected '<rel> qid:<id> ...'"),
+        ("1 qid:1 1:0.5 junk", "bad feature token 'junk'"),
+        ("1 qid:1 1:x 2:0.25", "bad feature token '1:x'"),
+        ("1 qid:1 a:1 2:0.25", "bad feature token 'a:1'"),
+        ("1 qid:1 1:2:3 2:0.25", "bad feature token '1:2:3'"),
+        ("1 qid:1 2:1:1 2:1:2", "bad feature token '2:1:1'"),
+        ("1 qid:1 1: 2:0.25", "bad feature token '1:'"),
+        ("1 qid:1 0:0.5 2:0.25", "feature indices are 1-based"),
+        ("1 qid:1 -2:0.5 2:0.25", "feature indices are 1-based"),
+        ("1 qid:1 0:0.5 junk", "feature indices are 1-based"),
+        ("1 qid:1 junk 0:0.5", "bad feature token 'junk'"),
+        ("1 qid:1 1:0.5", "feature dimension 1 != 2 seen earlier"),
+        ("1 qid:1 1:0.5 3:0.5", "feature dimension 3 != 2 seen earlier"),
+        ("1 qid:1", "feature dimension 0 != 2 seen earlier"),
+    ],
+)
+def test_parse_errors_name_the_physical_line(tmp_path, line, problem):
+    """Blank and comment lines count toward the line number."""
+    path = tmp_path / "data.txt"
+    path.write_text(PREAMBLE + line + " # d\n" + "2 qid:1 1:1 2:1\n")
+    with pytest.raises(ParseError) as caught:
+        parse_letor(path)
+    assert str(caught.value) == f"{path}:5: {problem}"
+
+
+def test_parse_reports_the_first_malformed_line(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text(PREAMBLE + "1 qid:1 1:0.5 nocolon\n" + "7 qid:1 1:0.5 2:0.25\n")
+    with pytest.raises(ParseError) as caught:
+        parse_letor(path)
+    assert str(caught.value) == f"{path}:5: bad feature token 'nocolon'"
+    path.write_text(PREAMBLE + "1 qid:1 1:0.5 2:0.25\n" + "7 qid:1 1:0.5 nocolon\n")
+    with pytest.raises(ParseError) as caught:
+        parse_letor(path)
+    assert str(caught.value) == f"{path}:6: relevance 7 outside (0, 1, 2)"
+
+
+def test_parse_zero_fills_sparse_lines(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("1 qid:1 3:0.5\n0 qid:1 1:0.25 3:1 # b\n2 qid:2 2:-4e-3 3:7\n")
+    rows = [doc.features.tolist() for _, doc in parse_letor(path).rows()]
+    assert rows == [[0.0, 0.0, 0.5], [0.25, 0.0, 1.0], [0.0, -4e-3, 7.0]]
+
+
+def test_parse_keeps_the_last_value_of_a_repeated_key(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("1 qid:1 1:0.5 2:1 1:0.75\n0 qid:1 2:3 2:2 1:1\n")
+    rows = [doc.features.tolist() for _, doc in parse_letor(path).rows()]
+    assert rows == [[0.75, 1.0], [1.0, 2.0]]
+
+
+def test_parse_names_documents_without_a_comment_in_order(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text(
+        "0 qid:a 1:1\n"
+        "1 qid:a 1:2 # named extra words\n"
+        "# a comment line between\n"
+        "2 qid:b 1:3\n"
+        "0 qid:a 1:4 #   \n"
+        "1 qid:b 1:5#tight\n"
+    )
+    dataset = parse_letor(path)
+    assert [(q.query_id, [d.doc_id for d in q.documents]) for q in dataset.queries] == [
+        ("a", ["doc0", "named", "doc2"]),
+        ("b", ["doc1", "tight"]),
+    ]
+    assert [d.relevance for _, d in dataset.rows()] == [0, 1, 0, 2, 1]
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_parse_rejects_non_finite_features(tmp_path, value):
+    path = tmp_path / "data.txt"
+    path.write_text(f"0 qid:1 1:0.5 2:0.25\n\n1 qid:1 1:{value} 2:0.25 # b\n")
+    with pytest.raises(ParseError) as caught:
+        parse_letor(path)
+    assert str(caught.value) == f"{path}:3: feature value {value!r} is not finite"
+
+
+def test_parse_values_match_float_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-30, 30, size=(40, 6))
+    texts = [[repr(v) for v in row] for row in values.tolist()]
+    texts[3][2], texts[7][0], texts[9][5] = "1_0", "+.5", "-0"
+    path = tmp_path / "data.txt"
+    path.write_text("".join(
+        f"1 qid:q{i % 3} " + " ".join(f"{k + 1}:{t}" for k, t in enumerate(row)) + "\n"
+        for i, row in enumerate(texts)
+    ))
+    got = np.stack([doc.features for _, doc in parse_letor(path).rows()])
+    order = [i for q in range(3) for i in range(40) if i % 3 == q]
+    want = np.array([[float(t) for t in texts[i]] for i in order])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_parse_reads_labels_and_keys_as_int_does(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("+1 qid:1 01:0.5 +2:1\n02 qid:1 1:1 2:2\n")
+    dataset = parse_letor(path)
+    assert [d.relevance for _, d in dataset.rows()] == [1, 2]
+    assert [d.features.tolist() for _, d in dataset.rows()] == [[0.5, 1.0], [1.0, 2.0]]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_explicit_policy, write_explicit_policy
+from helpers import few_slate_table, random_explicit_policy, write_explicit_policy
 from slateval import (
     ContextLookupError,
     DeterministicPolicy,
@@ -376,3 +376,155 @@ def test_explicit_policy_with_a_space_per_context(tmp_path):
         load_explicit_policy(path, spaces)
     with pytest.raises(SlateError, match="has 2 slots, expected 1"):
         ExplicitPolicy(spaces, {"a": [((0,), 0.5), ((1, 2), 0.5)]})
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
+def test_multinomial_rejects_a_non_finite_temperature(temperature):
+    from slateval import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="finite nonnegative"):
+        MultinomialWoRPolicy(SlateSpace.ranking(3, 2), {"q": np.zeros(3)}, temperature)
+
+
+@pytest.mark.parametrize(
+    "scores, temperature",
+    [
+        ([0.5, np.nan, 1.0], 1.0),
+        ([0.5, np.inf, 1.0], 1.0),
+        ([-np.inf, 0.0, 1.0], 2.0),
+        ([0.5, np.inf, 1.0], 0.0),
+        ([1e308, 0.0, -1e308], 10.0),  # finite scores whose logits overflow
+    ],
+)
+def test_multinomial_rejects_non_finite_scores_naming_the_context(scores, temperature):
+    space = SlateSpace.ranking(3, 2)
+    policy = MultinomialWoRPolicy(space, {"ok": np.zeros(3), "bad": np.array(scores)}, temperature)
+    assert policy.slate_prob("ok", (0, 1)) == pytest.approx(1 / 6)
+    for call in (
+        lambda: policy.slate_prob("bad", (0, 1)),
+        lambda: policy.support_arrays("bad"),
+        lambda: policy.sample("bad", np.random.default_rng(0)),
+        lambda: policy.slate_prob_rows(("ok", "bad"), [0, 1], [[0, 1], [1, 0]]),
+    ):
+        with pytest.raises(SlateError, match="context 'bad'.*non-finite"):
+            call()
+
+
+@pytest.mark.parametrize("m, slots", [(10, 3), (6, 3), (5, 5), (7, 1), (8, 4)])
+@pytest.mark.parametrize("temperature", [0.0, 0.05, 1.0, 7.0])
+def test_plackett_luce_support_equals_the_per_slate_recursion_bit_for_bit(m, slots, temperature):
+    from helpers import plackett_luce_log_probs_reference
+
+    space = SlateSpace.ranking(m, slots)
+    scores = 3.0 * np.random.default_rng(10 * m + slots).normal(size=m)
+    policy = MultinomialWoRPolicy(space, {"q": scores}, temperature)
+    every = space.slate_array()
+    want = np.exp(plackett_luce_log_probs_reference(policy.action_logits("q"), every))
+    keep = want > 0.0
+    slates, probs = policy.support_arrays("q")
+    np.testing.assert_array_equal(slates, every[keep])
+    assert probs.tobytes() == want[keep].tobytes()
+    assert policy.slate_prob_batch("q", every).tobytes() == want.tobytes()
+
+
+def test_plackett_luce_above_the_cap_keeps_its_seeded_monte_carlo_sample():
+    from slateval.util import context_rng
+
+    space = SlateSpace.ranking(6, 3)  # 120 slates
+    scores = {"q": np.linspace(-1.0, 2.0, 6)}
+    policy = MultinomialWoRPolicy(
+        space, scores, 1.5, enumeration_cap=119, mc_samples=400, mc_seed=4
+    )
+    assert policy.support_arrays("q") is None
+    arrays = policy.moment_arrays("q")
+    assert not arrays.exact
+    expected = MultinomialWoRPolicy(space, scores, 1.5).sample_batch("q", 400, context_rng(4, "q"))
+    np.testing.assert_array_equal(arrays.actions, expected)
+    np.testing.assert_array_equal(arrays.probs, np.full(400, 1 / 400))
+
+
+def test_explicit_rows_look_up_keys_beyond_the_slate_count():
+    """ranking(6, 3) has 120 slates but mixed-radix keys up to 207, below
+    6**3; every context's rows must find their own entries, not another
+    context's."""
+    space = SlateSpace.ranking(6, 3)
+    rng = np.random.default_rng(31)
+    contexts = [f"c{i}" for i in range(5)]
+    policy = random_explicit_policy(space, contexts, rng, sparsity=0.5)
+    every = space.slate_array()
+    assert space.slate_keys(every).max() == 207
+    codes = np.repeat(np.arange(len(contexts)), len(every))
+    got = policy.slate_prob_rows(contexts, codes, np.tile(every, (len(contexts), 1)))
+    for i, context in enumerate(contexts):
+        listed = dict(policy.support(context))
+        want = [listed.get(tuple(row), 0.0) for row in every.tolist()]
+        assert got[i * len(every) : (i + 1) * len(every)].tolist() == want
+        np.testing.assert_array_equal(policy.slate_prob_batch(context, every), want)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "deterministic", "mixture", "softmax"])
+def test_row_level_probabilities_equal_per_context_ones_over_two_spaces(kind):
+    spaces = {c: SlateSpace.ranking(m, 2) for c, m in (("a", 5), ("b", 4), ("c", 5))}
+    rng = np.random.default_rng(8)
+    scores = {c: rng.normal(size=sp.num_actions) for c, sp in spaces.items()}
+    policy = {
+        "uniform": lambda: UniformPolicy(spaces),
+        "deterministic": lambda: DeterministicPolicy(
+            spaces, {"a": (4, 0), "b": (3, 1), "c": (0, 1)}
+        ),
+        "mixture": lambda: UniformMixturePolicy(MultinomialWoRPolicy(spaces, scores, 2.0), 0.3),
+        "softmax": lambda: MultinomialWoRPolicy(spaces, scores, 0.7),
+    }[kind]()
+    contexts = ("unused", "c", "a", "b")
+    codes = rng.integers(1, 4, size=60)
+    actions = np.array([policy.sample(contexts[c], rng) for c in codes.tolist()])
+    got = policy.slate_prob_rows(contexts, codes, actions)
+    for code in range(1, 4):
+        rows = codes == code
+        want = policy.slate_prob_batch(contexts[code], actions[rows])
+        assert got[rows].tobytes() == want.tobytes()
+
+
+def test_row_level_probabilities_name_the_first_invalid_context_in_code_order():
+    spaces = {"a": SlateSpace.ranking(5, 2), "b": SlateSpace.ranking(3, 2)}
+    policy = UniformPolicy(spaces)
+    # row 0 is out of range at "b", row 2 repeats an action at "a", which
+    # comes first in code order
+    actions = np.array([[4, 0], [0, 1], [1, 1]])
+    with pytest.raises(SlateError, match=r"context 'a'.*\(1, 1\)"):
+        policy.slate_prob_rows(("a", "b"), [1, 0, 0], actions)
+    with pytest.raises(SlateError, match=r"context 'b'.*\(4, 0\)"):
+        policy.slate_prob_rows(("a", "b"), [1, 0, 1], actions[[0, 1, 0]])
+    with pytest.raises(SlateError, match="do not match"):
+        policy.slate_prob_rows(("a",), [0, 0], actions)
+
+
+def test_explicit_rows_at_a_context_missing_from_the_table_raise_context_lookup_error():
+    space = SlateSpace.ranking(3, 2)
+    policy = ExplicitPolicy(space, {"q": [((0, 1), 1.0)]})
+    with pytest.raises(ContextLookupError, match="no table entry for context 'x'"):
+        policy.slate_prob_rows(("q", "x", "y"), [0, 2, 1, 0], [[0, 1]] * 4)
+
+
+def test_uniform_mean_indicator_is_one_read_only_array_per_space():
+    from slateval.policies import uniform_mean_indicator
+
+    q = UniformPolicy(SlateSpace.ranking(4, 2)).mean_indicator("x")
+    assert q is uniform_mean_indicator(SlateSpace.ranking(4, 2))
+    assert q is MultinomialWoRPolicy(SlateSpace.ranking(4, 2), {}, 0.0).mean_indicator("y")
+    assert not q.flags.writeable
+    np.testing.assert_array_equal(q, np.full(8, 0.25))
+
+
+def test_explicit_rows_on_a_space_whose_keys_do_not_fit_int64():
+    space = SlateSpace.ranking(100, 10)  # mixed-radix keys run up to 100**10
+    rng = np.random.default_rng(12)
+    table = few_slate_table(space, ["a", "b", "c"], 4, rng)
+    policy = ExplicitPolicy(space, table)
+    contexts = ("c", "a", "b")
+    rows = [(code, slate, p) for code, c in enumerate(contexts) for slate, p in table[c]]
+    unlisted = tuple(range(90, 100))
+    codes = [code for code, _, _ in rows] + [0, 2]
+    actions = [slate for _, slate, _ in rows] + [unlisted, table["a"][0][0]]
+    want = [p for _, _, p in rows] + [0.0, 0.0]
+    np.testing.assert_allclose(policy.slate_prob_rows(contexts, codes, actions), want, rtol=1e-12)

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -288,29 +286,35 @@ def test_score_model_orders_relevance():
 
 
 def test_a_sweep_cell_scores_each_context_once_per_policy(monkeypatch):
-    """pi, wips and sb share one scoring pass: each context's logged slates
-    go through one logging and one target slate_prob_batch call."""
+    """pi, wips and sb share one scoring pass: the logged slates of all the
+    contexts, whose per-context spaces are equal, go through one row-level
+    call of each policy."""
     instance, config = small_instance(
         alpha=1.0, n_grid=(300,), runs=1, estimators=("pi", "wips", "sb")
     )
     source = PinvSource()
-    # the first cell fills the softmax policy's moment cache, which scores
-    # each context's whole slate space once
+    # the first cell fills the softmax policy's moment cache
     first = _run_once(instance, config, 300, 0, source)
-    calls = Counter()
+    calls = []
     for cls in (MultinomialWoRPolicy, DeterministicPolicy):
-        score = cls.slate_prob_batch
+        score = cls._slate_prob_rows
 
-        def counted(self, context, actions, score=score):
-            calls[id(self), context] += 1
-            return score(self, context, actions)
+        def counted(self, contexts, codes, actions, score=score):
+            calls.append((id(self), sorted(contexts[c] for c in set(codes.tolist()))))
+            return score(self, contexts, codes, actions)
 
-        monkeypatch.setattr(cls, "slate_prob_batch", counted)
+        monkeypatch.setattr(cls, "_slate_prob_rows", counted)
     assert _run_once(instance, config, 300, 0, source) == first
     cell_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 300]))
     logs = draw_logs(instance, 300, cell_rng)
     contexts = sorted({ex.context for ex in logs})
     assert len(contexts) > 1
-    for policy in (instance.logging, instance.target):
-        assert sorted(c for p, c in calls if p == id(policy)) == contexts
-    assert len(calls) == 2 * len(contexts) and set(calls.values()) == {1}
+    policies = sorted([id(instance.logging), id(instance.target)])
+    assert sorted(policy for policy, _ in calls) == policies
+    assert [seen for _, seen in calls] == [contexts] * 2
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_experiment_config_rejects_a_non_finite_temperature(alpha):
+    with pytest.raises(ConfigurationError, match="finite nonnegative"):
+        ExperimentConfig(m=5, slots=2, alpha=alpha)

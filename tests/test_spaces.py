@@ -112,3 +112,12 @@ def test_slate_array_and_keys():
     rows = np.array([list(range(10)), list(range(1, 11)), list(range(10))])
     keys = huge.slate_keys(rows)
     assert keys[0] == keys[2] and keys[0] != keys[1]
+
+
+def test_slate_array_is_built_once_per_space_and_read_only():
+    rows = SlateSpace.ranking(5, 3).slate_array()
+    assert rows is SlateSpace.ranking(5, 3).slate_array()  # equal spaces share it
+    assert rows is not SlateSpace.ranking(5, 2).slate_array()
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 4
