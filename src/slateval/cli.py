@@ -46,7 +46,7 @@ from .simulation import (
     sweep_rows_csv,
 )
 from .spaces import SlateSpace
-from .util import fmt
+from .util import blas_threads, fmt
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -433,7 +433,8 @@ def main(argv=None) -> int:
     if getattr(args, "estimator", None) is None and args.command == "evaluate":
         args.estimator = ["pi"]
     try:
-        return args.func(args)
+        with blas_threads(getattr(args, "threads", 1)):
+            return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -6,7 +6,9 @@ import pytest
 
 from helpers import few_slate_table, random_explicit_policy, write_explicit_policy
 from slateval import ExplicitPolicy, SlateSpace, parse_letor
+from slateval import cli
 from slateval.cli import main, parse_config_file, parse_space_spec
+from slateval.util import _openblas_thread_calls, blas_threads
 
 
 def write_policy_file(path, rows):
@@ -374,3 +376,37 @@ def test_evaluate_scores_each_context_once_per_policy(tmp_path, monkeypatch):
     assert code == 0
     assert len(calls) == 2 and calls[0][0] != calls[1][0]
     assert [seen for _, seen in calls] == [sorted(contexts)] * 2
+
+
+def _blas_pool():
+    calls = _openblas_thread_calls()
+    if calls is None or calls[0]() < 2:
+        pytest.skip("numpy's OpenBLAS pool is missing or already single-threaded")
+    return calls[0]
+
+
+def test_blas_threads_caps_the_pool_and_restores_it():
+    pool = _blas_pool()
+    before = pool()
+    with blas_threads(1):
+        assert pool() == 1
+    assert pool() == before
+    with blas_threads(before + 3):
+        assert pool() == before  # never raised
+    with pytest.raises(RuntimeError):
+        with blas_threads(0):
+            assert pool() == 1
+            raise RuntimeError
+    assert pool() == before
+
+
+def test_a_command_runs_with_the_pool_capped_at_threads(tmp_path, monkeypatch):
+    pool = _blas_pool()
+    before = pool()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_experiment", lambda args: seen.append(pool()) or 0)
+    config = str(tmp_path / "unused.cfg")
+    assert main(["experiment", "--config", config]) == 0
+    assert main(["experiment", "--config", config, "--threads", "4"]) == 0
+    assert seen == [1, min(4, before)]
+    assert pool() == before
