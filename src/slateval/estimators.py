@@ -47,18 +47,27 @@ from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .spaces import SlateSpace, space_of
 from .util import fmt, pairwise_sum
 
-# features(context, slot, action) -> 1-d feature vector of that (slot, action)
-# pair. The optimizer and the direct method read it through _feature_table,
-# once per coordinate per context per call.
-FeatureMap = Callable[[object, int, int], np.ndarray]
+# features(context) -> (space.dim, feature_dim) table: one row per (slot,
+# action) coordinate of the context's space, slot-major action-minor. The
+# optimizer and the direct method read it through _feature_table, once per
+# context per call.
+FeatureMap = Callable[[object], np.ndarray]
 
 
 def _feature_table(space: SlateSpace, context, features: FeatureMap) -> np.ndarray:
-    """(dim, feature_dim) features of every (slot, action) coordinate,
-    slot-major action-minor: the one place the package calls a feature
-    map, once per coordinate."""
-    rows = [features(context, j, a) for j, count in enumerate(space.slot_counts) for a in range(count)]
-    return np.asarray(rows, dtype=np.float64).reshape(space.dim, -1)
+    """The context's (dim, feature_dim) feature table as float64: the one
+    place the package calls a feature map. Raises ConfigurationError, naming
+    the context, for a table that is not 2-d, lacks one row per coordinate,
+    or holds a non-finite entry."""
+    table = np.asarray(features(context), dtype=np.float64)
+    if table.ndim != 2 or len(table) != space.dim:
+        raise ConfigurationError(
+            f"the feature table at context {context!r} has shape {table.shape}; "
+            f"expected ({space.dim}, feature_dim), one row per (slot, action)"
+        )
+    if not np.isfinite(table).all():
+        raise ConfigurationError(f"the feature table at context {context!r} is not finite")
+    return table
 
 
 @dataclass(frozen=True)

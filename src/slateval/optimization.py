@@ -5,6 +5,9 @@ the logging policy's indicator second moment, which turns one slate-level
 observation into a full vector of per-(slot, action) regression targets.
 A pointwise ridge scorer (slot one-hot concatenated with action features)
 is fit to those targets and slates are built greedily from its scores.
+The action features come from a ``FeatureMap``: one call per context
+returns that context's ``(dim, feature_dim)`` table, one row per (slot,
+action) coordinate in the indicator's slot-major, action-minor order.
 
 A supervised baseline with the same model family is included: it regresses
 directly on relevance gains (or raw relevance), which requires labels the
@@ -76,8 +79,10 @@ def decompose(
 ) -> DecomposedTargets:
     """Per-example reward decomposition through the logging pseudoinverse.
 
-    Works one context at a time: every logged slate of a context gathers
-    its pseudoinverse columns in one step, giving one target block.
+    Works one context at a time: a context's target block starts as the
+    pseudoinverse columns of its logged slates' first-slot coordinates, adds
+    those of each later slot in turn, and is scaled by the rewards, one
+    contiguous row per example.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot decompose an empty dataset")
@@ -88,11 +93,15 @@ def decompose(
     blocks = []
     for context, rows in groups:
         space = spaces[context]
-        pinv = source.pseudoinverse(logging, context)
+        # row k of this view is column k of pinv, the entries a slate's
+        # targets sum; the bits then do not rest on pinv's exact symmetry
+        columns = source.pseudoinverse(logging, context).T
         coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
-        # (dim, rows) column sums, transposed to one contiguous row per example
-        summed = pinv[:, coords].sum(axis=2)
-        blocks.append(np.ascontiguousarray((summed * batch.rewards[rows]).T))
+        block = columns[coords[:, 0]]
+        for j in range(1, space.num_slots):
+            block += columns[coords[:, j]]
+        block *= batch.rewards[rows][:, None]
+        blocks.append(block)
     return DecomposedTargets(
         contexts=tuple(context for context, _ in groups),
         rows=tuple(rows for _, rows in groups),

@@ -295,15 +295,29 @@ class UniformPolicy(Policy):
 
 
 class DeterministicPolicy(Policy):
-    """Point mass on one slate per context."""
+    """Point mass on one slate per context. Each context's slate is
+    validated on first use and kept, as a tuple and as a read-only
+    indicator vector."""
 
     def __init__(self, space, slates: Mapping | Callable, **kwargs):
         super().__init__(space, **kwargs)
         self._slates = slates
+        self._chosen: dict = {}
+
+    def _pick(self, context) -> tuple[Slate, np.ndarray]:
+        chosen = self._chosen.get(context)
+        if chosen is None:
+            space = self.space_of(context)
+            picked = self._slates(context) if callable(self._slates) else self._slates[context]
+            slate = space.validate(picked)
+            indicator = np.zeros(space.dim)
+            indicator[space.coords(slate)] = 1.0
+            indicator.flags.writeable = False
+            chosen = self._chosen[context] = (slate, indicator)
+        return chosen
 
     def slate_of(self, context) -> Slate:
-        picked = self._slates(context) if callable(self._slates) else self._slates[context]
-        return self.space_of(context).validate(picked)
+        return self._pick(context)[0]
 
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         picked, at = _per_context(contexts, codes, self.slate_of, np.int64)
@@ -319,7 +333,7 @@ class DeterministicPolicy(Policy):
         return np.asarray([self.slate_of(context)], dtype=np.int64), np.ones(1)
 
     def mean_indicator(self, context) -> np.ndarray:
-        return self.space_of(context).indicator(self.slate_of(context))
+        return self._pick(context)[1]
 
 
 class ExplicitPolicy(Policy):

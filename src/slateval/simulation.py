@@ -160,8 +160,10 @@ class BanditInstance:
     def intrinsic(self, context) -> np.ndarray:
         return self.arms[context].intrinsic
 
-    def features(self, context, slot: int, action: int) -> np.ndarray:
-        return self.arms[context].pool_features[action]
+    def features(self, context) -> np.ndarray:
+        """(dim, feature_dim) feature table: the pool's features once per slot."""
+        arm = self.arms[context]
+        return np.tile(arm.pool_features, (arm.space.num_slots, 1))
 
     def ndcg(self, context, slate) -> float:
         arm = self.arms[context]

@@ -17,6 +17,7 @@ from slateval import (
 from slateval.estimators import _feature_table
 from slateval.optimization import _slot_design, _table_moments
 from slateval.ridge import FoldMoments
+from slateval.spaces import space_of
 from slateval.diagnostics import bernstein_bound
 from slateval.util import fmt17, pairwise_sum
 
@@ -127,6 +128,39 @@ def write_explicit_policy(path, policy: ExplicitPolicy) -> None:
                 handle.write(f"{context}\t{slate_text}\t{prob!r}\n")
 
 
+def keyed_features(space, dim, seed):
+    """Feature map over ``space`` (a SlateSpace, or a per-context mapping or
+    callable): each context's table repeats one normal vector per (context,
+    action) in every slot that offers the action. Vectors are drawn on
+    first use, in slot-major action-minor order."""
+    rng = np.random.default_rng(seed)
+    cache = {}
+
+    def features(context):
+        rows = []
+        for count in space_of(space, context).slot_counts:
+            for action in range(count):
+                if (context, action) not in cache:
+                    cache[context, action] = rng.normal(size=dim)
+                rows.append(cache[context, action])
+        return np.stack(rows)
+
+    return features
+
+
+def decompose_reference(data, logging, source) -> list[np.ndarray]:
+    """``decompose``'s target blocks, one per context in batch order, from
+    the sums ``pinv[:, coords].sum(axis=2)`` of each logged slate's
+    pseudoinverse columns, times the rewards, one row per example."""
+    batch = LoggedBatch.from_examples(data)
+    blocks = []
+    for context, rows in batch.groups():
+        pinv = source.pseudoinverse(logging, context)
+        coords = logging.space_of(context).coords_of_actions(batch.actions[rows])
+        blocks.append(np.ascontiguousarray((pinv[:, coords].sum(axis=2) * batch.rewards[rows]).T))
+    return blocks
+
+
 def _design_matrix(space, context, features, feature_dim) -> np.ndarray:
     """Optimizer design rows for every (slot, action) coordinate,
     slot-major action-minor."""
@@ -143,7 +177,7 @@ def _fold_moments(targets, feature_dim, folds) -> FoldMoments:
 def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:
     """Per-fold regression moments from per-(fold, coordinate) ``bincount``s
     over every row of each target block, with the design matrix filled one
-    (slot, action) coordinate at a time."""
+    (slot, action) coordinate at a time from the context's feature table."""
     width = targets.num_slots + feature_dim
     dims = np.zeros(len(targets), dtype=np.int64)
     for context, rows in zip(targets.contexts, targets.rows):
@@ -156,11 +190,12 @@ def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:
     counts = np.zeros(folds)
     for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
         space = targets.spaces[context]
+        table = targets.features(context)
         design = np.zeros((space.dim, width))
         for j in range(space.num_slots):
             for a in range(space.slot_counts[j]):
                 design[space.coord(j, a), j] = 1.0
-                design[space.coord(j, a), targets.num_slots:] = targets.features(context, j, a)
+                design[space.coord(j, a), targets.num_slots:] = table[space.coord(j, a)]
         local = np.arange(space.dim)
         keys = ((starts[rows, None] + local) % folds * space.dim + local).ravel()
         size = folds * space.dim

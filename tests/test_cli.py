@@ -201,6 +201,27 @@ def test_experiment_with_direct_method_is_deterministic(tmp_path):
     assert outputs[0][0].count(b"\ndm,") == 2 * 2
 
 
+def test_experiment_validates_each_target_slate_once(tmp_path, monkeypatch):
+    """A sweep checks each context's deterministic target slate once, however
+    many cells and estimators read it."""
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "m=5\nslots=2\nalpha=1.0\nn_grid=100,200\nruns=3\nseed=3\n"
+        "estimators=pi,ips,wips,sb,wsb,dm,onpolicy\n"
+        "queries=25\ndocs_per_query=8\nfeature_dim=12\ntitle_dims=6\n"
+    )
+    calls = []
+    validate = SlateSpace.validate
+
+    def counted(self, slate):
+        calls.append(tuple(slate))
+        return validate(self, slate)
+
+    monkeypatch.setattr(SlateSpace, "validate", counted)
+    assert main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(calls) == 25  # every query has enough documents to be a context
+
+
 def test_experiment_single_cell_row_count(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(

@@ -5,6 +5,7 @@ from helpers import (
     draw_ada_logs,
     scored_reference,
     few_slate_table,
+    keyed_features,
     make_ada_instance,
     mixture_logging_policy,
     random_explicit_policy,
@@ -26,6 +27,7 @@ from slateval import (
     UndefinedEstimateError,
     UniformMixturePolicy,
     UniformPolicy,
+    decompose,
     estimate_dm,
     estimate_ips,
     estimate_onpolicy,
@@ -35,6 +37,7 @@ from slateval import (
     estimate_wsb,
     exact_policy_value,
     fit_dm,
+    fit_scorer,
 )
 from slateval.util import pairwise_sum
 
@@ -192,17 +195,8 @@ def test_importance_weighted_estimators_reject_a_slate_the_logging_policy_cannot
         estimate(logs, logging, UniformPolicy(space))
 
 
-def _constant_features(dim=3):
-    rng = np.random.default_rng(11)
-    table = {}
-
-    def features(context, slot, action):
-        key = (context, action)
-        if key not in table:
-            table[key] = rng.normal(size=dim)
-        return table[key]
-
-    return features
+def _constant_features(space, dim=3):
+    return keyed_features(space, dim, 11)
 
 
 def test_dm_constant_rewards_recovers_constant():
@@ -210,7 +204,7 @@ def test_dm_constant_rewards_recovers_constant():
     logging = UniformPolicy(space)
     rng = np.random.default_rng(6)
     logs = [LoggedExample("q", logging.sample("q", rng), 0.42) for _ in range(60)]
-    model = fit_dm(logs, _constant_features(), space)
+    model = fit_dm(logs, _constant_features(space), space)
     report = estimate_dm(model, logs, UniformPolicy(space))
     assert report.estimate == pytest.approx(0.42, abs=1e-6)
 
@@ -220,7 +214,7 @@ def test_dm_deterministic_target_scores_target_slate():
     logging = UniformPolicy(space)
     target = DeterministicPolicy(space, {"q": (3, 0)})
     rng = np.random.default_rng(7)
-    features = _constant_features()
+    features = _constant_features(space)
     logs = [LoggedExample("q", logging.sample("q", rng), rng.uniform(0, 1)) for _ in range(80)]
     model = fit_dm(logs, features, space)
     report = estimate_dm(model, logs[:10], target)
@@ -235,7 +229,7 @@ def test_dm_stochastic_target_monte_carlo_inner_sum():
     scores = {"q": np.random.default_rng(21).normal(size=4)}
     rng = np.random.default_rng(22)
     logs = [LoggedExample("q", logging.sample("q", rng), rng.uniform(0, 1)) for _ in range(60)]
-    model = fit_dm(logs, _constant_features(), space)
+    model = fit_dm(logs, _constant_features(space), space)
 
     def sampled_target():
         return MultinomialWoRPolicy(space, scores, 1.0, enumeration_cap=1, mc_samples=4000)
@@ -251,7 +245,7 @@ def test_dm_prediction_clamped():
     space = SlateSpace.ranking(3, 2)
     model = fit_dm(
         [LoggedExample("q", (0, 1), 1.0), LoggedExample("q", (1, 0), -1.0)],
-        _constant_features(),
+        _constant_features(space),
         space,
     )
     assert -1.0 <= model.predict("q", [(0, 1)])[0] <= 1.0
@@ -271,7 +265,7 @@ def test_dm_explicit_target_above_the_cap_sums_its_listed_slates():
     space = SlateSpace.ranking(20, 5)  # 1.86 million slates, above the cap
     rng = np.random.default_rng(30)
     logs = _uniform_logs(space, ["a", "b"], 200, rng)
-    model = fit_dm(logs, _constant_features(), space)
+    model = fit_dm(logs, _constant_features(space), space)
     target = ExplicitPolicy(space, few_slate_table(space, ["a", "b"], 3, rng))
     for context in ("a", "b"):
         eval_data = [next(ex for ex in logs if ex.context == context)]
@@ -286,7 +280,7 @@ def test_dm_plackett_luce_target_above_the_cap_reads_its_mean_indicator():
     space = SlateSpace.ranking(8, 3)  # 336 slates
     rng = np.random.default_rng(31)
     logs = _uniform_logs(space, ["q"], 150, rng)
-    features = _constant_features()
+    features = _constant_features(space)
     model = fit_dm(logs, features, space)
     target = MultinomialWoRPolicy(
         space, {"q": rng.normal(size=8)}, 1.0, enumeration_cap=100, mc_samples=3000, mc_seed=4
@@ -295,8 +289,9 @@ def test_dm_plackett_luce_target_above_the_cap_reads_its_mean_indicator():
     assert not arrays.exact
     assert np.abs(model.predict("q", arrays.actions)).max() < 1.0  # nothing clipped
     blocks = model.weights[:-1].reshape(space.num_slots, -1)
+    table = features("q")
     scores = np.array(
-        [features("q", j, a) @ blocks[j] for j in range(space.num_slots) for a in range(8)]
+        [table[space.coord(j, a)] @ blocks[j] for j in range(space.num_slots) for a in range(8)]
     )
     expected = model.weights[-1] + scores @ target.mean_indicator("q")
     assert estimate_dm(model, logs, target).estimate == pytest.approx(expected, abs=1e-12)
@@ -306,12 +301,12 @@ def test_dm_model_and_target_space_mismatch_is_configuration_error():
     space = SlateSpace.ranking(4, 2)
     rng = np.random.default_rng(32)
     logs = _uniform_logs(space, ["q"], 40, rng)
-    model = fit_dm(logs, _constant_features(), space)
+    model = fit_dm(logs, _constant_features(space), space)
     with pytest.raises(ConfigurationError, match="space"):
         estimate_dm(model, logs, UniformPolicy(SlateSpace.ranking(5, 2)))
 
-    def widening(context, slot, action):
-        return np.ones(3 if context == "q" else 4)
+    def widening(context):
+        return np.ones((space.dim, 3 if context == "q" else 4))
 
     wide = fit_dm(logs, widening, lambda context: space)
     other = [LoggedExample("r", ex.slate, ex.reward) for ex in logs]
@@ -321,12 +316,43 @@ def test_dm_model_and_target_space_mismatch_is_configuration_error():
         fit_dm(logs + other, widening, space)
 
 
+def _nan_table():
+    table = np.ones((8, 3))
+    table[5, 1] = np.nan
+    return table
+
+
+@pytest.mark.parametrize(
+    "bad_table, match",
+    [
+        (np.ones(8), r"shape \(8,\)"),
+        (np.ones((4, 3)), r"shape \(4, 3\); expected \(8, feature_dim\)"),
+        (_nan_table(), "not finite"),
+    ],
+    ids=["not-2d", "wrong-rows", "non-finite"],
+)
+def test_feature_table_is_checked_naming_the_context(bad_table, match):
+    """The direct method and the optimizer both refuse the table the feature
+    map gives at context 'bad', naming that context."""
+    space = SlateSpace.ranking(4, 2)
+
+    def features(context):
+        return bad_table if context == "bad" else np.ones((space.dim, 3))
+
+    logs = [LoggedExample("ok", (0, 1), 0.5), LoggedExample("bad", (1, 0), 0.25)]
+    with pytest.raises(ConfigurationError, match=f"context 'bad'.*{match}"):
+        fit_dm(logs, features, space)
+    targets = decompose(logs, UniformPolicy(space), features=features)
+    with pytest.raises(ConfigurationError, match=f"context 'bad'.*{match}"):
+        fit_scorer(targets)
+
+
 @pytest.mark.parametrize("slate", [(2, 2), (0, 4), (-1, 0)])
 def test_fit_dm_rejects_invalid_logged_slates_naming_the_context(slate):
     space = SlateSpace.ranking(4, 2)
     logs = [LoggedExample("q", (0, 1), 0.5), LoggedExample("bad", slate, 0.5)]
     with pytest.raises(SlateError, match="context 'bad'"):
-        fit_dm(logs, _constant_features(), space)
+        fit_dm(logs, _constant_features(space), space)
 
 
 class _TinyEnv:

@@ -8,6 +8,8 @@ from slateval import (
     ExperimentConfig,
     GeneratorConfig,
     LoggedExample,
+    MultinomialWoRPolicy,
+    PinvSource,
     RankingDataset,
     SlateSpace,
     UniformPolicy,
@@ -22,24 +24,22 @@ from slateval import (
     generate_synthetic,
     greedy_slate,
 )
-from helpers import _design_matrix, _fold_moments, fold_moments_reference, greedy_reference
+from helpers import (
+    _design_matrix,
+    _fold_moments,
+    decompose_reference,
+    fold_moments_reference,
+    greedy_reference,
+    keyed_features,
+)
 from slateval.letor import Query
 from slateval.moments import moment_matrix
 from slateval.optimization import DecomposedTargets, _greedy_slates
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
 
 
-def unit_features(dim=4, seed=0):
-    rng = np.random.default_rng(seed)
-    cache = {}
-
-    def features(context, slot, action):
-        key = (context, action)
-        if key not in cache:
-            cache[key] = rng.normal(size=dim)
-        return cache[key]
-
-    return features
+def unit_features(space, dim=4, seed=0):
+    return keyed_features(space, dim, seed)
 
 
 def per_example_targets(contexts, phi_hats, spaces, features, num_slots):
@@ -61,16 +61,52 @@ def test_decompose_uniform_ranking_worked_example():
     space = SlateSpace.ranking(2, 2)
     logging = UniformPolicy(space)
     logs = [LoggedExample("q", (0, 1), 1.0)]
-    targets = decompose(logs, logging, features=unit_features())
+    targets = decompose(logs, logging, features=unit_features(space))
     assert targets.contexts == ("q",) and len(targets) == 1
     np.testing.assert_array_equal(targets.rows[0], [0])
     np.testing.assert_allclose(targets.phi_hats[0], [[1.0, 0.0, 0.0, 1.0]], atol=1e-12)
 
 
+def decompose_case(case):
+    """A logging policy over three contexts and 400 logged examples, with
+    rewards in [-1, 1]: uniform logging on a ranking space (closed-form
+    pseudoinverse), Plackett-Luce at temperature 1 (numeric), or a random
+    explicit policy on a cartesian space (numeric)."""
+    from helpers import random_explicit_policy
+
+    rng = np.random.default_rng(17)
+    contexts = ["a", "b", "c"]
+    if case == "uniform-ranking":
+        space = SlateSpace.ranking(6, 3)
+        logging = UniformPolicy(space)
+    elif case == "plackett-luce":
+        space = SlateSpace.ranking(5, 3)
+        logging = MultinomialWoRPolicy(space, {c: rng.normal(size=5) for c in contexts}, 1.0)
+    else:
+        space = SlateSpace.cartesian((3, 2, 4))
+        logging = random_explicit_policy(space, contexts, rng)
+    logs = []
+    for context in rng.choice(contexts, size=400):
+        logs.append(LoggedExample(context, logging.sample(context, rng), rng.uniform(-1, 1)))
+    return space, logging, logs
+
+
+@pytest.mark.parametrize("case", ["uniform-ranking", "plackett-luce", "cartesian"])
+def test_decompose_blocks_equal_the_column_sum_reference_bitwise(case):
+    space, logging, logs = decompose_case(case)
+    source = PinvSource()
+    targets = decompose(logs, logging, features=unit_features(space), pinv_source=source)
+    expected = decompose_reference(logs, logging, source)
+    assert len(targets.phi_hats) == len(expected) == 3
+    for block, want in zip(targets.phi_hats, expected):
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, want)
+
+
 def test_decompose_zero_reward_zero_targets():
     space = SlateSpace.ranking(3, 2)
     logging = UniformPolicy(space)
-    targets = decompose([LoggedExample("q", (1, 2), 0.0)], logging, features=unit_features())
+    targets = decompose([LoggedExample("q", (1, 2), 0.0)], logging, features=unit_features(space))
     assert targets.phi_hats[0].shape == (1, space.dim)
     assert np.all(targets.phi_hats[0] == 0.0)
 
@@ -83,7 +119,7 @@ def test_decomposed_targets_recover_reward_through_logging_mean():
     rng = np.random.default_rng(4)
     logging = mixture_logging_policy(instance, 0.5, rng)
     logs = draw_ada_logs(instance, logging, 60, rng)
-    targets = decompose(logs, logging, features=unit_features())
+    targets = decompose(logs, logging, features=unit_features(instance.space))
     assert sorted(np.concatenate(targets.rows).tolist()) == list(range(len(logs)))
     for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
         q = logging.mean_indicator(context)
@@ -110,7 +146,7 @@ def test_decompose_mean_converges_to_projected_values():
     for _ in range(n):
         slate = logging.sample("q", rng)
         logs.append(LoggedExample("q", slate, reward(slate)))
-    targets = decompose(logs, logging, features=unit_features())
+    targets = decompose(logs, logging, features=unit_features(space))
     assert targets.phi_hats[0].shape == (n, space.dim)
     mean_phi_hat = np.mean(targets.phi_hats[0], axis=0)
 
@@ -125,7 +161,7 @@ def test_decompose_mean_converges_to_projected_values():
 
 def test_fit_scorer_constant_targets():
     space = SlateSpace.ranking(3, 2)
-    features = unit_features()
+    features = unit_features(space)
     targets = DecomposedTargets(
         contexts=tuple(f"q{i}" for i in range(100)),
         rows=tuple(np.array([i]) for i in range(100)),
@@ -142,7 +178,7 @@ def test_fit_scorer_constant_targets():
 
 def test_fit_scorer_recovers_noiseless_linear_targets():
     space = SlateSpace.ranking(4, 2)
-    features = unit_features(dim=3, seed=5)
+    features = unit_features(space, dim=3, seed=5)
     true_w = np.array([0.8, -0.4, 0.2])
     slot_offsets = np.array([0.5, 0.1])
     contexts = tuple(f"q{i}" for i in range(40))
@@ -171,7 +207,8 @@ def test_fit_scorer_fold_moments_match_row_reference():
     """
     from slateval.ridge import solve_ridge
 
-    features = unit_features(dim=2, seed=6)
+    # one map for both space sets: its tables follow the set in use
+    features = unit_features(lambda c: spaces[c], dim=2, seed=6)
     contexts = tuple(f"q{i % 3}" for i in range(11))
     same_dims = {c: SlateSpace.ranking(3, 2) for c in contexts}
     mixed_dims = {
@@ -202,7 +239,7 @@ def test_fit_scorer_fold_moments_match_row_reference():
 
 def test_decomposed_targets_reject_malformed_blocks():
     space = SlateSpace.ranking(3, 2)
-    features = unit_features()
+    features = unit_features(space)
 
     def build(rows, blocks):
         return DecomposedTargets(
@@ -222,7 +259,7 @@ def test_decomposed_targets_reject_malformed_blocks():
 
 def test_fit_scorer_deterministic():
     space = SlateSpace.ranking(3, 2)
-    features = unit_features(dim=2, seed=7)
+    features = unit_features(space, dim=2, seed=7)
     rng = np.random.default_rng(7)
     targets = DecomposedTargets(
         contexts=("a",),
@@ -251,7 +288,7 @@ def test_greedy_unique_maximizers():
     space = SlateSpace.ranking(3, 2)
     scorer = _TableScorer([[0.1, 0.9, 0.2], [0.8, 0.95, 0.3]])
     # (1, 1) wins round one; slot 1 and action 1 leave; then (0, 2) beats (0, 0)
-    assert greedy_slate(scorer, "q", space, unit_features()) == (2, 1)
+    assert greedy_slate(scorer, "q", space, unit_features(space)) == (2, 1)
 
 
 def test_greedy_ranking_never_repeats_actions():
@@ -259,21 +296,21 @@ def test_greedy_ranking_never_repeats_actions():
     rng = np.random.default_rng(8)
     for _ in range(50):
         scorer = _TableScorer(rng.normal(size=(3, 4)))
-        slate = greedy_slate(scorer, "q", space, unit_features())
+        slate = greedy_slate(scorer, "q", space, unit_features(space))
         assert len(set(slate)) == 3
 
 
 def test_greedy_cartesian_reuses_action_ids():
     space = SlateSpace.cartesian((2, 2))
     scorer = _TableScorer([[1.0, 0.0], [1.0, 0.0]])
-    assert greedy_slate(scorer, "q", space, unit_features()) == (0, 0)
+    assert greedy_slate(scorer, "q", space, unit_features(space)) == (0, 0)
 
 
 def test_greedy_cartesian_ragged_slot_counts():
     # slot 0 has two actions, slot 1 has three; padding cells never win
     space = SlateSpace.cartesian((2, 3))
     table = np.array([[0.4, 0.1, -np.inf], [0.3, 0.2, 0.9]])
-    slate = greedy_slate(_TableScorer(table), "q", space, unit_features())
+    slate = greedy_slate(_TableScorer(table), "q", space, unit_features(space))
     assert slate == (0, 2)
     assert space.is_valid(slate)
 
@@ -281,7 +318,7 @@ def test_greedy_cartesian_ragged_slot_counts():
 def test_greedy_all_equal_scores_takes_lexicographic_slate():
     space = SlateSpace.ranking(5, 3)
     scorer = _TableScorer(np.zeros((3, 5)))
-    assert greedy_slate(scorer, "q", space, unit_features()) == (0, 1, 2)
+    assert greedy_slate(scorer, "q", space, unit_features(space)) == (0, 1, 2)
 
 
 def test_true_intrinsic_scorer_reaches_perfect_ndcg():
@@ -359,7 +396,8 @@ def test_sup_scorer_slates_sort_by_predicted_gain():
 def fold_moment_inputs():
     """The same-dims and mixed-dims target sets of the row-reference test,
     plus a decomposed log with many rows per context block."""
-    features = unit_features(dim=2, seed=6)
+    # one map for both space sets: its tables follow the set in use
+    features = unit_features(lambda c: spaces[c], dim=2, seed=6)
     contexts = tuple(f"q{i % 3}" for i in range(11))
     same_dims = {c: SlateSpace.ranking(3, 2) for c in contexts}
     mixed_dims = {
@@ -420,7 +458,7 @@ def test_stacked_greedy_matches_one_context_greedy(space):
         tables.append(table)
     stacked = _greedy_slates(np.stack(tables), space)
     for table, row in zip(tables, stacked):
-        one = greedy_slate(_TableScorer(table), "q", space, unit_features())
+        one = greedy_slate(_TableScorer(table), "q", space, unit_features(space))
         assert tuple(row.tolist()) == one == greedy_reference(table, space)
 
 
@@ -465,33 +503,32 @@ class _CountingInstance:
         self.calls = Counter()
         self._features = instance.features
 
-    def features(self, context, slot, action):
+    def features(self, context):
         self.calls[context] += 1
-        return self._features(context, slot, action)
+        return self._features(context)
 
 
-def test_feature_map_is_read_once_per_coordinate_per_context_per_call():
+def test_feature_map_is_read_once_per_context_per_call():
     instance = two_space_instance()
     counting = _CountingInstance(instance)
     train, test = instance.contexts[::2], instance.contexts[1::2]
     logs = draw_logs(instance, 2000, np.random.default_rng(3), contexts=train)
     targets = decompose(logs, instance.logging, features=counting.features)
     assert not counting.calls
-    dims = {c: instance.space_of(c).dim for c in instance.contexts}
     for _ in range(2):
         counting.calls.clear()
         scorer = fit_scorer(targets, folds=3)
-        assert counting.calls == {c: dims[c] for c in targets.contexts}
+        assert counting.calls == {c: 1 for c in targets.contexts}
     for _ in range(2):
         counting.calls.clear()
         evaluate_learned(scorer, counting, test)
-        assert counting.calls == {c: dims[c] for c in test}
+        assert counting.calls == {c: 1 for c in test}
     held_out = draw_logs(instance, 300, np.random.default_rng(4), contexts=test)
     for _ in range(2):
         counting.calls.clear()
         model = fit_dm(logs, counting.features, instance.space_of)
-        assert counting.calls == {c: dims[c] for c in targets.contexts}
+        assert counting.calls == {c: 1 for c in targets.contexts}
     for _ in range(2):
         counting.calls.clear()
         estimate_dm(model, held_out, instance.target)
-        assert counting.calls == {c: dims[c] for c in test}
+        assert counting.calls == {c: 1 for c in test}
