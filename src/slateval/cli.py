@@ -167,7 +167,7 @@ def _load_policy(spec: str, space):
 
 def cmd_evaluate(args) -> int:
     space = parse_space_spec(args.space)
-    data = read_logged_dataset(args.logs)
+    data = read_logged_dataset(args.logs, space)
     logging_policy = _load_policy(args.logging_policy, space)
     target_policy = _load_policy(args.target_policy, space)
     out_dir = Path(args.out_dir)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, SlateError
-from .spaces import Slate
+from .spaces import Slate, space_of
 from .util import fmt
 
 
@@ -187,9 +187,111 @@ def _read_tsv_columns(path, error_type) -> _Columns:
     numbers ``float()``. A line without exactly three tab-separated fields,
     or with a token or number that does not parse, raises ``error_type``
     naming ``path:lineno``; field counts are checked first.
+
+    Files in the canonical form the writers emit are parsed on their bytes
+    (see ``_canonical_columns``) with the same result; every other file, and
+    every error, goes through the text parser.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    columns = _canonical_columns(raw)
+    if columns is None:
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        del raw
+        columns = _text_columns(path, error_type, text)
+    return columns
+
+
+# Byte classes of the canonical form, one bit per field a byte may stand in:
+# printable ASCII in a context, digits and commas in a slate, and digits,
+# signs, points and exponents in a number. Each field's bytes are checked
+# together with the byte that ends it: a tab ends a context and a slate, a
+# newline ends a number. Every other byte is class 0.
+_CONTEXT, _SLATE, _NUMBER = 1, 2, 4
+
+
+def _byte_classes() -> bytes:
+    table = bytearray(256)
+    table[0x21:0x7F] = bytes([_CONTEXT]) * (0x7F - 0x21)
+    for byte in b"0123456789":
+        table[byte] |= _SLATE | _NUMBER
+    table[ord(",")] |= _SLATE
+    for byte in b".eE+-":
+        table[byte] |= _NUMBER
+    table[ord("\t")] = _CONTEXT | _SLATE
+    table[ord("\n")] = _NUMBER
+    return bytes(table)
+
+
+_BYTE_CLASSES = _byte_classes()
+_MAX_TOKEN_DIGITS = 18  # every 18-digit token fits in int64
+
+
+def _canonical_columns(raw: bytes) -> _Columns | None:
+    """The columns of a file in canonical form, or None for any other file.
+
+    Canonical: ASCII with ``\\n`` line ends (the last one optional), no
+    blank or ``#`` lines, exactly two tabs per line and no other whitespace,
+    every field non-empty, slate tokens of 1-18 digits, and numbers made of
+    digits, signs, points and exponents only. Such a file parses exactly as
+    the text parser parses it; ``np.fromstring`` reads its numbers with
+    ``float()``'s rounding. A number that does not parse gives None, so that
+    the text parser names its line.
+    """
+    classes = raw.translate(_BYTE_CLASSES)
+    if not raw or b"\0" in classes:
+        return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+        classes += bytes([_NUMBER])
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    tabs = np.flatnonzero(data == ord("\t"))
+    n = len(ends)
+    if len(tabs) != 2 * n:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = tabs[0::2], tabs[1::2]
+    # both tabs of line i lie inside it, around three non-empty fields
+    if not ((starts < first) & (first + 1 < second) & (second + 1 < ends)).all():
+        return None
+    if (data[starts] == ord("#")).any():
+        return None
+    # each byte's field, its ending tab or newline included
+    lengths = np.column_stack((first + 1 - starts, second - first, ends - second)).ravel()
+    field = np.repeat(np.tile(np.array([_CONTEXT, _SLATE, _NUMBER], np.uint8), n), lengths)
+    if not (np.frombuffer(classes, dtype=np.uint8) & field).all():
+        return None
+    del classes
+
+    names = data[field == _CONTEXT].tobytes().split(b"\t")[:-1]
+    index = {name: code for code, name in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=n)
+    del names
+
+    slates = data[field == _SLATE]  # each slate ends in its tab
+    delimiters = np.flatnonzero(slates < ord("0"))
+    digits = np.diff(delimiters, prepend=-1) - 1
+    if digits.min() < 1 or digits.max() > _MAX_TOKEN_DIGITS:
+        return None
+    row_ends = np.flatnonzero(slates[delimiters] == ord("\t"))
+    widths = np.diff(row_ends, prepend=-1)
+    slates[delimiters[row_ends]] = ord(",")
+    tokens = np.fromstring(slates.tobytes(), dtype=np.int64, sep=",")
+    del slates
+
+    try:
+        numbers = np.fromstring(data[field == _NUMBER].tobytes(), dtype=np.float64, sep="\n")
+    except ValueError:
+        return None
+    if len(tokens) != len(delimiters) or len(numbers) != n:
+        return None
+    contexts = tuple(name.decode("ascii") for name in index)
+    return _Columns(np.arange(1, n + 1), contexts, codes, widths, tokens, numbers)
+
+
+def _text_columns(path, error_type, text: str) -> _Columns:
+    """``_read_tsv_columns`` on the decoded text, newlines already universal."""
     lines = list(map(str.strip, text.split("\n")))
     keep = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
     if "#" in text:
@@ -230,10 +332,12 @@ def _raise_unparsable(path, error_type, linenos, slate_texts, number_texts) -> N
             raise error_type(f"{path}:{lineno}: slate {slate_text!r} does not fit in int64")
 
 
-def read_logged_dataset(path) -> LoggedBatch:
+def read_logged_dataset(path, space=None) -> LoggedBatch:
     """Read tab-separated lines: context_id, comma-joined slate, reward.
 
-    Every slate must have as many slots as the first one.
+    Every slate must have as many slots as the first one. When ``space`` (a
+    ``SlateSpace``) is given, every slate must also be valid in it; the
+    first one that is not raises ``ParseError`` naming its line.
     """
     columns = _read_tsv_columns(path, ParseError)
     rewards, widths = columns.numbers, columns.widths
@@ -247,12 +351,38 @@ def read_logged_dataset(path) -> LoggedBatch:
             problem = f"slate has {widths[i]} slots, earlier lines have {widths[0]}"
         raise ParseError(f"{path}:{columns.linenos[i]}: {problem}")
     n = len(rewards)
+    actions = columns.tokens.reshape(n, int(widths[0]) if n else 0)
+    if space is not None:
+        try:
+            space.validate_batch(actions)
+        except SlateError:
+            _raise_invalid_slate(path, ParseError, space, columns)
     return LoggedBatch(
-        contexts=columns.contexts,
-        codes=columns.codes,
-        actions=columns.tokens.reshape(n, int(widths[0]) if n else 0),
-        rewards=rewards,
+        contexts=columns.contexts, codes=columns.codes, actions=actions, rewards=rewards
     )
+
+
+def _invalid_slate(space, contexts, codes, widths, tokens) -> tuple[int, SlateError]:
+    """The first row (context codes, slot widths, the slates' tokens back to
+    back) whose slate is not valid in its context's space (a ``SlateSpace``,
+    mapping or callable), with the error ``SlateSpace.validate`` raises for
+    it; a per-row loop, for error paths."""
+    slates = np.split(tokens, np.cumsum(widths)[:-1])
+    for row, (code, slate) in enumerate(zip(codes.tolist(), slates)):
+        try:
+            space_of(space, contexts[code]).validate(slate)
+        except SlateError as exc:
+            return row, exc
+    raise AssertionError("a batch check flagged a slate that validate accepts")
+
+
+def _raise_invalid_slate(path, error_type, space, columns: _Columns) -> None:
+    """Raise ``error_type`` naming the line and context of the first slate
+    that is not valid in its context's space."""
+    contexts, codes = columns.contexts, columns.codes
+    row, exc = _invalid_slate(space, contexts, codes, columns.widths, columns.tokens)
+    context = contexts[codes[row]]
+    raise error_type(f"{path}:{columns.linenos[row]}: context {context!r}: {exc}") from None
 
 
 def write_logged_dataset(path, examples) -> None:

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ContextLookupError, SlateError
-from .logs import _read_tsv_columns, group_rows
+from .logs import _invalid_slate, _raise_invalid_slate, _read_tsv_columns, group_rows
 from .spaces import Slate, SlateSpace, SpaceKind, space_of
 from .util import context_rng
 
@@ -336,6 +336,15 @@ class DeterministicPolicy(Policy):
         return self._pick(context)[1]
 
 
+class _SortedRows(NamedTuple):
+    """An explicit table's rows in ``ExplicitPolicy._sort_rows`` order."""
+
+    order: np.ndarray  # row indices, stable in key order
+    keys: np.ndarray  # their keys, code * stride + slate code, ascending
+    stride: int
+    ranks: dict | None  # space -> sorted slate keys, when slate codes are ranks in them
+
+
 class ExplicitPolicy(Policy):
     """Policy given as an explicit slate-probability table per context.
 
@@ -357,18 +366,43 @@ class ExplicitPolicy(Policy):
             np.fromiter(map(float, map(itemgetter(1), pairs)), dtype=np.float64, count=len(pairs)),
         )
 
-    @classmethod
-    def _from_columns(cls, space, contexts, codes, widths, tokens, probs, **kwargs):
-        """A policy from one row per listed slate: context codes, slot widths,
-        the slates' tokens back to back, and probabilities."""
-        policy = cls.__new__(cls)
-        Policy.__init__(policy, space, **kwargs)
-        policy._build(contexts, codes, widths, tokens, probs)
-        return policy
+    def _sort_rows(self, contexts, codes, widths, tokens) -> _SortedRows | None:
+        """The rows (context codes, slot widths, the slates' tokens back to
+        back) in one stable order of ``code * stride + slate code``, or None
+        when some row is not a valid slate of its context's space.
 
-    def _build(self, contexts, codes, widths, tokens, probs) -> None:
-        """Check and store the table; the one construction path of both
-        ``__init__`` and ``_from_columns``."""
+        The slate code is the space's mixed-radix slate key when the keys of
+        every context fit in int64 side by side, else the rank of that key
+        among the space's listed slates.
+        """
+        starts = np.cumsum(widths) - widths
+        groups = self._rows_by_space(contexts, codes) if len(codes) else []
+        slate_codes = np.empty(len(codes), dtype=np.int64)
+        stride = max((math.prod(space.slot_counts) for space, _ in groups), default=1)
+        ranks = {} if len(contexts) * stride >= 2**63 else None
+        for space, rows in groups:
+            rows = np.arange(len(codes))[rows]
+            if (widths[rows] != space.num_slots).any():
+                return None
+            actions = tokens[starts[rows, None] + np.arange(space.num_slots)]
+            try:
+                space.validate_batch(actions)
+            except SlateError:
+                return None
+            keys = space.slate_keys(actions)
+            if ranks is not None:
+                ranks[space], keys = np.unique(keys, return_inverse=True)
+            slate_codes[rows] = keys
+        if ranks is not None:
+            stride = max(map(len, ranks.values()), default=1)
+        keys = codes * stride + slate_codes
+        order = np.argsort(keys, kind="stable")
+        return _SortedRows(order, keys[order], stride, ranks)
+
+    def _build(self, contexts, codes, widths, tokens, probs, sorted_rows=None) -> None:
+        """Check and store the table, from one row per listed slate and the
+        rows' ``_sort_rows`` order (sorted here when not given); the one
+        construction path of ``__init__`` and ``load_explicit_policy``."""
         starts = np.cumsum(widths) - widths
         bad = ~np.isfinite(probs) | (probs < 0.0)
         if bad.any():
@@ -378,67 +412,40 @@ class ExplicitPolicy(Policy):
                 f"probability {probs[i]} for slate {slate} at context {contexts[codes[i]]!r} "
                 f"is not a finite nonnegative number"
             )
-        counts = np.bincount(codes, minlength=len(contexts))
-        sorted_rows = np.argsort(codes, kind="stable")
-        by_context = [sorted_rows[end - n : end] for end, n in zip(np.cumsum(counts).tolist(), counts)]
-        # the contexts that share a space are validated and keyed in one batch
-        members: dict = {}
-        for code, context in enumerate(contexts):
-            members.setdefault(self.space_of(context), []).append(code)
-        slates = [None] * len(contexts)  # per context: (actions, slate keys)
-        for sp, group in members.items():
-            rows = np.concatenate([by_context[c] for c in group])
-            wrong = widths[rows] != sp.num_slots
-            if wrong.any():
-                i = rows[np.argmax(wrong)]
-                sp.validate(tokens[starts[i] : starts[i] + widths[i]])
-            actions = tokens[starts[rows, None] + np.arange(sp.num_slots)]
-            ends = np.cumsum(counts[group]).tolist()
-            spans = list(zip(group, [0] + ends[:-1], ends))
-            try:
-                sp.validate_batch(actions)
-            except SlateError:
-                for c, start, end in spans:
-                    sp.validate_batch(actions[start:end], contexts[c])  # names the context
-                raise
-            keys = sp.slate_keys(actions)
-            for c, start, end in spans:
-                slates[c] = (actions[start:end], keys[start:end])
+        if sorted_rows is None:
+            sorted_rows = self._sort_rows(contexts, codes, widths, tokens)
+        if sorted_rows is None:
+            row, exc = _invalid_slate(self._space, contexts, codes, widths, tokens)
+            raise SlateError(f"invalid slate at context {contexts[codes[row]]!r}: {exc}")
+        # equal neighbours in key order list one slate twice; the first pair
+        # lies in the first context, in code order, that has one
+        keys, order = sorted_rows.keys, sorted_rows.order
+        repeats = keys[1:] == keys[:-1]
+        twice = int(order[np.argmax(repeats)]) if repeats.any() else -1
         self._table: dict = {}
         self._cdf: dict = {}  # context -> cumulative probabilities, for sampling
-        lookup = []  # per context: (sorted slate keys, their probabilities)
-        for context, rows, (actions, keys) in zip(contexts, by_context, slates):
-            p = probs[rows]
+        normalized = np.empty(len(probs))
+        by_context = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(contexts))).tolist()
+        for code, (context, start, end) in enumerate(zip(contexts, [0] + ends, ends)):
+            listed = by_context[start:end]  # in table order
+            p = probs[listed]
             total = p.sum()
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise SlateError(
                     f"probabilities for context {context!r} sum to {total:.12g}, not 1"
                 )
-            p = p / total
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            repeats = sorted_keys[1:] == sorted_keys[:-1]
-            if repeats.any():
-                slate = tuple(actions[order[int(np.argmax(repeats))]].tolist())
+            if twice >= 0 and codes[twice] == code:
+                slate = tuple(tokens[starts[twice] : starts[twice] + widths[twice]].tolist())
                 raise SlateError(f"slate {slate} is listed twice for context {context!r}")
-            self._table[context] = (actions, p)
-            lookup.append((sorted_keys, p[order]))
+            p = normalized[listed] = p / total
+            slots = np.arange(self.space_of(context).num_slots)
+            self._table[context] = (tokens[starts[listed, None] + slots], p)
             cdf = self._cdf[context] = p.cumsum()
             cdf /= cdf[-1]
-        # One sorted table of context position * stride + slate key, where the
-        # stride bounds every space's mixed-radix keys; when those do not fit
-        # in int64 the lookup stays per context.
         self._index = {context: i for i, context in enumerate(contexts)}
-        stride = max((math.prod(sp.slot_counts) for sp in members), default=1)
-        if len(contexts) * stride < 2**63:
-            self._stride = stride
-            self._keys = np.concatenate(
-                [i * stride + keys for i, (keys, _) in enumerate(lookup)] or [[]]
-            ).astype(np.int64)
-            self._key_probs = np.concatenate([p for _, p in lookup] or [[]])
-            self._lookup = None
-        else:
-            self._lookup = dict(zip(contexts, lookup))
+        self._stride, self._ranks = sorted_rows.stride, sorted_rows.ranks
+        self._keys, self._key_probs = keys, normalized[order]
 
     @property
     def contexts(self) -> list:
@@ -458,15 +465,15 @@ class ExplicitPolicy(Policy):
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         positions, at = _per_context(contexts, codes, self._position, np.int64)
         probs = np.empty(len(codes))
-        if self._lookup is not None:
-            for code, rows in group_rows(codes, len(contexts)):
-                context = contexts[code]
-                keys, p = self._lookup[context]
-                probs[rows] = _look_up(keys, p, self.space_of(context).slate_keys(actions[rows]))
-            return probs
         for space, rows in self._rows_by_space(contexts, codes):
-            wanted = positions[at[rows]] * self._stride + space.slate_keys(actions[rows])
-            probs[rows] = _look_up(self._keys, self._key_probs, wanted)
+            slate_codes = space.slate_keys(actions[rows])
+            found = True
+            if self._ranks is not None:  # a slate's code is its key's rank among the listed
+                listed = self._ranks[space]
+                ranks = np.minimum(np.searchsorted(listed, slate_codes), len(listed) - 1)
+                slate_codes, found = ranks, listed[ranks] == slate_codes
+            wanted = positions[at[rows]] * self._stride + slate_codes
+            probs[rows] = np.where(found, _look_up(self._keys, self._key_probs, wanted), 0.0)
         return probs
 
     def support_arrays(self, context):
@@ -677,22 +684,29 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
     not valid in its context's space, or a slate listed twice for one
     context, is rejected with its line number, and so is a file without
     entries.
+
+    The file is read by ``_read_tsv_columns``, and one stable sort of its
+    rows by (context, slate) finds repeated slates and orders the lookup
+    table. Each context keeps its slates in file order.
     """
     columns = _read_tsv_columns(path, SlateError)
     contexts, codes, linenos = columns.contexts, columns.codes, columns.linenos
+    widths, tokens, probs = columns.widths, columns.tokens, columns.numbers
     if not len(codes):
         raise SlateError(f"{path}: no policy entries")
-    probs = columns.numbers
+    policy = ExplicitPolicy.__new__(ExplicitPolicy)
+    Policy.__init__(policy, space, **kwargs)
+    sorted_rows = policy._sort_rows(contexts, codes, widths, tokens)
+    first = _first_listings(codes, widths, tokens, sorted_rows)
     bad = ~np.isfinite(probs) | (probs < 0.0)
-    first = _first_listings(codes, columns.widths, columns.tokens)
     repeated = first != np.arange(len(codes))
     if (bad | repeated).any():
         i = int(np.argmax(bad | repeated))
         if bad[i]:
             problem = f"probability {probs[i]} is not a finite nonnegative number"
         else:
-            start = int(columns.widths[:i].sum())
-            slate = tuple(columns.tokens[start : start + columns.widths[i]].tolist())
+            start = int(widths[:i].sum())
+            slate = tuple(tokens[start : start + widths[i]].tolist())
             problem = (
                 f"slate {slate} for context {contexts[codes[i]]!r} was already "
                 f"listed on line {linenos[first[i]]}"
@@ -706,30 +720,24 @@ def load_explicit_policy(path, space, **kwargs) -> ExplicitPolicy:
             f"{path}: probabilities for context {contexts[c]!r} sum to {totals[c]:.9g}; "
             f"drift above {LOAD_DRIFT_TOL} is rejected"
         )
-    try:
-        return ExplicitPolicy._from_columns(
-            space, contexts, codes, columns.widths, columns.tokens, probs / totals[codes], **kwargs
-        )
-    except SlateError:
-        # the table checks slates in bulk; find the line of the first invalid one
-        slates = np.split(columns.tokens, np.cumsum(columns.widths)[:-1])
-        for lineno, code, slate in zip(linenos.tolist(), codes.tolist(), slates):
-            try:
-                space_of(space, contexts[code]).validate(slate)
-            except SlateError as exc:
-                raise SlateError(f"{path}:{lineno}: context {contexts[code]!r}: {exc}") from None
-        raise
+    if sorted_rows is None:
+        _raise_invalid_slate(path, SlateError, space, columns)
+    policy._build(contexts, codes, widths, tokens, probs / totals[codes], sorted_rows)
+    return policy
 
 
-def _first_listings(codes, widths, tokens) -> np.ndarray:
-    """For each row, the first row listing the same context and slate."""
+def _first_listings(codes, widths, tokens, sorted_rows: _SortedRows | None) -> np.ndarray:
+    """For each row, the first row listing the same context and slate: read
+    off the sorted keys, or, when some slate is invalid and has no key, from
+    a per-row loop."""
     n = len(codes)
-    padded = np.zeros((n, int(widths.max())), dtype=np.int64)
-    padded[np.arange(padded.shape[1]) < widths[:, None]] = tokens
-    rows = np.column_stack((codes, widths, padded))
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep line order
-    rows = rows[order]
-    starts = np.where(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)], np.arange(n), 0)
+    if sorted_rows is None:
+        seen: dict = {}
+        slates = map(tuple, np.split(tokens, np.cumsum(widths)[:-1]))
+        keys = zip(codes.tolist(), slates)
+        return np.array([seen.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.int64)
+    keys, order = sorted_rows.keys, sorted_rows.order
+    run_starts = np.where(np.r_[True, keys[1:] != keys[:-1]], np.arange(n), 0)
     first = np.empty(n, dtype=np.int64)
-    first[order] = order[np.maximum.accumulate(starts)]
+    first[order] = order[np.maximum.accumulate(run_starts)]
     return first

@@ -153,16 +153,6 @@ class SlateSpace:
             return actions @ radix
         return actions.view(np.dtype((np.void, 8 * self.num_slots))).ravel()
 
-    def is_valid(self, slate) -> bool:
-        try:
-            self.validate(slate)
-            return True
-        except SlateError:
-            return False
-
-    def coord(self, slot: int, action: int) -> int:
-        return int(self.offsets[slot]) + int(action)
-
     def coords(self, slate) -> np.ndarray:
         """Indicator coordinates of a slate, one per slot."""
         return self.offsets + np.asarray(slate, dtype=np.int64)

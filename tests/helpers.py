@@ -10,6 +10,7 @@ from slateval import (
     LoggedExample,
     PinvSource,
     ParseError,
+    SlateError,
     SlateSpace,
     SpaceKind,
     UniformMixturePolicy,
@@ -20,6 +21,20 @@ from slateval.ridge import FoldMoments
 from slateval.spaces import space_of
 from slateval.diagnostics import bernstein_bound
 from slateval.util import fmt17, pairwise_sum
+
+
+def coord(space, slot: int, action: int) -> int:
+    """Indicator coordinate of ``action`` in ``slot`` of the space."""
+    return int(space.offsets[slot]) + int(action)
+
+
+def is_valid(space, slate) -> bool:
+    """Whether ``space.validate`` accepts the slate."""
+    try:
+        space.validate(slate)
+    except SlateError:
+        return False
+    return True
 
 
 def random_explicit_policy(space, contexts, rng, sparsity=None) -> ExplicitPolicy:
@@ -194,8 +209,8 @@ def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:
         design = np.zeros((space.dim, width))
         for j in range(space.num_slots):
             for a in range(space.slot_counts[j]):
-                design[space.coord(j, a), j] = 1.0
-                design[space.coord(j, a), targets.num_slots:] = table[space.coord(j, a)]
+                design[coord(space, j, a), j] = 1.0
+                design[coord(space, j, a), targets.num_slots:] = table[coord(space, j, a)]
         local = np.arange(space.dim)
         keys = ((starts[rows, None] + local) % folds * space.dim + local).ravel()
         size = folds * space.dim

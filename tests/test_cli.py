@@ -132,6 +132,25 @@ def test_evaluate_names_a_context_missing_from_the_policy_unquoted(tmp_path, cap
     assert capsys.readouterr().err == "error: no table entry for context 'z'\n"
 
 
+def test_evaluate_names_the_line_of_an_invalid_logged_slate(tmp_path, capsys):
+    logs_path = tmp_path / "logs.tsv"
+    for text, problem in (
+        ("q\t0,1\t0.5\n", "1: context 'q': slate (0, 1) has 2 slots, expected 3"),
+        ("q\t0,1,2\t0.5\nr\t0,3,1\t0.5\n", "2: context 'r': action 3 out of range for slot 1"),
+    ):
+        logs_path.write_text(text)
+        code = main([
+            "evaluate",
+            "--logs", str(logs_path),
+            "--logging-policy", "uniform",
+            "--target-policy", "uniform",
+            "--space", "ranking:m=3,slots=3",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {logs_path}:{problem}")
+
+
 def test_diagnose_rejects_a_policy_file_without_entries(tmp_path, capsys):
     policy_path = tmp_path / "empty.tsv"
     policy_path.write_text("# no entries\n\n")

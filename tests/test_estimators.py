@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    coord,
     draw_ada_logs,
     scored_reference,
     few_slate_table,
@@ -291,7 +292,7 @@ def test_dm_plackett_luce_target_above_the_cap_reads_its_mean_indicator():
     blocks = model.weights[:-1].reshape(space.num_slots, -1)
     table = features("q")
     scores = np.array(
-        [table[space.coord(j, a)] @ blocks[j] for j in range(space.num_slots) for a in range(8)]
+        [table[coord(space, j, a)] @ blocks[j] for j in range(space.num_slots) for a in range(8)]
     )
     expected = model.weights[-1] + scores @ target.mean_indicator("q")
     assert estimate_dm(model, logs, target).estimate == pytest.approx(expected, abs=1e-12)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from slateval import LoggedExample, ParseError, SlateError, read_logged_dataset, write_logged_dataset
+from slateval import (
+    LoggedExample,
+    ParseError,
+    SlateError,
+    SlateSpace,
+    read_logged_dataset,
+    write_logged_dataset,
+)
+from slateval.logs import _canonical_columns
 
 
 def test_reward_range_enforced():
@@ -34,9 +42,10 @@ def test_read_reports_line_numbers(tmp_path):
 
 def test_read_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "logs.tsv"
-    path.write_text("# header\n\nq\t1,0\t0.25\n")
-    logs = read_logged_dataset(path)
-    assert logs == [LoggedExample("q", (1, 0), 0.25)]
+    for text in ("# header\n\nq\t1,0\t0.25\n", "#c\t0,1\t0.5\nq\t1,0\t0.25\n"):
+        path.write_text(text)
+        logs = read_logged_dataset(path)
+        assert logs == [LoggedExample("q", (1, 0), 0.25)]
 
 
 def test_mean_indicator_mc_fallback_is_reproducible():
@@ -135,6 +144,46 @@ def test_read_follows_int_and_float_syntax(tmp_path):
     assert logs.contexts == ("q", "r")
     np.testing.assert_array_equal(logs.actions, [[1, 0], [10, 2]])
     np.testing.assert_array_equal(logs.rewards, [0.5, -0.1])
-    path.write_text("q\t0,1\t0.5\nq\t0,99999999999999999999\t0.5\n")
-    with pytest.raises(ParseError, match=":2: .*int64"):
-        read_logged_dataset(path)
+    path.write_text("q\u00e9\t1_0,2\t1_0e-1\n")  # otherwise in the writers' form
+    logs = read_logged_dataset(path)
+    assert logs.contexts == ("q\u00e9",) and logs.actions.tolist() == [[10, 2]]
+    assert logs.rewards.tolist() == [1.0]
+    for token in ("99999999999999999999", "9999999999999999999"):
+        path.write_text(f"q\t0,1\t0.5\nq\t0,{token}\t0.5\n")
+        with pytest.raises(ParseError, match=":2: .*int64"):
+            read_logged_dataset(path)
+
+
+def test_read_checks_slates_against_a_space_naming_the_line(tmp_path, monkeypatch):
+    path = tmp_path / "logs.tsv"
+    space = SlateSpace.ranking(3, 3)
+    path.write_text("q\t0,1\t0.5\n")
+    message = r"logs\.tsv:1: context 'q': slate \(0, 1\) has 2 slots, expected 3$"
+    with pytest.raises(ParseError, match=message):
+        read_logged_dataset(path, space)
+    path.write_text("# header\nq\t0,1,2\t0.5\nr\t2,0,1\t0.5\nr\t2,2,1\t0.5\n")
+    with pytest.raises(ParseError, match=r"logs\.tsv:4: context 'r': ranking slate \(2, 2, 1\)"):
+        read_logged_dataset(path, space)
+    assert len(read_logged_dataset(path)) == 3  # without a space the slates are not checked
+
+    def no_scalar_validate(self, slate):
+        raise AssertionError("a valid log needs no per-slate validate call")
+
+    path.write_text("q\t0,1,2\t0.5\nr\t2,0,1\t0.5\n")
+    monkeypatch.setattr(SlateSpace, "validate", no_scalar_validate)
+    assert read_logged_dataset(path, space) == read_logged_dataset(path)
+
+
+def test_the_writers_output_is_read_on_bytes(tmp_path):
+    examples = [
+        LoggedExample("q1", (0, 12, 1), 0.125),
+        LoggedExample("q,2", (2, 1, 0), -1.0),
+        LoggedExample("q1", (1, 0, 2), 1e-300),
+    ]
+    path = tmp_path / "logs.tsv"
+    write_logged_dataset(path, examples)
+    canonical = path.read_bytes()
+    for text in (canonical, canonical[:-1]):  # the final newline is optional
+        assert _canonical_columns(text) is not None
+        path.write_bytes(text)
+        assert read_logged_dataset(path) == examples

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    coord,
     few_slate_table,
     random_explicit_policy,
     read_matrix,
@@ -89,11 +90,11 @@ def test_enumerated_matrix_structure():
     assert np.trace(matrix) == pytest.approx(space.num_slots, abs=1e-9)
     for j in range(space.num_slots):
         for a in range(4):
-            c = space.coord(j, a)
+            c = coord(space, j, a)
             assert matrix[c, c] == pytest.approx(marginals[c], abs=1e-12)
             for b in range(4):
                 if a != b:
-                    assert matrix[c, space.coord(j, b)] == 0.0
+                    assert matrix[c, coord(space, j, b)] == 0.0
     eigvals = np.linalg.eigvalsh(matrix)
     assert eigvals.min() >= -1e-8
 

@@ -25,6 +25,7 @@ from slateval import (
     greedy_slate,
 )
 from helpers import (
+    is_valid,
     _design_matrix,
     _fold_moments,
     decompose_reference,
@@ -312,7 +313,7 @@ def test_greedy_cartesian_ragged_slot_counts():
     table = np.array([[0.4, 0.1, -np.inf], [0.3, 0.2, 0.9]])
     slate = greedy_slate(_TableScorer(table), "q", space, unit_features(space))
     assert slate == (0, 2)
-    assert space.is_valid(slate)
+    assert is_valid(space, slate)
 
 
 def test_greedy_all_equal_scores_takes_lexicographic_slate():

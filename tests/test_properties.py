@@ -31,6 +31,7 @@ from slateval import (
     read_logged_dataset,
     write_logged_dataset,
 )
+from slateval.logs import _canonical_columns, _text_columns
 from slateval.spaces import space_of
 from slateval.util import pairwise_sum
 
@@ -311,6 +312,8 @@ def reference_read_logs(path):
                 reward = float(reward_text)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not all(-(2**63) <= a < 2**63 for a in slate):
+                raise ParseError(f"{path}:{lineno}: slate {slate_text!r} does not fit in int64")
             if not -1.0 <= reward <= 1.0:
                 raise ParseError(f"{path}:{lineno}: reward {reward} outside [-1, 1]")
             if width is None:
@@ -345,6 +348,8 @@ def reference_load_policy(path, space):
                 prob = float(prob_text)
             except ValueError as exc:
                 raise SlateError(f"{path}:{lineno}: {exc}") from exc
+            if not all(-(2**63) <= a < 2**63 for a in slate):
+                raise SlateError(f"{path}:{lineno}: slate {slate_text!r} does not fit in int64")
             if not (np.isfinite(prob) and prob >= 0.0):
                 raise SlateError(
                     f"{path}:{lineno}: probability {prob_text!r} is not a finite nonnegative number"
@@ -395,18 +400,27 @@ def assert_same_error(got, want):
 
 
 TOKEN_STYLES = ("{}", "+{}", " {}", "{} ", "0{}")
-LOG_DEFECTS = ("fields2", "fields4", "token", "number", "range", "width")
+LOG_DEFECTS = ("fields2", "fields4", "token", "number", "range", "width", "context")
 POLICY_DEFECTS = ("fields2", "fields4", "token", "number", "negative", "nonfinite",
-                  "duplicate", "drift", "slate")
+                  "duplicate", "drift", "slate", "context")
+NON_ASCII_CONTEXTS = ("\u00e9", "q\u00e9", "\u00fc1", "\u4e2d")
 
 
 def pick(rng, options):
     return options[rng.integers(len(options))]
 
 
-def render(rows, rng):
+def render(rows, rng, canonical=False):
     """File text for [context, slate, more fields...] rows, with blank and
-    comment lines, surrounding whitespace, varied token styles and line ends."""
+    comment lines, surrounding whitespace, varied token styles and line ends;
+    or, when canonical, the writers' form: plain tokens, no extra lines or
+    whitespace, and "\\n" ends, the last one optional."""
+    if canonical:
+        lines = [
+            "\t".join([context, ",".join(map(str, slate)), *rest])
+            for context, slate, *rest in rows
+        ]
+        return "\n".join(lines) + pick(rng, ("", "\n"))
     ending = pick(rng, ("\n", "\r\n", "\r"))
     lines = []
     for context, slate, *rest in rows:
@@ -431,9 +445,12 @@ def inject(rows, defect, rng, invalid_slate=None):
     elif defect == "fields4":
         row.append("1")
     elif defect == "token":
-        row[1][rng.integers(len(row[1]))] = pick(rng, ("x", "", "3.5", "1e3"))
+        # a 19-digit token does not fit in int64; "1_0" is int("1_0") == 10
+        row[1][rng.integers(len(row[1]))] = pick(
+            rng, ("x", "", "3.5", "1e3", "9999999999999999999", "1_0")
+        )
     elif defect == "number":
-        row[2] = pick(rng, ("abc", "", "0x1", "1,5"))
+        row[2] = pick(rng, ("abc", "", "0x1", "1,5", "1_0", "1e", "-.", "1.5.2"))
     elif defect == "range":
         row[2] = pick(rng, ("1.5", "nan", "-inf", "-1.0000001"))
     elif defect == "width":
@@ -448,44 +465,66 @@ def inject(rows, defect, rng, invalid_slate=None):
         rows.insert(int(rng.integers(at + 1, len(rows) + 1)), list(row))
     elif defect == "slate":
         row[1] = invalid_slate(row[0], row[1], rng.random() < 0.5)
+    elif defect == "context":
+        row[0] = pick(rng, NON_ASCII_CONTEXTS)
     return rows
 
 
 @st.composite
-def tsv_files(draw, rows, defects, invalid_slate=None):
+def tsv_files(draw, rows, defects, invalid_slate=None, canonical=False):
     """The text of a file of (context, slate, number text) rows, then one
     text per defect kind, each with that defect at a random row."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [render(rows, rng)] + [
-        render(inject(rows, defect, rng, invalid_slate), rng) for defect in defects
+    return [render(rows, rng, canonical)] + [
+        render(inject(rows, defect, rng, invalid_slate), rng, canonical) for defect in defects
     ]
 
 
 # "\x0b", "\x1c" and "\u2028" end a line for str.splitlines, not for file iteration
 log_contexts = st.sampled_from(("a", "b", "c1", "x y", "q,r", "u\x0bv", "w\x1c\u2028z"))
+# contexts of canonical files: printable ASCII without whitespace
+canonical_contexts = st.sampled_from(("a", "b", "c1", "q,r", "x#", "-1.5e3", "p\\q"))
 
 
 @st.composite
 def log_files(draw):
+    canonical = draw(st.booleans())
     width = draw(st.integers(1, 4))
     n = draw(st.integers(1, 25))
     rows = [
         (
-            draw(log_contexts),
-            draw(st.lists(st.integers(-3, 99), min_size=width, max_size=width)),
+            draw(canonical_contexts if canonical else log_contexts),
+            draw(st.lists(st.integers(0 if canonical else -3, 99), min_size=width, max_size=width)),
             repr(draw(st.floats(-1.0, 1.0))),
         )
         for _ in range(n)
     ]
-    return draw(tsv_files(rows, LOG_DEFECTS))
+    return draw(tsv_files(rows, LOG_DEFECTS, canonical=canonical)), canonical
+
+
+def assert_same_columns(path, error_type, text):
+    """When the file is canonical, its byte-level columns equal the text
+    parser's; returns whether it was."""
+    got = _canonical_columns(text.encode("utf-8"))
+    if got is None:
+        return False
+    want = _text_columns(path, error_type, text.replace("\r\n", "\n").replace("\r", "\n"))
+    assert got.contexts == want.contexts
+    for name in ("linenos", "codes", "widths", "tokens", "numbers"):
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype and np.array_equal(column, expected), name
+    return True
 
 
 @PROPERTY_SETTINGS
 @given(log_files())
-def test_bulk_log_reader_matches_the_per_line_loop(tmp_path_factory, texts):
+def test_bulk_log_reader_matches_the_per_line_loop(tmp_path_factory, case):
+    texts, canonical = case
     path = tmp_path_factory.mktemp("logs") / "logs.tsv"
-    for text in texts:
+    for i, text in enumerate(texts):
         path.write_bytes(text.encode("utf-8"))
+        byte_level = assert_same_columns(path, ParseError, text)
+        assert byte_level or i or not canonical  # a clean canonical file parses on bytes
         want, want_error = outcome(reference_read_logs, path)
         got, got_error = outcome(read_logged_dataset, path)
         if want_error is not None:
@@ -501,11 +540,18 @@ def test_bulk_log_reader_matches_the_per_line_loop(tmp_path_factory, texts):
 
 @st.composite
 def policy_files(draw):
-    contexts = draw(st.lists(log_contexts, min_size=1, max_size=3, unique=True))
+    canonical = draw(st.booleans())
+    contexts = draw(
+        st.lists(canonical_contexts if canonical else log_contexts, min_size=1, max_size=3,
+                 unique=True)
+    )
     if draw(st.booleans()):
         space_map = draw(spaces())
     else:  # a ranking space per context, with different slot counts
-        space_map = {c: SlateSpace.ranking(4, draw(st.integers(1, 3))) for c in contexts}
+        space_map = {
+            c: SlateSpace.ranking(4, draw(st.integers(1, 3)))
+            for c in contexts + list(NON_ASCII_CONTEXTS)
+        }
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for c in contexts:
@@ -522,16 +568,18 @@ def policy_files(draw):
             return slate + [0]
         return [space_of(space_map, context).slot_counts[0]] + slate[1:]  # out of range
 
-    return draw(tsv_files(rows, POLICY_DEFECTS, invalid_slate)), space_map
+    return draw(tsv_files(rows, POLICY_DEFECTS, invalid_slate, canonical)), space_map, canonical
 
 
 @PROPERTY_SETTINGS
 @given(policy_files())
 def test_bulk_policy_loader_matches_the_per_line_loop(tmp_path_factory, case):
-    texts, space_map = case
+    texts, space_map, canonical = case
     path = tmp_path_factory.mktemp("policy") / "policy.tsv"
-    for text in texts:
+    for i, text in enumerate(texts):
         path.write_bytes(text.encode("utf-8"))
+        byte_level = assert_same_columns(path, SlateError, text)
+        assert byte_level or i or not canonical  # a clean canonical file parses on bytes
         want, want_error = outcome(reference_load_policy, path, space_map)
         got, got_error = outcome(load_explicit_policy, path, space_map)
         if want_error is not None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import coord, is_valid
 from slateval import SlateError, SlateSpace
 
 
@@ -57,7 +58,7 @@ def test_dim_and_offsets():
     space = SlateSpace.cartesian((2, 3, 4))
     assert space.dim == 9
     assert space.offsets.tolist() == [0, 2, 5]
-    assert space.coord(2, 3) == 8
+    assert coord(space, 2, 3) == 8
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -87,7 +88,7 @@ def test_space_resolution_constant_mapping_callable():
 def test_validate_batch_agrees_with_validate():
     for space in (SlateSpace.ranking(4, 2), SlateSpace.cartesian((3, 2))):
         rows = np.array([[a, b] for a in range(-1, 5) for b in range(-1, 5)])
-        flags = [space.is_valid(tuple(row)) for row in rows]
+        flags = [is_valid(space, tuple(row)) for row in rows]
         valid = rows[flags]
         np.testing.assert_array_equal(space.validate_batch(valid), valid)
         for row in rows[np.logical_not(flags)]:
