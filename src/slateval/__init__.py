@@ -43,6 +43,7 @@ from .logs import (
 )
 from .moments import (
     MomentMatrix,
+    MomentRecord,
     PinvSource,
     PseudoInverse,
     moment_matrix,

@@ -9,20 +9,23 @@ deviation bound.
 
 The slate maxima run over the logging policy's ``moment_arrays`` rows: its
 exact support when the policy lists it, else the same seeded sample its
-second moments and mean indicator are built from.
+second moments and mean indicator are built from. Every diagnostic is a
+reduction of one per-context step that reads the cached moment records of
+a ``PinvSource``, and ``overlap_profile`` makes one pass over the contexts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import AbsoluteContinuityError, ConfigurationError
-from .moments import PinvSource, moment_matrix, uniform_moment_matrix
-from .policies import Policy
+from .moments import PinvSource
+from .policies import Policy, UniformPolicy
 from .util import fmt
 
 
@@ -42,13 +45,10 @@ class OverlapProfile:
     CSV_HEADER: ClassVar[str] = "sigma_sq,rho,rho_bar,kappa"
 
     def to_csv_row(self) -> str:
-        return f"{fmt(self.sigma_sq)},{fmt(self.rho)},{fmt(self.rho_bar)},{fmt(self.kappa)}"
+        return ",".join(fmt(getattr(self, f.name)) for f in fields(self))
 
     def to_kv_block(self) -> str:
-        return (
-            f"sigma_sq={fmt(self.sigma_sq)}\nrho={fmt(self.rho)}\n"
-            f"rho_bar={fmt(self.rho_bar)}\nkappa={fmt(self.kappa)}"
-        )
+        return "\n".join(f"{f.name}={fmt(getattr(self, f.name))}" for f in fields(self))
 
 
 def bernstein_bound(sigma_sq: float, rho: float, n: int, delta: float) -> float:
@@ -61,6 +61,63 @@ def bernstein_bound(sigma_sq: float, rho: float, n: int, delta: float) -> float:
     return math.sqrt(2.0 * sigma_sq * log_term / n) + 2.0 * (rho + 1.0) * log_term / (3.0 * n)
 
 
+def _require_space(policy: Policy, context, space, role: str) -> None:
+    if policy.space_of(context) != space:
+        raise ConfigurationError(
+            f"the {role} policy's space at context {context!r} differs from the logging space"
+        )
+
+
+class _ContextOverlap:
+    """The logging policy's overlaps at one context, read lazily from cached records."""
+
+    def __init__(self, source: PinvSource, logging: Policy, context, target: Policy | None = None):
+        self.source, self.logging, self.context, self.target = source, logging, context, target
+        self.record = source.record(logging, context)
+        self.space = self.record.matrix.space
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return self.space.coords_of_actions(self.logging.moment_arrays(self.context).actions)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """q' pinv, with q the target's mean indicator."""
+        _require_space(self.target, self.context, self.space, "target")
+        return self.target.mean_indicator(self.context) @ self.record.pinv.entries
+
+    @property
+    def sigma_sq(self) -> float:
+        return float(self.w @ self.target.mean_indicator(self.context))
+
+    @property
+    def rho(self) -> float:
+        return float(np.abs(self.w[self.coords].sum(axis=1)).max())
+
+    @property
+    def rho_bar(self) -> float:
+        pinv, coords, slots = self.record.pinv.entries, self.coords, range(self.space.num_slots)
+        return float(sum(pinv[coords[:, j], coords[:, k]] for j in slots for k in slots).max())
+
+    def kappa(self, reference: Policy | None = None) -> float:
+        reference = reference if reference is not None else UniformPolicy(self.space)
+        _require_space(reference, self.context, self.space, "reference")
+        gamma_ref = self.source.record(reference, self.context).matrix.entries
+        # cross-slot pairs; a single-slot space has none and compares marginals
+        slot = np.repeat(np.arange(self.space.num_slots), self.space.slot_counts)
+        positive = (gamma_ref > 0.0) & ((slot[:, None] != slot) | (self.space.num_slots == 1))
+        ratio = self.record.matrix.entries[positive] / gamma_ref[positive]
+        return float(min(ratio.min(), 1.0)) if ratio.size else 1.0
+
+
+def _overlaps(contexts: Sequence, logging: Policy, target: Policy, source: PinvSource | None):
+    """One ``_ContextOverlap`` per context, in order, sharing one source."""
+    if len(contexts) == 0:
+        raise ConfigurationError("the overlap diagnostics need at least one context")
+    source = source or PinvSource()
+    return (_ContextOverlap(source, logging, context, target) for context in contexts)
+
+
 def compute_sigma_sq(
     contexts: Sequence,
     logging: Policy,
@@ -69,13 +126,8 @@ def compute_sigma_sq(
     pinv_source: PinvSource | None = None,
 ) -> float:
     """Mean over contexts of the target mean indicator's quadratic overlap."""
-    source = pinv_source if pinv_source is not None else PinvSource()
-    total = 0.0
-    for context in contexts:
-        q = target.mean_indicator(context)
-        pinv = source.pseudoinverse(logging, context)
-        total += float(q @ pinv @ q)
-    return total / len(contexts)
+    overlaps = _overlaps(contexts, logging, target, pinv_source)
+    return sum(step.sigma_sq for step in overlaps) / len(contexts)
 
 
 def compute_rho(
@@ -85,20 +137,9 @@ def compute_rho(
     *,
     pinv_source: PinvSource | None = None,
 ) -> float:
-    """Largest absolute overlap coefficient over contexts and logged slates.
-
-    The inner maximum is exact when the logging policy lists its support and
-    is taken over its seeded moment sample otherwise.
-    """
-    source = pinv_source if pinv_source is not None else PinvSource()
-    worst = 0.0
-    for context in contexts:
-        q = target.mean_indicator(context)
-        w = q @ source.pseudoinverse(logging, context)
-        actions = logging.moment_arrays(context).actions
-        values = w[logging.space_of(context).coords_of_actions(actions)].sum(axis=1)
-        worst = max(worst, float(np.abs(values).max()))
-    return worst
+    """Largest absolute overlap coefficient over contexts and logged slates
+    (the logging policy's moment rows: its support, or its seeded sample)."""
+    return max(step.rho for step in _overlaps(contexts, logging, target, pinv_source))
 
 
 def compute_rho_bar(
@@ -108,16 +149,7 @@ def compute_rho_bar(
     pinv_source: PinvSource | None = None,
 ) -> float:
     """Largest slate self-overlap on the logging support at one context."""
-    source = pinv_source if pinv_source is not None else PinvSource()
-    pinv = source.pseudoinverse(logging, context)
-    actions = logging.moment_arrays(context).actions
-    coords = logging.space_of(context).coords_of_actions(actions)
-    num_slots = coords.shape[1]
-    values = np.zeros(len(coords))
-    for j in range(num_slots):
-        for k in range(num_slots):
-            values += pinv[coords[:, j], coords[:, k]]
-    return float(values.max())
+    return _ContextOverlap(pinv_source or PinvSource(), logging, context).rho_bar
 
 
 def kappa_of(logging: Policy, context, *, reference: Policy | None = None) -> float:
@@ -128,24 +160,7 @@ def kappa_of(logging: Policy, context, *, reference: Policy | None = None) -> fl
     clipped at 1. Single-slot spaces have no pairs, so the per-action
     marginal ratios are used instead.
     """
-    space = logging.space_of(context)
-    gamma_mu = moment_matrix(logging, context, space).entries
-    if reference is None:
-        gamma_ref = uniform_moment_matrix(space).entries
-    else:
-        gamma_ref = moment_matrix(reference, context, space).entries
-    if space.num_slots == 1:
-        positive = gamma_ref > 0.0
-        ratio = np.min(gamma_mu[positive] / gamma_ref[positive]) if positive.any() else 1.0
-        return float(min(ratio, 1.0))
-    cross = np.ones_like(gamma_ref, dtype=bool)
-    for j in range(space.num_slots):
-        block = slice(space.offsets[j], space.offsets[j] + space.slot_counts[j])
-        cross[block, block] = False
-    positive = cross & (gamma_ref > 0.0)
-    if not positive.any():
-        return 1.0
-    return float(min(np.min(gamma_mu[positive] / gamma_ref[positive]), 1.0))
+    return _ContextOverlap(PinvSource(), logging, context).kappa(reference)
 
 
 @dataclass(frozen=True)
@@ -168,6 +183,9 @@ def check_translation(
     Requires the logging policy to be absolutely continuous with respect
     to the reference on its moment rows (support or sample).
     """
+    source = pinv_source or PinvSource()
+    step = _ContextOverlap(source, logging, context)
+    _require_space(reference, context, step.space, "reference")
     actions = logging.moment_arrays(context).actions
     outside = reference.slate_prob_batch(context, actions) <= 0.0
     if outside.any():
@@ -176,9 +194,8 @@ def check_translation(
             f"logging slate {slate} at context {context!r} is outside the "
             f"reference policy's support"
         )
-    kappa = kappa_of(logging, context, reference=reference)
-    lhs = kappa * compute_rho_bar(logging, context, pinv_source=pinv_source)
-    rhs = compute_rho_bar(reference, context, pinv_source=pinv_source)
+    lhs = step.kappa(reference) * step.rho_bar
+    rhs = _ContextOverlap(source, reference, context).rho_bar
     return TranslationCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
 
 
@@ -195,12 +212,13 @@ def overlap_profile(
     *,
     pinv_source: PinvSource | None = None,
 ) -> OverlapProfile:
-    """Convenience aggregation of all diagnostics over a context sample."""
-    source = pinv_source if pinv_source is not None else PinvSource()
-    sigma_sq = compute_sigma_sq(contexts, logging, target, pinv_source=source)
-    rho = compute_rho(contexts, logging, target, pinv_source=source)
-    rho_bar = max(
-        compute_rho_bar(logging, context, pinv_source=source) for context in contexts
+    """All four diagnostics in one pass over a context sample."""
+    sigma_sq, rho, rho_bar, kappa = 0.0, [], [], []
+    for step in _overlaps(contexts, logging, target, pinv_source):
+        sigma_sq += step.sigma_sq
+        rho.append(step.rho)
+        rho_bar.append(step.rho_bar)
+        kappa.append(step.kappa())
+    return OverlapProfile(
+        sigma_sq=sigma_sq / len(contexts), rho=max(rho), rho_bar=max(rho_bar), kappa=min(kappa)
     )
-    kappa = min(kappa_of(logging, context) for context in contexts)
-    return OverlapProfile(sigma_sq=sigma_sq, rho=rho, rho_bar=rho_bar, kappa=kappa)

@@ -33,7 +33,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .diagnostics import bernstein_bound
+from .diagnostics import _require_space, bernstein_bound
 from .errors import (
     AbsoluteContinuityError,
     ConfigurationError,
@@ -124,7 +124,9 @@ class _ScoredBatch:
       wsb).
 
     ``q``, ``w``, ``w' q`` and the marginals are computed per context and
-    gathered for the rows from (contexts x dim) stacks. If any group fails,
+    gathered for the rows from (contexts x dim) stacks; pi, sb and wsb need
+    the target on the logging space at every context (ConfigurationError
+    otherwise), while ips and wips score other spaces. If any group fails,
     the contexts are scored again one at a time in batch order, so the error
     raised is the one of the first failing context, and of its first row.
     Each estimator method is a reduction over these per-example arrays.
@@ -200,6 +202,8 @@ class _ScoredBatch:
             self.weights[rows] = target_probs / mu
         if not (self.want_pi or self.want_slots):
             return
+        for context in contexts:  # q and the marginals are read in the logging coordinates
+            _require_space(target, context, space, "target")
         at = (codes[:, None], space.coords_of_actions(actions))
         qs = [target.mean_indicator(c) for c in contexts]
         if self.want_pi:

@@ -11,6 +11,10 @@ Uniform logging admits exact closed-form pseudoinverses for both space
 shapes; everything else goes through a symmetric eigendecomposition of the
 matrix summed over the policy's ``moment_arrays`` rows (exact support or
 seeded sample, as the policy decides).
+
+``PinvSource`` caches one ``MomentRecord`` (matrix and pseudoinverse) per
+(logging policy, context), which the estimators, the optimizer and the
+diagnostics all read.
 """
 
 from __future__ import annotations
@@ -44,10 +48,6 @@ class MomentMatrix:
     provenance: Provenance
     sample_count: int | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class PseudoInverse:
@@ -60,30 +60,18 @@ class PseudoInverse:
 
 def uniform_moment_matrix(space: SlateSpace) -> MomentMatrix:
     """Closed-form moment matrix of the uniform policy (any space size)."""
-    dim = space.dim
-    entries = np.zeros((dim, dim))
-    counts = space.slot_counts
-    for j in range(space.num_slots):
-        block = slice(space.offsets[j], space.offsets[j] + counts[j])
-        np.fill_diagonal(entries[block, block], 1.0 / counts[j])
-    for j in range(space.num_slots):
-        for k in range(space.num_slots):
-            if j == k:
-                continue
-            bj = slice(space.offsets[j], space.offsets[j] + counts[j])
-            bk = slice(space.offsets[k], space.offsets[k] + counts[k])
-            if space.kind is SpaceKind.CARTESIAN:
-                entries[bj, bk] = 1.0 / (counts[j] * counts[k])
-            else:
-                m = space.num_actions
-                off = np.full((m, m), 1.0 / (m * (m - 1)))
-                np.fill_diagonal(off, 0.0)
-                entries[bj, bk] = off
-    provenance = (
-        Provenance.CLOSED_FORM_UNIFORM_CARTESIAN
-        if space.kind is SpaceKind.CARTESIAN
-        else Provenance.CLOSED_FORM_UNIFORM_RANKING
-    )
+    counts = np.repeat(np.asarray(space.slot_counts, dtype=np.float64), space.slot_counts)
+    slot = np.repeat(np.arange(space.num_slots), space.slot_counts)
+    if space.kind is SpaceKind.CARTESIAN:
+        entries = 1.0 / np.outer(counts, counts)
+        provenance = Provenance.CLOSED_FORM_UNIFORM_CARTESIAN
+    else:  # a ranking repeats no action (and m = 1 has no cross-slot pairs)
+        m = space.num_actions
+        action = np.tile(np.arange(m), space.num_slots)
+        entries = np.where(action[:, None] == action, 0.0, 1.0 / max(m * (m - 1), 1))
+        provenance = Provenance.CLOSED_FORM_UNIFORM_RANKING
+    entries[slot[:, None] == slot] = 0.0
+    np.fill_diagonal(entries, 1.0 / counts)
     return MomentMatrix(space, entries, provenance)
 
 
@@ -92,7 +80,7 @@ def moment_matrix(policy: Policy, context, space: SlateSpace | None = None) -> M
 
     Exact closed form for uniform policies; otherwise the probability-weighted
     sum of indicator outer products over ``policy.moment_arrays``: exact over
-    a listed support, and a Monte Carlo average, symmetrized, over a sample.
+    a listed support, and a Monte Carlo average over a sample.
     Mixtures combine their components so they stay exact whenever the
     components are.
     """
@@ -106,16 +94,15 @@ def moment_matrix(policy: Policy, context, space: SlateSpace | None = None) -> M
         return MomentMatrix(space, entries, base_part.provenance, base_part.sample_count)
     arrays = policy.moment_arrays(context)
     # Every cell belongs to one (slot j, slot k) pair, so one bincount over
-    # the flattened (row, j, k) cells adds each cell's terms in row order.
+    # the flattened (row, j, k) cells adds each cell's terms in row order;
+    # cells (a, b) and (b, a) get the same terms, so the sum is symmetric.
+    dim = space.dim
     coords = space.coords_of_actions(arrays.actions)
-    cells = coords[:, :, None] * space.dim + coords[:, None, :]
+    cells = coords[:, :, None] * dim + coords[:, None, :]
     weights = np.repeat(arrays.probs, space.num_slots**2)
-    entries = np.bincount(cells.ravel(), weights, minlength=space.dim**2).reshape(
-        space.dim, space.dim
-    )
+    entries = np.bincount(cells.ravel(), weights, minlength=dim**2).reshape(dim, dim)
     if arrays.exact:
         return MomentMatrix(space, entries, Provenance.ENUMERATED)
-    entries = 0.5 * (entries + entries.T)
     return MomentMatrix(space, entries, Provenance.MONTE_CARLO, sample_count=len(arrays.probs))
 
 
@@ -134,23 +121,14 @@ def pinv_numeric(matrix: MomentMatrix | np.ndarray, rcond: float = DEFAULT_RCOND
         raise SlateError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
     entries = 0.5 * (entries + entries.T)
 
-    off_diagonal = entries - np.diag(np.diag(entries))
-    if not off_diagonal.any():
-        diag = np.diag(entries).copy()
-        cutoff = rcond * max(diag.max(initial=0.0), 0.0)
-        keep = diag > cutoff
-        inv = np.zeros_like(diag)
-        inv[keep] = 1.0 / diag[keep]
-        return PseudoInverse(np.diag(inv), rank=int(keep.sum()), singular_cutoff=cutoff)
-
-    eigvals, eigvecs = np.linalg.eigh(entries)
-    cutoff = rcond * max(float(eigvals[-1]), 0.0)
+    diagonal = not (entries - np.diag(np.diag(entries))).any()
+    eigvals, eigvecs = (np.diag(entries).copy(), None) if diagonal else np.linalg.eigh(entries)
+    cutoff = rcond * float(eigvals.max(initial=0.0))
     keep = eigvals > cutoff
     inv = np.zeros_like(eigvals)
     inv[keep] = 1.0 / eigvals[keep]
-    pinv = (eigvecs * inv) @ eigvecs.T
-    pinv = 0.5 * (pinv + pinv.T)
-    return PseudoInverse(pinv, rank=int(keep.sum()), singular_cutoff=cutoff)
+    pinv = np.diag(inv) if diagonal else (eigvecs * inv) @ eigvecs.T
+    return PseudoInverse(0.5 * (pinv + pinv.T), rank=int(keep.sum()), singular_cutoff=cutoff)
 
 
 def pinv_uniform_cartesian(space: SlateSpace) -> PseudoInverse:
@@ -158,15 +136,10 @@ def pinv_uniform_cartesian(space: SlateSpace) -> PseudoInverse:
     if space.kind is not SpaceKind.CARTESIAN:
         raise SlateError("expected a Cartesian-product space")
     counts = np.asarray(space.slot_counts, dtype=np.float64)
-    dim = space.dim
-    entries = np.zeros((dim, dim))
-    for j, m_j in enumerate(space.slot_counts):
-        block = slice(space.offsets[j], space.offsets[j] + m_j)
-        entries[block, block] -= 1.0
-        entries[block, block] += np.eye(m_j) * m_j
+    slot = np.repeat(np.arange(space.num_slots), space.slot_counts)
     v = np.repeat(1.0 / counts, space.slot_counts)
     inv_sum = float((1.0 / counts).sum())
-    entries += np.outer(v, v) / inv_sum**2
+    entries = np.diag(counts[slot]) - (slot[:, None] == slot) + np.outer(v, v) / inv_sum**2
     rank = 1 + int((counts - 1).sum())
     return PseudoInverse(entries, rank=rank, singular_cutoff=0.0)
 
@@ -211,24 +184,32 @@ def pinv_uniform(space: SlateSpace) -> PseudoInverse:
     return pinv_uniform_ranking(space)
 
 
+@dataclass(frozen=True)
+class MomentRecord:
+    """A moment matrix and its pseudoinverse, built together once per key."""
+
+    matrix: MomentMatrix
+    pinv: PseudoInverse
+
+
 class PinvSource:
-    """Builds and caches pseudoinverses: the closed form for uniform policies,
-    keyed by space since it depends on nothing else, and the numeric one of
-    the moment matrix otherwise, keyed by (policy, context)."""
+    """Builds and caches one ``MomentRecord`` per key: the space for a policy
+    that is uniform at the context, whose closed forms depend on nothing
+    else, and (policy, context) otherwise."""
 
     def __init__(self):
         self._cache: dict = {}
 
-    def pseudoinverse(self, policy: Policy, context) -> np.ndarray:
+    def record(self, policy: Policy, context) -> MomentRecord:
         space = policy.space_of(context)
         uniform = policy.is_uniform(context)
         key = space if uniform else (policy, context)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if uniform:
-            result = pinv_uniform(space).entries
-        else:
-            result = pinv_numeric(moment_matrix(policy, context, space)).entries
-        self._cache[key] = result
-        return result
+        if cached is None:
+            matrix = moment_matrix(policy, context, space)
+            pinv = pinv_uniform(space) if uniform else pinv_numeric(matrix)
+            cached = self._cache[key] = MomentRecord(matrix, pinv)
+        return cached
+
+    def pseudoinverse(self, policy: Policy, context) -> np.ndarray:
+        return self.record(policy, context).pinv.entries

@@ -72,3 +72,31 @@ def test_attributes_the_tracer_wraps_or_reads_exist():
         assert isinstance(getattr(moments.Provenance, member), moments.Provenance)
     assert "phi_hats" in optimization.DecomposedTargets.__dataclass_fields__
 
+
+
+def test_record_builder_calls_the_traced_moment_functions(monkeypatch):
+    """The tracer replaces ``moments.moment_matrix``, ``pinv_numeric`` and
+    ``pinv_uniform`` on the module. A record builder that bound them locally
+    would bypass the spans, and the ``moments.*`` metrics would read 0
+    without any failure, so each must see its call here."""
+    import numpy as np
+
+    from helpers import random_explicit_policy
+    from slateval import moments
+    from slateval.policies import UniformPolicy
+    from slateval.spaces import SlateSpace
+
+    calls = []
+
+    def counted(name):
+        original = getattr(moments, name)
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    for name in ("moment_matrix", "pinv_numeric", "pinv_uniform"):
+        monkeypatch.setattr(moments, name, counted(name))
+    space = SlateSpace.ranking(4, 2)
+    source = moments.PinvSource()
+    source.record(UniformPolicy(space), "q")
+    assert calls == ["moment_matrix", "pinv_uniform"]
+    source.record(random_explicit_policy(space, ["q"], np.random.default_rng(0)), "q")
+    assert calls == ["moment_matrix", "pinv_uniform", "moment_matrix", "pinv_numeric"]

@@ -187,6 +187,37 @@ def test_diagnose_identity_policies(tmp_path, capsys):
     assert header == "sigma_sq,rho,rho_bar,kappa"
 
 
+def test_diagnose_builds_each_logging_moment_matrix_once(tmp_path, monkeypatch):
+    """diagnose reads one moment record per (logging policy, context): N
+    contexts build N logging moment matrices, and kappa's uniform reference,
+    keyed by space, builds one uniform matrix for them all."""
+    from slateval import moments
+
+    space = SlateSpace.ranking(4, 2)
+    contexts = [f"c{i}" for i in range(5)]
+    policy_path = tmp_path / "logging.tsv"
+    write_explicit_policy(policy_path, random_explicit_policy(space, contexts, np.random.default_rng(9)))
+    built, uniform = [], []
+    build, build_uniform = moments.moment_matrix, moments.uniform_moment_matrix
+    monkeypatch.setattr(
+        moments, "moment_matrix", lambda p, c, s=None: built.append((p, c)) or build(p, c, s)
+    )
+    monkeypatch.setattr(
+        moments, "uniform_moment_matrix", lambda s: uniform.append(s) or build_uniform(s)
+    )
+    code = main([
+        "diagnose",
+        "--logging-policy", str(policy_path),
+        "--target-policy", "uniform",
+        "--space", "ranking:m=4,slots=2",
+        "--out-dir", str(tmp_path / "diag"),
+    ])
+    assert code == 0
+    assert sorted(c for p, c in built if not p.is_uniform(c)) == contexts
+    assert len(built) == len(contexts) + 1
+    assert uniform == [space]
+
+
 def test_experiment_config_and_outputs(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(

@@ -181,3 +181,27 @@ def test_overlap_profile_output():
     row = profile.to_csv_row()
     assert len(row.split(",")) == len(OverlapProfile.CSV_HEADER.split(","))
     assert "sigma_sq=" in profile.to_kv_block()
+
+
+def test_empty_context_sequences_are_rejected():
+    policy = UniformPolicy(SlateSpace.ranking(3, 2))
+    for diagnostic in (compute_sigma_sq, compute_rho, overlap_profile):
+        with pytest.raises(ConfigurationError, match="at least one context"):
+            diagnostic([], policy, policy)
+
+
+def test_target_and_reference_space_mismatch_is_configuration_error():
+    """A target or reference on another space at a context, even one of the
+    same dim, is rejected naming the context instead of being read in the
+    logging coordinates."""
+    space = SlateSpace.ranking(4, 2)
+    logging = random_explicit_policy(space, ["q"], np.random.default_rng(6))
+    for other in (SlateSpace.ranking(5, 2), SlateSpace.cartesian((4, 4))):
+        wrong = UniformPolicy(other)
+        for diagnostic in (compute_sigma_sq, compute_rho, overlap_profile):
+            with pytest.raises(ConfigurationError, match="target policy's space at context 'q'"):
+                diagnostic(["q"], logging, wrong)
+        with pytest.raises(ConfigurationError, match="reference policy's space at context 'q'"):
+            kappa_of(logging, "q", reference=wrong)
+        with pytest.raises(ConfigurationError, match="reference policy's space at context 'q'"):
+            check_translation(logging, wrong, "q")

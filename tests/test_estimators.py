@@ -317,6 +317,28 @@ def test_dm_model_and_target_space_mismatch_is_configuration_error():
         fit_dm(logs + other, widening, space)
 
 
+def test_pi_and_semibandit_target_space_mismatch_is_configuration_error():
+    """pi, sb and wsb read the target's mean indicator in the logging
+    coordinates, so a target on another space (even one of the same dim) is
+    rejected naming the context; ips and wips score the slates themselves."""
+    space = SlateSpace.ranking(4, 2)
+    rng = np.random.default_rng(33)
+    logs = [
+        SemibanditExample(str(ex.context), ex.slate, ex.reward, (ex.reward / 2, ex.reward / 2))
+        for ex in _uniform_logs(space, ["q"], 40, rng)
+    ]
+    logging = UniformPolicy(space)
+    for other in (SlateSpace.ranking(5, 2), SlateSpace.cartesian((4, 4))):
+        target = UniformPolicy(other)
+        for estimate in (estimate_pi, estimate_sb, estimate_wsb):
+            with pytest.raises(ConfigurationError, match="space at context 'q'"):
+                estimate(logs, logging, target)
+        ratio = (1.0 / other.num_slates()) / (1.0 / space.num_slates())
+        expected = ratio * sum(ex.reward for ex in logs) / len(logs)
+        assert estimate_ips(logs, logging, target).estimate == pytest.approx(expected)
+        assert np.isfinite(estimate_wips(logs, logging, target).estimate)
+
+
 def _nan_table():
     table = np.ones((8, 3))
     table[5, 1] = np.nan

@@ -236,36 +236,43 @@ def test_mean_overlap_identity_on_support():
 def test_pinv_source_uses_closed_form_for_uniform():
     space = SlateSpace.ranking(4, 2)
     source = PinvSource()
-    result = source.pseudoinverse(UniformPolicy(space), "q")
-    np.testing.assert_allclose(result, pinv_uniform_ranking(space).entries)
+    record = source.record(UniformPolicy(space), "q")
+    np.testing.assert_array_equal(record.pinv.entries, pinv_uniform_ranking(space).entries)
+    assert record.pinv.rank == pinv_uniform_ranking(space).rank
+    np.testing.assert_array_equal(record.matrix.entries, uniform_moment_matrix(space).entries)
+    assert record.matrix.provenance is Provenance.CLOSED_FORM_UNIFORM_RANKING
+    assert source.pseudoinverse(UniformPolicy(space), "q") is record.pinv.entries
 
 
 def test_pinv_source_caches(monkeypatch):
     space = SlateSpace.ranking(4, 2)
     policy = UniformPolicy(space)
     source = PinvSource()
-    assert source.pseudoinverse(policy, "q") is source.pseudoinverse(policy, "q")
+    assert source.record(policy, "q") is source.record(policy, "q")
 
     # the closed form depends on the space alone: uniform contexts sharing a
-    # space build it once, whichever uniform policy asks
+    # space get one record, whichever uniform policy asks
     calls = []
     build = moments.pinv_uniform
     monkeypatch.setattr(moments, "pinv_uniform", lambda sp: calls.append(sp) or build(sp))
     source = PinvSource()
     softmax_at_zero = MultinomialWoRPolicy(space, {"b": np.arange(4.0)}, 0.0)
-    first = source.pseudoinverse(policy, "a")
-    assert source.pseudoinverse(policy, "b") is first
-    assert source.pseudoinverse(softmax_at_zero, "b") is first
+    first = source.record(policy, "a")
+    assert source.record(policy, "b") is first
+    assert source.record(softmax_at_zero, "b") is first
     assert calls == [space]
     other = SlateSpace.cartesian((3, 3))
-    source.pseudoinverse(UniformPolicy(other), "a")
+    source.record(UniformPolicy(other), "a")
     assert calls == [space, other]
 
-    # numeric pseudoinverses stay keyed by (policy, context)
+    # numeric records stay keyed by (policy, context) and keep the matrix
     explicit = random_explicit_policy(space, ["a", "b"], np.random.default_rng(8))
-    at_a = source.pseudoinverse(explicit, "a")
-    assert source.pseudoinverse(explicit, "a") is at_a
-    assert not np.array_equal(source.pseudoinverse(explicit, "b"), at_a)
+    at_a = source.record(explicit, "a")
+    assert source.record(explicit, "a") is at_a
+    assert at_a.matrix.provenance is Provenance.ENUMERATED
+    np.testing.assert_array_equal(at_a.matrix.entries, moment_matrix(explicit, "a").entries)
+    np.testing.assert_array_equal(at_a.pinv.entries, pinv_numeric(at_a.matrix).entries)
+    assert not np.array_equal(source.record(explicit, "b").pinv.entries, at_a.pinv.entries)
 
 
 def test_monte_carlo_moment_matrix_close_to_exact():
