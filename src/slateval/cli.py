@@ -237,7 +237,7 @@ def cmd_experiment(args) -> int:
     config = _experiment_config(reader, args.seed)
     dataset = _load_dataset(reader)
     instance = build_instance(dataset, config)
-    result = run_rmse_sweep(instance, config, threads=args.threads)
+    result = run_rmse_sweep(instance, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,9 +300,16 @@ def cmd_optimize(args) -> int:
     reader = ConfigReader(_apply_overrides(parse_config_file(args.config), args.set))
     config = _experiment_config(reader, args.seed)
     n_logs = reader.get_int("n", 10_000)
+    if n_logs < 1:
+        raise ConfigurationError(f"config field 'n': must be >= 1, got {n_logs}")
     folds = reader.get_int("folds", 5)
     dataset = _load_dataset(reader)
     instance = build_instance(dataset, config)
+    if not 2 <= folds <= len(instance.contexts):
+        raise ConfigurationError(
+            f"config field 'folds': must be between 2 and the {len(instance.contexts)} "
+            f"contexts, got {folds}"
+        )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,14 @@
 """Stochastic slate policies and their low-order moments.
 
-Every policy answers slate probabilities, the mean indicator vector, and
-sampling. Probabilities come for whole arrays of slates at once: the rows of
-one context (``slate_prob_batch``) or of many (``slate_prob_rows``, which
-takes a ``LoggedBatch``'s context, code and action columns). The built-in
-classes score the rows of many contexts in one call: a Plackett-Luce policy
-gathers each row's logits from a stacked table, an explicit table looks
-every row up in one sorted array of (context, slate) keys.
+A policy implements two hooks: ``_slate_prob_rows``, which scores valid
+slate rows of many contexts in one call, and ``sample_batch``, which draws
+many slates at one context. ``Policy`` derives the rest from them: the
+probabilities of the rows of one context (``slate_prob_batch``) or of many
+(``slate_prob_rows``, which takes a ``LoggedBatch``'s context, code and
+action columns), single slates and draws, the support and the moments. A
+Plackett-Luce policy gathers each row's logits from a stacked table, an
+explicit table looks every row up in one sorted array of (context, slate)
+keys.
 
 ``Policy.moment_arrays`` is the one place that picks the slate rows standing
 for a policy at a context: the exact support whenever the policy can list it
@@ -63,12 +65,16 @@ class MomentArrays:
 class Policy:
     """Conditional distribution over the slates of a space, per context.
 
-    Subclasses implement ``slate_prob_batch`` (one context) and ``sample``;
-    the base class scores the rows of many contexts by calling
-    ``slate_prob_batch`` once per context, and derives moments. The built-in
-    classes implement ``_slate_prob_rows`` instead, which scores the
-    validated rows of many contexts in one call. The space may be a single
-    :class:`SlateSpace` or a per-context mapping/callable.
+    Subclasses implement ``_slate_prob_rows(contexts, codes, actions)``, the
+    probabilities of rows already known to be valid slates of their
+    contexts' spaces, and ``sample_batch(context, n, rng)``. They may
+    override ``support_arrays`` (when they can list their support without
+    scoring the whole space) and ``is_uniform``. The base class validates
+    and scores rows (``slate_prob_rows``, ``slate_prob_batch``,
+    ``slate_prob``), draws one slate (``sample``), lists the support
+    (``support``) and derives the moments (``moment_arrays``,
+    ``mean_indicator``). The space may be a single :class:`SlateSpace` or a
+    per-context mapping/callable.
     """
 
     def __init__(
@@ -97,10 +103,8 @@ class Policy:
         Raises SlateError, naming the context, if any row is not a valid
         slate of the context's space.
         """
-        actions = self.space_of(context).validate_batch(actions, context)
-        if not len(actions):
-            return np.empty(0)
-        return self._slate_prob_rows((context,), np.zeros(len(actions), dtype=np.int64), actions)
+        actions = np.asarray(actions)
+        return self.slate_prob_rows((context,), np.zeros(len(actions), dtype=np.int64), actions)
 
     def slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         """Probabilities of an (n, num_slots) array of slates, row i at
@@ -131,18 +135,11 @@ class Policy:
         return self._slate_prob_rows(contexts, codes, actions.astype(np.int64, copy=False))
 
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
-        """``slate_prob_rows`` of rows already known to be valid slates of
-        their contexts' spaces. This default calls ``slate_prob_batch`` once
-        per context with rows."""
-        if type(self).slate_prob_batch is Policy.slate_prob_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement slate_prob_batch(context, actions); "
-                f"the estimators and moments do not call a scalar slate_prob override"
-            )
-        probs = np.empty(len(codes))
-        for code, rows in group_rows(codes, len(contexts)):
-            probs[rows] = self.slate_prob_batch(contexts[code], actions[rows])
-        return probs
+        """``slate_prob_rows`` of int64 rows already known to be valid slates
+        of their contexts' spaces."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement _slate_prob_rows(contexts, codes, actions)"
+        )
 
     def _rows_by_space(self, contexts, codes) -> list:
         """(space, rows) per distinct space among the contexts with rows, in
@@ -164,11 +161,14 @@ class Policy:
         return float(self.slate_prob_batch(context, np.asarray([slate], dtype=np.int64))[0])
 
     def sample(self, context, rng: np.random.Generator) -> Slate:
-        raise NotImplementedError
+        """One draw: a one-row ``sample_batch`` call, as a tuple of ints."""
+        return tuple(self.sample_batch(context, 1, rng)[0].tolist())
 
     def sample_batch(self, context, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, num_slots) array of action ids; overridden where vectorizable."""
-        return np.array([self.sample(context, rng) for _ in range(n)], dtype=np.int64)
+        """(n, num_slots) int64 array of independent draws at ``context``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement sample_batch(context, n, rng)"
+        )
 
     def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray] | None:
         """Slates with positive probability, one per row, and their probabilities.
@@ -229,13 +229,19 @@ class Policy:
         return arrays
 
     def mean_indicator(self, context) -> np.ndarray:
-        """Expected slate-indicator vector: the per-slot action marginals,
-        summed over the ``moment_arrays`` rows. Above the cap it is the mean
-        of the same sample as the second moments, so it lies in their range."""
+        """Expected slate-indicator vector, read-only: the closed form when
+        the policy is uniform, else the per-slot action marginals summed over
+        the ``moment_arrays`` rows. Above the cap it is the mean of the same
+        sample as the second moments, so it lies in their range."""
         cached = self._mean_cache.get(context)
         if cached is None:
-            arrays = self.moment_arrays(context)
-            cached = _indicator_sum(self.space_of(context), arrays.actions, arrays.probs)
+            space = self.space_of(context)
+            if self.is_uniform(context):
+                cached = uniform_mean_indicator(space)
+            else:
+                arrays = self.moment_arrays(context)
+                cached = _indicator_sum(space, arrays.actions, arrays.probs)
+                cached.flags.writeable = False
             self._mean_cache[context] = cached
         return cached
 
@@ -276,9 +282,6 @@ class UniformPolicy(Policy):
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         return _uniform_probs(self, contexts, codes)
 
-    def sample(self, context, rng) -> Slate:
-        return tuple(self.sample_batch(context, 1, rng)[0])
-
     def sample_batch(self, context, n, rng) -> np.ndarray:
         space = self.space_of(context)
         if space.kind is SpaceKind.CARTESIAN:
@@ -290,50 +293,32 @@ class UniformPolicy(Policy):
     def is_uniform(self, context) -> bool:
         return True
 
-    def mean_indicator(self, context) -> np.ndarray:
-        return uniform_mean_indicator(self.space_of(context))
-
 
 class DeterministicPolicy(Policy):
     """Point mass on one slate per context. Each context's slate is
-    validated on first use and kept, as a tuple and as a read-only
-    indicator vector."""
+    validated on first use and kept."""
 
     def __init__(self, space, slates: Mapping | Callable, **kwargs):
         super().__init__(space, **kwargs)
         self._slates = slates
         self._chosen: dict = {}
 
-    def _pick(self, context) -> tuple[Slate, np.ndarray]:
-        chosen = self._chosen.get(context)
-        if chosen is None:
-            space = self.space_of(context)
-            picked = self._slates(context) if callable(self._slates) else self._slates[context]
-            slate = space.validate(picked)
-            indicator = np.zeros(space.dim)
-            indicator[space.coords(slate)] = 1.0
-            indicator.flags.writeable = False
-            chosen = self._chosen[context] = (slate, indicator)
-        return chosen
-
     def slate_of(self, context) -> Slate:
-        return self._pick(context)[0]
+        slate = self._chosen.get(context)
+        if slate is None:
+            picked = self._slates(context) if callable(self._slates) else self._slates[context]
+            slate = self._chosen[context] = self.space_of(context).validate(picked)
+        return slate
 
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         picked, at = _per_context(contexts, codes, self.slate_of, np.int64)
         return np.all(actions == picked[at], axis=1).astype(np.float64)
-
-    def sample(self, context, rng) -> Slate:
-        return self.slate_of(context)
 
     def sample_batch(self, context, n, rng) -> np.ndarray:
         return np.tile(np.asarray(self.slate_of(context), dtype=np.int64), (n, 1))
 
     def support_arrays(self, context):
         return np.asarray([self.slate_of(context)], dtype=np.int64), np.ones(1)
-
-    def mean_indicator(self, context) -> np.ndarray:
-        return self._pick(context)[1]
 
 
 class _SortedRows(NamedTuple):
@@ -483,10 +468,6 @@ class ExplicitPolicy(Policy):
 
     # Inverse-CDF draws on rng.choice's own CDF give its draws and leave the
     # generator in the same state, without its per-call checks of the weights.
-    def sample(self, context, rng) -> Slate:
-        actions, _ = self._entry(context)
-        return tuple(actions[self._cdf[context].searchsorted(rng.random(), "right")].tolist())
-
     def sample_batch(self, context, n, rng) -> np.ndarray:
         actions, _ = self._entry(context)
         return actions[self._cdf[context].searchsorted(rng.random(n), "right")]
@@ -570,9 +551,6 @@ class MultinomialWoRPolicy(Policy):
         keep = probs > 0.0
         return slates[keep], probs[keep]
 
-    def sample(self, context, rng) -> Slate:
-        return tuple(self.sample_batch(context, 1, rng)[0])
-
     def sample_batch(self, context, n, rng) -> np.ndarray:
         # Gumbel top-k keys reproduce sequential without-replacement draws.
         space = self.space_of(context)
@@ -583,11 +561,6 @@ class MultinomialWoRPolicy(Policy):
 
     def is_uniform(self, context) -> bool:
         return self.temperature == 0.0
-
-    def mean_indicator(self, context) -> np.ndarray:
-        if self.temperature == 0.0:
-            return uniform_mean_indicator(self.space_of(context))
-        return super().mean_indicator(context)
 
 
 def _plackett_luce_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -652,6 +625,8 @@ class UniformMixturePolicy(Policy):
         base = self.base._slate_prob_rows(contexts, codes, actions)
         return self.kappa * _uniform_probs(self, contexts, codes) + (1.0 - self.kappa) * base
 
+    # One rng.random() picks the component and only that one draws; a batch
+    # of one would draw from both, a different stream.
     def sample(self, context, rng) -> Slate:
         if rng.random() < self.kappa:
             return self._uniform.sample(context, rng)
@@ -666,6 +641,9 @@ class UniformMixturePolicy(Policy):
     def is_uniform(self, context) -> bool:
         return self.kappa == 1.0 or self.base.is_uniform(context)
 
+    # Mixes the components' indicators, so it stays exact wherever they are,
+    # as moment_matrix does; the derived one would sample the mixture above
+    # the cap.
     def mean_indicator(self, context) -> np.ndarray:
         return self.kappa * self._uniform.mean_indicator(context) + (
             1.0 - self.kappa

@@ -95,9 +95,6 @@ class RidgeFit:
     weights: np.ndarray
     alpha: float
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights
-
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, alpha: float, penalize: np.ndarray | None = None) -> RidgeFit:
     X = np.asarray(X, dtype=np.float64)

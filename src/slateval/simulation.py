@@ -374,14 +374,11 @@ def _run_once(
     return estimates
 
 
-def run_rmse_sweep(
-    instance: BanditInstance, config: ExperimentConfig, *, threads: int = 1
-) -> SweepResult:
+def run_rmse_sweep(instance: BanditInstance, config: ExperimentConfig) -> SweepResult:
     """Full schedule over n_grid and runs, one cell after another.
 
     Each cell owns its rng stream, so the result is bit-reproducible for a
-    fixed seed. ``threads`` is accepted and ignored: the cells are Python
-    bound, and a thread pool ran them no faster.
+    fixed seed.
     """
     target_value = instance.policy_value(instance.target)
     pinv_source = PinvSource()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -188,9 +188,6 @@ def _slate_array(space: SlateSpace) -> np.ndarray:
     slates = np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, space.num_slots)
     slates.flags.writeable = False
     return slates
-
-
-SpaceMap = SlateSpace | Mapping | None
 
 
 def space_of(space, context) -> SlateSpace:

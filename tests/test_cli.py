@@ -1,4 +1,6 @@
 import csv
+import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,35 @@ def test_optimize_emits_fold_table(tmp_path):
     assert lines[-1].startswith("avg,")
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["folds=0"], "config field 'folds': .*got 0"),
+        (["folds=1"], "config field 'folds': .*got 1"),
+        (["queries=6", "folds=7", "n=200"], "config field 'folds': .*6 contexts, got 7"),
+        (["n=-5"], "config field 'n': must be >= 1, got -5"),
+        (["n=0"], "config field 'n': must be >= 1, got 0"),
+    ],
+)
+def test_optimize_rejects_unusable_folds_and_sizes(tmp_path, capsys, overrides, message):
+    config = tmp_path / "opt.cfg"
+    config.write_text(
+        "m=6\nslots=2\nseed=4\nn=400\nfolds=3\n"
+        "queries=30\ndocs_per_query=9\nfeature_dim=12\ntitle_dims=6\n"
+    )
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    argv = ["optimize", "--config", str(config), *sets, "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert re.match(f"error: {message}", capsys.readouterr().err)
+
+
+def test_generate_rejects_an_empty_dataset(tmp_path, capsys):
+    out = tmp_path / "data.txt"
+    assert main(["generate", "--out", str(out), "--queries", "0"]) == 2
+    assert capsys.readouterr().err == "error: num_queries must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_optimize_ndcg_table_matches_golden_bytes(tmp_path):
     config = tmp_path / "opt.cfg"
     config.write_text(
@@ -333,8 +364,83 @@ def test_optimize_ndcg_table_matches_golden_bytes(tmp_path):
     )
     out_dir = tmp_path / "opt"
     assert main(["optimize", "--config", str(config), "--out-dir", str(out_dir)]) == 0
-    golden = Path(__file__).parent / "data" / "optimize_small_ndcg.csv"
+    golden = GOLDEN / "optimize_small_ndcg.csv"
     assert (out_dir / "ndcg.csv").read_bytes() == golden.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def run_golden_experiment(out_dir, alpha: str):
+    """The small sweep behind the experiment goldens, every estimator on."""
+    config = out_dir.parent / f"golden_alpha{alpha}.cfg"
+    config.write_text(
+        f"m=5\nslots=2\nalpha={alpha}\nn_grid=100,300\nruns=2\nseed=5\n"
+        "estimators=pi,ips,wips,sb,wsb,dm,onpolicy\n"
+        "queries=20\ndocs_per_query=8\nfeature_dim=12\ntitle_dims=6\n"
+    )
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+
+
+def write_golden_policy_files(directory):
+    """Logging (full support) and target (sparse) explicit policies over five
+    contexts of ranking(4, 2), and 200 logged rows drawn from the logging
+    table in the test itself; returns the three paths."""
+    space = SlateSpace.ranking(4, 2)
+    rng = np.random.default_rng(77)
+    contexts = [f"c{i}" for i in range(5)]
+    logging = random_explicit_policy(space, contexts, rng)
+    target = random_explicit_policy(space, contexts, rng, sparsity=0.5)
+    paths = directory / "logs.tsv", directory / "logging.tsv", directory / "target.tsv"
+    write_explicit_policy(paths[1], logging)
+    write_explicit_policy(paths[2], target)
+    rows = []
+    for i in range(200):
+        listed = list(logging.support(contexts[i % len(contexts)]))
+        slate, _ = listed[rng.choice(len(listed), p=[p for _, p in listed])]
+        rows.append((contexts[i % len(contexts)], slate, round(rng.uniform(-1, 1), 6)))
+    write_logs_file(paths[0], rows)
+    return paths
+
+
+def run_golden_evaluate(out_dir):
+    logs, logging, target = write_golden_policy_files(out_dir.parent)
+    assert main([
+        "evaluate", "--logs", str(logs), "--logging-policy", str(logging),
+        "--target-policy", str(target), "--space", "ranking:m=4,slots=2",
+        "--estimator", "pi", "--estimator", "ips", "--estimator", "wips", "--diagnostics",
+        "--out-dir", str(out_dir),
+    ]) == 0
+
+
+def run_golden_diagnose(out_dir):
+    _, logging, target = write_golden_policy_files(out_dir.parent)
+    assert main([
+        "diagnose", "--logging-policy", str(logging), "--target-policy", str(target),
+        "--space", "ranking:m=4,slots=2", "--out-dir", str(out_dir),
+    ]) == 0
+
+
+@pytest.mark.parametrize(
+    "name, run, outputs",
+    [
+        ("experiment_alpha0", partial(run_golden_experiment, alpha="0"),
+         ("runs.csv", "aggregate.csv")),
+        ("experiment_alpha1", partial(run_golden_experiment, alpha="1"),
+         ("runs.csv", "aggregate.csv")),
+        ("evaluate", run_golden_evaluate, ("reports.csv",)),
+        ("diagnose", run_golden_diagnose, ("profile.csv",)),
+    ],
+)
+def test_command_outputs_match_golden_bytes(tmp_path, capsys, name, run, outputs):
+    """Files and stdout of small experiment, evaluate and diagnose runs equal
+    the bytes recorded in tests/data."""
+    out_dir = tmp_path / "out"
+    run(out_dir)
+    for output in outputs:
+        assert (out_dir / output).read_bytes() == (GOLDEN / f"{name}_{output}").read_bytes()
+    stdout = capsys.readouterr().out.encode()
+    assert stdout == (GOLDEN / f"{name}_stdout.txt").read_bytes()
 
 
 def test_experiment_set_overrides_config_fields(tmp_path):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from slateval import GeneratorConfig, ParseError, generate_synthetic, parse_letor, write_letor
+from slateval import (
+    ConfigurationError,
+    GeneratorConfig,
+    ParseError,
+    generate_synthetic,
+    parse_letor,
+    write_letor,
+)
 
 
 def test_parse_single_line(tmp_path):
@@ -228,3 +235,32 @@ def test_parse_reads_labels_and_keys_as_int_does(tmp_path):
     dataset = parse_letor(path)
     assert [d.relevance for _, d in dataset.rows()] == [1, 2]
     assert [d.features.tolist() for _, d in dataset.rows()] == [[0.5, 1.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("num_queries", 0, "num_queries must be >= 1"),
+        ("num_queries", -1, "num_queries must be >= 1"),
+        ("docs_per_query", 0, "docs_per_query must be >= 1"),
+        ("feature_dim", 0, "feature_dim must be >= 1"),
+        ("relevant_fraction", -0.5, "relevant_fraction must be a finite nonnegative"),
+        ("highly_relevant_fraction", float("inf"), "highly_relevant_fraction must be a finite"),
+        ("highly_relevant_fraction", 1.5, "sum to more than 1"),
+        ("relevant_fraction", 0.9, "sum to more than 1"),
+        ("feature_noise", float("nan"), "feature_noise must be a finite nonnegative"),
+        ("feature_noise", -0.1, "feature_noise must be a finite nonnegative"),
+        ("query_spread", float("nan"), "query_spread must be a finite nonnegative"),
+    ],
+)
+def test_generator_config_rejects_values_that_skew_or_break_the_dataset(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        GeneratorConfig(**{field: value})
+
+
+def test_generator_config_accepts_boundary_values():
+    config = GeneratorConfig(
+        num_queries=1, docs_per_query=1, feature_dim=1, relevant_fraction=0.0,
+        highly_relevant_fraction=1.0, feature_noise=0.0, query_spread=0.0,
+    )
+    assert len(generate_synthetic(config).queries) == 1

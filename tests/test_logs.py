@@ -58,16 +58,12 @@ def test_mean_indicator_mc_fallback_is_reproducible():
 
     class ShuffledPolicy(Policy):
         # uniform sampling without the closed-form moment overrides
-        def slate_prob_batch(self, context, actions):
-            actions = self.space_of(context).validate_batch(actions, context)
-            return np.full(len(actions), 1.0 / self.space_of(context).num_slates())
+        def _slate_prob_rows(self, contexts, codes, actions):
+            return np.full(len(actions), 1.0 / space.num_slates())
 
         def sample_batch(self, context, n, rng):
             keys = rng.random((n, 9))
             return np.argsort(keys, axis=1, kind="stable")[:, :4]
-
-        def sample(self, context, rng):
-            return tuple(self.sample_batch(context, 1, rng)[0])
 
     def build():
         return ShuffledPolicy(space, enumeration_cap=10, mc_seed=3)

@@ -334,7 +334,7 @@ def test_scalar_slate_prob_override_alone_is_rejected_clearly():
         def slate_prob(self, context, slate):
             return 0.5
 
-    with pytest.raises(NotImplementedError, match="ScalarOnly must implement slate_prob_batch"):
+    with pytest.raises(NotImplementedError, match="ScalarOnly must implement _slate_prob_rows"):
         ScalarOnly(SlateSpace.ranking(2, 1)).moment_arrays("q")
 
 
@@ -530,3 +530,89 @@ def test_explicit_rows_on_a_space_whose_keys_do_not_fit_int64():
     actions = [slate for _, slate, _ in rows] + [unlisted, table["a"][0][0]]
     want = [p for _, _, p in rows] + [0.0, 0.0]
     np.testing.assert_allclose(policy.slate_prob_rows(contexts, codes, actions), want, rtol=1e-12)
+
+
+def builtin_policies(kind):
+    """One of each built-in class but the mixture, over a ranking or a
+    cartesian space, keyed by a context 'q'."""
+    space = SlateSpace.ranking(5, 3) if kind == "ranking" else SlateSpace.cartesian((3, 4, 2))
+    rng = np.random.default_rng(5)
+    policies = [
+        UniformPolicy(space),
+        DeterministicPolicy(space, {"q": (2, 0, 1)}),
+        random_explicit_policy(space, ["q"], rng, sparsity=0.5),
+    ]
+    if kind == "ranking":
+        policies.append(MultinomialWoRPolicy(space, {"q": rng.normal(size=5)}, 1.3))
+    return policies
+
+
+@pytest.mark.parametrize("kind", ["ranking", "cartesian"])
+def test_sample_is_a_one_row_batch_of_python_ints(kind):
+    for policy in builtin_policies(kind):
+        for seed in range(20):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = policy.sample("q", rng)
+            assert got == tuple(policy.sample_batch("q", 1, reference)[0].tolist())
+            assert all(type(a) is int for a in got), type(policy).__name__
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_mixture_sample_draws_one_uniform_number_then_one_component_slate():
+    space = SlateSpace.ranking(4, 2)
+    base = random_explicit_policy(space, ["q"], np.random.default_rng(2))
+    policy = UniformMixturePolicy(base, 0.4)
+    picked = set()
+    for seed in range(40):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniform = reference.random() < 0.4
+        component = UniformPolicy(space) if uniform else base
+        want = tuple(component.sample_batch("q", 1, reference)[0].tolist())
+        got = policy.sample("q", rng)
+        assert got == want and all(type(a) is int for a in got)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        picked.add(uniform)
+    assert picked == {True, False}
+
+
+def test_a_policy_with_only_the_two_hooks_answers_every_query():
+    """Rows scored and batches drawn are all a policy must give; here a
+    policy on ranking(3, 2) that puts 1/2 on (0, 1) and (1, 0)."""
+    from slateval.policies import Policy
+
+    space = SlateSpace.ranking(3, 2)
+
+    class TwoSlates(Policy):
+        def _slate_prob_rows(self, contexts, codes, actions):
+            return np.where(actions[:, 0] + actions[:, 1] == 1, 0.5, 0.0)
+
+        def sample_batch(self, context, n, rng):
+            first = rng.integers(0, 2, size=n)
+            return np.stack([first, 1 - first], axis=1)
+
+    policy = TwoSlates(space)
+    assert policy.slate_prob("q", (1, 0)) == 0.5 and policy.slate_prob("q", (2, 0)) == 0.0
+    np.testing.assert_array_equal(policy.slate_prob_batch("q", [[0, 1], [0, 2]]), [0.5, 0.0])
+    np.testing.assert_array_equal(policy.slate_prob_rows(("a", "b"), [1, 0], [[1, 0], [2, 1]]),
+                                  [0.5, 0.0])
+    with pytest.raises(SlateError, match="'q'"):
+        policy.slate_prob_batch("q", [[1, 1]])
+    assert policy.sample("q", np.random.default_rng(0)) in {(0, 1), (1, 0)}
+    assert sorted(policy.support("q")) == [((0, 1), 0.5), ((1, 0), 0.5)]
+    q = policy.mean_indicator("q")
+    np.testing.assert_array_equal(q, [0.5, 0.5, 0.0, 0.5, 0.5, 0.0])
+
+
+def test_every_cached_mean_indicator_is_read_only():
+    space = SlateSpace.ranking(5, 3)
+    scores = {"q": np.linspace(-1.0, 1.0, 5)}
+    policies = builtin_policies("ranking") + builtin_policies("cartesian") + [
+        MultinomialWoRPolicy(space, scores, 0.0),
+        MultinomialWoRPolicy(space, scores, 1.0, enumeration_cap=10, mc_samples=500),
+    ]
+    for policy in policies:
+        q = policy.mean_indicator("q")
+        assert not q.flags.writeable, type(policy).__name__
+        assert policy.mean_indicator("q") is q
+        with pytest.raises(ValueError):
+            q[0] = 1.0

@@ -232,13 +232,6 @@ def test_sweep_reproducible_and_csv_stable():
     assert sweep_aggregate_csv(first) == sweep_aggregate_csv(second)
 
 
-def test_sweep_threaded_matches_serial():
-    instance, config = small_instance(n_grid=(300,), runs=4, seed=3, estimators=("pi", "wips"))
-    serial = run_rmse_sweep(instance, config, threads=1)
-    threaded = run_rmse_sweep(instance, config, threads=4)
-    assert sweep_rows_csv(serial) == sweep_rows_csv(threaded)
-
-
 def test_sweep_dm_split_is_first_half_train():
     """The direct method trains on the first half of each run's log and
     scores the second half."""
