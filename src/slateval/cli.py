@@ -27,6 +27,7 @@ from .diagnostics import kappa_uniform_rho_limit, overlap_profile
 from .errors import (
     AbsoluteContinuityError,
     ConfigurationError,
+    FieldError,
     ParseError,
     SlateError,
     UndefinedEstimateError,
@@ -188,17 +189,32 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# GeneratorConfig fields as the user names them, where the name differs
+GENERATOR_KEYS = {"num_queries": "queries", "seed": "generator_seed"}
+GENERATOR_FLAGS = {
+    "num_queries": "--queries",
+    "docs_per_query": "--docs-per-query",
+    "feature_dim": "--feature-dim",
+    "title_dims": "--title-dims",
+    "seed": "--seed",
+}
+
+
 def _generator_config(reader: ConfigReader) -> GeneratorConfig:
-    return GeneratorConfig(
-        num_queries=reader.get_int("queries", 120),
-        docs_per_query=reader.get_int("docs_per_query", 15),
-        feature_dim=reader.get_int("feature_dim", 24),
-        title_dims=reader.get_int("title_dims", 12),
-        seed=reader.get_int("generator_seed", 0),
-        relevant_fraction=reader.get_float("relevant_fraction", 0.35),
-        highly_relevant_fraction=reader.get_float("highly_relevant_fraction", 0.15),
-        feature_noise=reader.get_float("feature_noise", 0.6),
-    )
+    try:
+        return GeneratorConfig(
+            num_queries=reader.get_int("queries", 120),
+            docs_per_query=reader.get_int("docs_per_query", 15),
+            feature_dim=reader.get_int("feature_dim", 24),
+            title_dims=reader.get_int("title_dims", 12),
+            seed=reader.get_int("generator_seed", 0),
+            relevant_fraction=reader.get_float("relevant_fraction", 0.35),
+            highly_relevant_fraction=reader.get_float("highly_relevant_fraction", 0.15),
+            feature_noise=reader.get_float("feature_noise", 0.6),
+        )
+    except FieldError as exc:
+        key = GENERATOR_KEYS.get(exc.field, exc.field)
+        raise ConfigurationError(f"config field '{key}': {exc.problem}") from None
 
 
 def _load_dataset(reader: ConfigReader):
@@ -351,13 +367,16 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config = GeneratorConfig(
-        num_queries=args.queries,
-        docs_per_query=args.docs_per_query,
-        feature_dim=args.feature_dim,
-        title_dims=args.title_dims,
-        seed=args.seed,
-    )
+    try:
+        config = GeneratorConfig(
+            num_queries=args.queries,
+            docs_per_query=args.docs_per_query,
+            feature_dim=args.feature_dim,
+            title_dims=args.title_dims,
+            seed=args.seed,
+        )
+    except FieldError as exc:
+        raise ConfigurationError(f"{GENERATOR_FLAGS[exc.field]} {exc.problem}") from None
     dataset = generate_synthetic(config)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,11 +7,12 @@ support). They satisfy sigma_sq <= rho <= rho_bar, all equal 1 when the
 target equals the logging policy, and plug into a Bernstein-style
 deviation bound.
 
-The slate maxima run over the logging policy's ``moment_arrays`` rows: its
-exact support when the policy lists it, else the same seeded sample its
-second moments and mean indicator are built from. Every diagnostic is a
-reduction of one per-context step that reads the cached moment records of
-a ``PinvSource``, and ``overlap_profile`` makes one pass over the contexts.
+The slate maxima run over the logging policy's ``moment_rows``: its exact
+support when the policy lists it, else the same seeded sample its second
+moments and mean indicator are built from. Every diagnostic is a reduction
+over per-space stacks of the cached moment records of a ``PinvSource``
+(one batched product gives every context's ``q' P``), and
+``overlap_profile`` builds them once for all four.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import AbsoluteContinuityError, ConfigurationError
 from .moments import PinvSource
-from .policies import Policy, UniformPolicy
+from .policies import Policy, UniformPolicy, positions_by_space
 from .util import fmt
 
 
@@ -68,54 +69,85 @@ def _require_space(policy: Policy, context, space, role: str) -> None:
         )
 
 
-class _ContextOverlap:
-    """The logging policy's overlaps at one context, read lazily from cached records."""
+class _Overlaps:
+    """The logging policy's overlaps at a list of contexts, each diagnostic
+    one array over them in order, reduced per logging space from stacks of
+    the cached moment records."""
 
-    def __init__(self, source: PinvSource, logging: Policy, context, target: Policy | None = None):
-        self.source, self.logging, self.context, self.target = source, logging, context, target
-        self.record = source.record(logging, context)
-        self.space = self.record.matrix.space
+    def __init__(self, source: PinvSource, logging: Policy, contexts, target: Policy | None = None):
+        if len(contexts) == 0:
+            raise ConfigurationError("the overlap diagnostics need at least one context")
+        self.source, self.logging, self.target = source, logging, target
+        self.contexts = list(contexts)
+        self.records = source.records(logging, self.contexts)
+        self.groups = positions_by_space(logging, self.contexts)
+
+    def _per_space(self, reduce) -> np.ndarray:
+        """``reduce(space, positions, contexts)`` of each space's contexts, scattered back."""
+        out = np.empty(len(self.contexts))
+        for space, positions in self.groups:
+            out[positions] = reduce(space, positions, [self.contexts[i] for i in positions])
+        return out
+
+    def _stack(self, positions, part: str) -> np.ndarray:
+        return np.stack([getattr(self.records[i], part).entries for i in positions])
+
+    def _rows(self, space, contexts):
+        """The logging moment rows' context codes and indicator coordinates."""
+        rows = self.logging.moment_rows(contexts, space)
+        return rows, rows.codes(), space.coords_of_actions(rows.actions)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        return self.space.coords_of_actions(self.logging.moment_arrays(self.context).actions)
+    def _overlap(self) -> dict:
+        """Per space: the target's mean indicators q and w = q' pinv."""
+        out = {}
+        for space, positions in self.groups:
+            contexts = [self.contexts[i] for i in positions]
+            for context in contexts:
+                _require_space(self.target, context, space, "target")
+            qs = self.target.mean_indicators(contexts, space)
+            out[space] = qs, (qs[:, None, :] @ self._stack(positions, "pinv"))[:, 0]
+        return out
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        """q' pinv, with q the target's mean indicator."""
-        _require_space(self.target, self.context, self.space, "target")
-        return self.target.mean_indicator(self.context) @ self.record.pinv.entries
+    def sigma_sq(self) -> np.ndarray:
+        def reduce(space, positions, contexts):
+            qs, ws = self._overlap[space]
+            return (ws[:, None, :] @ qs[:, :, None])[:, 0, 0]
 
-    @property
-    def sigma_sq(self) -> float:
-        return float(self.w @ self.target.mean_indicator(self.context))
+        return self._per_space(reduce)
 
-    @property
-    def rho(self) -> float:
-        return float(np.abs(self.w[self.coords].sum(axis=1)).max())
+    def rho(self) -> np.ndarray:
+        def reduce(space, positions, contexts):
+            rows, codes, coords = self._rows(space, contexts)
+            values = np.abs(self._overlap[space][1][codes[:, None], coords].sum(axis=1))
+            return np.maximum.reduceat(values, rows.bounds[:-1])
 
-    @property
-    def rho_bar(self) -> float:
-        pinv, coords, slots = self.record.pinv.entries, self.coords, range(self.space.num_slots)
-        return float(sum(pinv[coords[:, j], coords[:, k]] for j in slots for k in slots).max())
+        return self._per_space(reduce)
 
-    def kappa(self, reference: Policy | None = None) -> float:
-        reference = reference if reference is not None else UniformPolicy(self.space)
-        _require_space(reference, self.context, self.space, "reference")
-        gamma_ref = self.source.record(reference, self.context).matrix.entries
-        # cross-slot pairs; a single-slot space has none and compares marginals
-        slot = np.repeat(np.arange(self.space.num_slots), self.space.slot_counts)
-        positive = (gamma_ref > 0.0) & ((slot[:, None] != slot) | (self.space.num_slots == 1))
-        ratio = self.record.matrix.entries[positive] / gamma_ref[positive]
-        return float(min(ratio.min(), 1.0)) if ratio.size else 1.0
+    def rho_bar(self) -> np.ndarray:
+        def reduce(space, positions, contexts):
+            rows, codes, coords = self._rows(space, contexts)
+            pinv, slots = self._stack(positions, "pinv"), range(space.num_slots)
+            values = sum(pinv[codes, coords[:, j], coords[:, k]] for j in slots for k in slots)
+            return np.maximum.reduceat(values, rows.bounds[:-1])
 
+        return self._per_space(reduce)
 
-def _overlaps(contexts: Sequence, logging: Policy, target: Policy, source: PinvSource | None):
-    """One ``_ContextOverlap`` per context, in order, sharing one source."""
-    if len(contexts) == 0:
-        raise ConfigurationError("the overlap diagnostics need at least one context")
-    source = source or PinvSource()
-    return (_ContextOverlap(source, logging, context, target) for context in contexts)
+    def kappa(self, reference: Policy | None = None) -> np.ndarray:
+        def reduce(space, positions, contexts):
+            ref = reference if reference is not None else UniformPolicy(space)
+            for context in contexts:
+                _require_space(ref, context, space, "reference")
+            gamma_ref = np.stack([r.matrix.entries for r in self.source.records(ref, contexts)])
+            # cross-slot pairs; a single-slot space has none and compares marginals
+            slot = np.repeat(np.arange(space.num_slots), space.slot_counts)
+            cross = (slot[:, None] != slot) | (space.num_slots == 1)
+            ratio = np.full(gamma_ref.shape, np.inf)
+            gamma = self._stack(positions, "matrix")
+            np.divide(gamma, gamma_ref, out=ratio, where=(gamma_ref > 0.0) & cross)
+            return np.minimum(ratio.min(axis=(1, 2)), 1.0)
+
+        return self._per_space(reduce)
 
 
 def compute_sigma_sq(
@@ -126,8 +158,8 @@ def compute_sigma_sq(
     pinv_source: PinvSource | None = None,
 ) -> float:
     """Mean over contexts of the target mean indicator's quadratic overlap."""
-    overlaps = _overlaps(contexts, logging, target, pinv_source)
-    return sum(step.sigma_sq for step in overlaps) / len(contexts)
+    overlaps = _Overlaps(pinv_source or PinvSource(), logging, contexts, target)
+    return sum(overlaps.sigma_sq().tolist()) / len(contexts)
 
 
 def compute_rho(
@@ -139,7 +171,7 @@ def compute_rho(
 ) -> float:
     """Largest absolute overlap coefficient over contexts and logged slates
     (the logging policy's moment rows: its support, or its seeded sample)."""
-    return max(step.rho for step in _overlaps(contexts, logging, target, pinv_source))
+    return float(_Overlaps(pinv_source or PinvSource(), logging, contexts, target).rho().max())
 
 
 def compute_rho_bar(
@@ -149,7 +181,7 @@ def compute_rho_bar(
     pinv_source: PinvSource | None = None,
 ) -> float:
     """Largest slate self-overlap on the logging support at one context."""
-    return _ContextOverlap(pinv_source or PinvSource(), logging, context).rho_bar
+    return float(_Overlaps(pinv_source or PinvSource(), logging, [context]).rho_bar()[0])
 
 
 def kappa_of(logging: Policy, context, *, reference: Policy | None = None) -> float:
@@ -160,7 +192,7 @@ def kappa_of(logging: Policy, context, *, reference: Policy | None = None) -> fl
     clipped at 1. Single-slot spaces have no pairs, so the per-action
     marginal ratios are used instead.
     """
-    return _ContextOverlap(PinvSource(), logging, context).kappa(reference)
+    return float(_Overlaps(PinvSource(), logging, [context]).kappa(reference)[0])
 
 
 @dataclass(frozen=True)
@@ -184,8 +216,8 @@ def check_translation(
     to the reference on its moment rows (support or sample).
     """
     source = pinv_source or PinvSource()
-    step = _ContextOverlap(source, logging, context)
-    _require_space(reference, context, step.space, "reference")
+    overlaps = _Overlaps(source, logging, [context])
+    _require_space(reference, context, overlaps.groups[0][0], "reference")
     actions = logging.moment_arrays(context).actions
     outside = reference.slate_prob_batch(context, actions) <= 0.0
     if outside.any():
@@ -194,8 +226,8 @@ def check_translation(
             f"logging slate {slate} at context {context!r} is outside the "
             f"reference policy's support"
         )
-    lhs = step.kappa(reference) * step.rho_bar
-    rhs = _ContextOverlap(source, reference, context).rho_bar
+    lhs = float(overlaps.kappa(reference)[0] * overlaps.rho_bar()[0])
+    rhs = float(_Overlaps(source, reference, [context]).rho_bar()[0])
     return TranslationCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
 
 
@@ -212,13 +244,11 @@ def overlap_profile(
     *,
     pinv_source: PinvSource | None = None,
 ) -> OverlapProfile:
-    """All four diagnostics in one pass over a context sample."""
-    sigma_sq, rho, rho_bar, kappa = 0.0, [], [], []
-    for step in _overlaps(contexts, logging, target, pinv_source):
-        sigma_sq += step.sigma_sq
-        rho.append(step.rho)
-        rho_bar.append(step.rho_bar)
-        kappa.append(step.kappa())
+    """All four diagnostics from one set of stacks over a context sample."""
+    overlaps = _Overlaps(pinv_source or PinvSource(), logging, contexts, target)
     return OverlapProfile(
-        sigma_sq=sigma_sq / len(contexts), rho=max(rho), rho_bar=max(rho_bar), kappa=min(kappa)
+        sigma_sq=sum(overlaps.sigma_sq().tolist()) / len(contexts),
+        rho=float(overlaps.rho().max()),
+        rho_bar=float(overlaps.rho_bar().max()),
+        kappa=float(overlaps.kappa().min()),
     )

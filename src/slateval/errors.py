@@ -17,6 +17,16 @@ class ConfigurationError(ValueError):
     """Invalid configuration value (e.g. a zero Monte Carlo sample count)."""
 
 
+class FieldError(ConfigurationError):
+    """A configuration field out of range: the message is the field's name
+    and the problem, kept apart so a caller can name the field its own way
+    (a config key or a command-line flag)."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
 class ParseError(ValueError):
     """Malformed input file; the message carries the offending line number."""
 

@@ -29,6 +29,8 @@ reduction in example order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -109,8 +111,9 @@ class _ScoredBatch:
     """One scoring pass of a logged batch under a (logging, target) pair.
 
     The constructor groups the batch's contexts by logging space. Per group
-    it validates the rows once and scores them with one row-level call of
-    the logging policy; a zero logging propensity is always an error (an
+    it validates the rows once (unless the batch was read and checked on
+    that space) and scores them with one row-level call of the logging
+    policy; a zero logging propensity is always an error (an
     absolute-continuity violation if the target puts mass on the slate, else
     a record that contradicts the stated logging policy). The group then
     fills only what the named estimators reduce:
@@ -123,8 +126,9 @@ class _ScoredBatch:
     - ``slot_weights``: per-slot ratios of target to logging marginals (sb,
       wsb).
 
-    ``q``, ``w``, ``w' q`` and the marginals are computed per context and
-    gathered for the rows from (contexts x dim) stacks; pi, sb and wsb need
+    ``q``, ``w``, ``w' q`` and the marginals are computed per group as
+    (contexts x dim) stacks, ``w`` and ``w' q`` by one batched product with
+    the stacked pseudoinverses, and gathered for the rows; pi, sb and wsb need
     the target on the logging space at every context (ConfigurationError
     otherwise), while ips and wips score other spaces. If any group fails,
     the contexts are scored again one at a time in batch order, so the error
@@ -174,12 +178,12 @@ class _ScoredBatch:
         """Score the rows of the contexts in ``members``, (context, rows)
         pairs that share the logging space ``space``."""
         logging, target = self.logging, self.target
-        contexts = tuple(context for context, _ in members)
+        contexts = [context for context, _ in members]
         rows = np.concatenate([r for _, r in members]) if len(members) > 1 else members[0][1]
         codes = np.repeat(np.arange(len(members)), [len(r) for _, r in members])
-        actions = space.validate_batch(
-            self.batch.actions[rows], contexts[0] if len(members) == 1 else None
-        )
+        actions = self.batch.actions[rows]
+        if self.batch.valid_in != space:
+            actions = space.validate_batch(actions, contexts[0] if len(members) == 1 else None)
         mu = logging._slate_prob_rows(contexts, codes, actions)
         zero = mu <= 0.0
         if zero.any():
@@ -205,14 +209,14 @@ class _ScoredBatch:
         for context in contexts:  # q and the marginals are read in the logging coordinates
             _require_space(target, context, space, "target")
         at = (codes[:, None], space.coords_of_actions(actions))
-        qs = [target.mean_indicator(c) for c in contexts]
+        qs = target.mean_indicators(contexts, space)
         if self.want_pi:
-            ws = [q @ self.source.pseudoinverse(logging, c) for c, q in zip(contexts, qs)]
-            quad = np.array([float(w @ q) for w, q in zip(ws, qs)])
-            self.coefficients[rows] = np.asarray(ws)[at].sum(axis=1)
+            ws = (qs[:, None, :] @ self.source.pinv_stack(logging, contexts))[:, 0]
+            quad = (ws[:, None, :] @ qs[:, :, None])[:, 0, 0]
+            self.coefficients[rows] = ws[at].sum(axis=1)
             self.quad[rows] = quad[codes]
         if self.want_slots:
-            marginals = np.asarray([logging.mean_indicator(c) for c in contexts])[at]
+            marginals = logging.mean_indicators(contexts, space)[at]
             zero = marginals <= 0.0
             if zero.any():
                 i, slot = np.argwhere(zero)[0]
@@ -414,9 +418,12 @@ def exact_policy_value(target: Policy, contexts: Sequence, reward_fn) -> float:
     """Exact value of a policy by full enumeration over supports.
 
     ``reward_fn(context, slate)`` must return the expected reward; contexts
-    are weighted uniformly.
+    are weighted uniformly. Each context's support is read as arrays and
+    summed in support order.
     """
     total = 0.0
     for context in contexts:
-        total += sum(p * reward_fn(context, slate) for slate, p in target.support(context))
+        actions, probs = target._listed_support(context)
+        slates = map(tuple, actions.tolist())
+        total += sum(map(mul, probs.tolist(), map(reward_fn, repeat(context), slates)))
     return total / len(contexts)

@@ -18,7 +18,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, FieldError, ParseError
 from .util import fmt17
 
 VALID_RELEVANCES = (0, 1, 2)
@@ -210,12 +210,12 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("num_queries", "docs_per_query", "feature_dim"):
             if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
         reals = ("relevant_fraction", "highly_relevant_fraction", "feature_noise", "query_spread")
         for name in reals:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be a finite nonnegative number, got {value}")
+                raise FieldError(name, f"must be a finite nonnegative number, got {value}")
         # checked as generate_synthetic computes its lower label cut's quantile
         if 1.0 - self.highly_relevant_fraction - self.relevant_fraction < 0.0:
             raise ConfigurationError(

@@ -52,15 +52,18 @@ class LoggedBatch(Sequence):
     ``contexts`` holds distinct context ids and ``codes[i]`` indexes example
     i's context in it; ``actions`` is the (n, slots) int64 slate array and
     ``rewards`` the float64 rewards in [-1, 1]. ``slot_values`` holds the
-    per-slot values of simulated logs and is None otherwise.
+    per-slot values of simulated logs and is None otherwise. ``valid_in``
+    is a space every slate is known to be valid in (``read_logged_dataset``
+    checked them), so readers on that space need not check again.
 
     The batch is also a read-only sequence: integer indexing and iteration
     give ``LoggedExample`` (or ``SemibanditExample``) views, and slicing
     gives a batch.
     """
 
-    def __init__(self, contexts, codes, actions, rewards, slot_values=None):
+    def __init__(self, contexts, codes, actions, rewards, slot_values=None, valid_in=None):
         self.contexts = tuple(contexts)
+        self.valid_in = valid_in
         self.codes = np.asarray(codes, dtype=np.int64).reshape(-1)
         self.actions = np.asarray(actions, dtype=np.int64)
         self.rewards = np.asarray(rewards, dtype=np.float64).reshape(-1)
@@ -134,6 +137,7 @@ class LoggedBatch(Sequence):
                 self.actions[index],
                 self.rewards[index],
                 None if self.slot_values is None else self.slot_values[index],
+                self.valid_in,
             )
         i = range(len(self))[index]
         values = None if self.slot_values is None else self.slot_values[i].tolist()
@@ -358,7 +362,11 @@ def read_logged_dataset(path, space=None) -> LoggedBatch:
         except SlateError:
             _raise_invalid_slate(path, ParseError, space, columns)
     return LoggedBatch(
-        contexts=columns.contexts, codes=columns.codes, actions=actions, rewards=rewards
+        contexts=columns.contexts,
+        codes=columns.codes,
+        actions=actions,
+        rewards=rewards,
+        valid_in=space,
     )
 
 

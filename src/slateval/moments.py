@@ -8,24 +8,29 @@ pseudoinverse of this matrix is what turns logged page-level rewards back
 into per-(slot, action) quantities.
 
 Uniform logging admits exact closed-form pseudoinverses for both space
-shapes; everything else goes through a symmetric eigendecomposition of the
-matrix summed over the policy's ``moment_arrays`` rows (exact support or
-seeded sample, as the policy decides).
+shapes, one per space. Everything else is built per (policy, space) as an
+(N, dim, dim) stack over contexts: the policy lists the ``moment_rows`` of
+all N contexts at once (exact supports or seeded samples, as it decides),
+one bincount per slot pair accumulates them, and the pseudoinverses come
+from one stacked symmetric eigendecomposition with per-matrix cutoffs.
+Every cell adds its context's rows in row order, so a matrix does not
+depend on which contexts share its stack.
 
 ``PinvSource`` caches one ``MomentRecord`` (matrix and pseudoinverse) per
-(logging policy, context), which the estimators, the optimizer and the
-diagnostics all read.
+(logging policy, context), filling every missing context of a space in one
+stacked build; the estimators, the optimizer and the diagnostics all read
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import SlateError
-from .policies import Policy, UniformMixturePolicy
+from .policies import MomentArrays, Policy, UniformMixturePolicy
 from .spaces import SlateSpace, SpaceKind
 
 DEFAULT_RCOND = 1e-10
@@ -75,60 +80,106 @@ def uniform_moment_matrix(space: SlateSpace) -> MomentMatrix:
     return MomentMatrix(space, entries, provenance)
 
 
-def moment_matrix(policy: Policy, context, space: SlateSpace | None = None) -> MomentMatrix:
-    """Build the indicator second-moment matrix of ``policy`` at ``context``.
+def moment_matrix(policy: Policy, contexts, space: SlateSpace | None = None) -> MomentMatrix:
+    """Build the indicator second-moment matrix of ``policy`` at one context,
+    or the (N, dim, dim) stack at a list of N contexts on one space (a list
+    is never a context: contexts are hashable).
 
-    Exact closed form for uniform policies; otherwise the probability-weighted
-    sum of indicator outer products over ``policy.moment_arrays``: exact over
-    a listed support, and a Monte Carlo average over a sample.
-    Mixtures combine their components so they stay exact whenever the
-    components are.
+    Exact closed form where the policy is uniform (at every listed context
+    or at none); otherwise the probability-weighted sum of indicator outer
+    products over ``policy.moment_rows``: exact over a listed support, and
+    a Monte Carlo average over a sample. Mixtures combine their components
+    so they stay exact whenever the components are.
     """
-    space = space if space is not None else policy.space_of(context)
-    if policy.is_uniform(context):
-        return uniform_moment_matrix(space)
+    batch = contexts if isinstance(contexts, list) else [contexts]
+    space = space if space is not None else policy.space_of(batch[0])
+    uniform = [policy.is_uniform(c) for c in batch]
+    if any(uniform):
+        if not all(uniform):
+            raise SlateError("a moment stack mixes contexts where the policy is uniform and not")
+        closed = uniform_moment_matrix(space)
+        if batch is not contexts:
+            return closed
+        return replace(closed, entries=np.broadcast_to(closed.entries, (len(batch), *closed.entries.shape)))
     if isinstance(policy, UniformMixturePolicy):
         uniform_part = uniform_moment_matrix(space)
-        base_part = moment_matrix(policy.base, context, space)
+        base_part = moment_matrix(policy.base, contexts, space)
         entries = policy.kappa * uniform_part.entries + (1.0 - policy.kappa) * base_part.entries
-        return MomentMatrix(space, entries, base_part.provenance, base_part.sample_count)
-    arrays = policy.moment_arrays(context)
-    # Every cell belongs to one (slot j, slot k) pair, so one bincount over
-    # the flattened (row, j, k) cells adds each cell's terms in row order;
-    # cells (a, b) and (b, a) get the same terms, so the sum is symmetric.
-    dim = space.dim
-    coords = space.coords_of_actions(arrays.actions)
-    cells = coords[:, :, None] * dim + coords[:, None, :]
-    weights = np.repeat(arrays.probs, space.num_slots**2)
-    entries = np.bincount(cells.ravel(), weights, minlength=dim**2).reshape(dim, dim)
-    if arrays.exact:
+        return replace(base_part, entries=entries)
+    rows = policy.moment_rows(batch, space)
+    entries = _moment_stack(space, rows, policy.mean_indicators(batch, space))
+    entries = entries if batch is contexts else entries[0]
+    if rows.exact:
         return MomentMatrix(space, entries, Provenance.ENUMERATED)
-    return MomentMatrix(space, entries, Provenance.MONTE_CARLO, sample_count=len(arrays.probs))
+    return MomentMatrix(space, entries, Provenance.MONTE_CARLO, sample_count=int(rows.bounds[1]))
+
+
+def _moment_stack(space: SlateSpace, rows: MomentArrays, means: np.ndarray) -> np.ndarray:
+    """(N, dim, dim) second moments of each context's rows, given the mean
+    indicators the policy sums over the same rows.
+
+    The diagonal holds those per-slot marginals; each cross-slot block
+    (j, k), j < k, is one bincount over the rows, mirrored into (k, j).
+    Every cell adds its context's terms in row order, as one bincount per
+    context would, and the matrices come out exactly symmetric.
+    """
+    n, dim = len(rows.bounds) - 1, space.dim
+    codes = rows.codes()
+    entries = np.zeros((n, dim, dim))
+    entries.reshape(n, dim * dim)[:, :: dim + 1] = means
+    spans = list(zip(space.offsets.tolist(), space.slot_counts))
+    for j, (oj, mj) in enumerate(spans):
+        for k in range(j + 1, len(spans)):
+            ok, mk = spans[k]
+            cells = (codes * mj + rows.actions[:, j]) * mk + rows.actions[:, k]
+            block = np.bincount(cells, rows.probs, minlength=n * mj * mk).reshape(n, mj, mk)
+            entries[:, oj : oj + mj, ok : ok + mk] = block
+            entries[:, ok : ok + mk, oj : oj + mj] = block.transpose(0, 2, 1)
+    return entries
 
 
 def pinv_numeric(matrix: MomentMatrix | np.ndarray, rcond: float = DEFAULT_RCOND) -> PseudoInverse:
-    """Pseudoinverse via symmetric eigendecomposition.
+    """Pseudoinverse via symmetric eigendecomposition, of one matrix or of
+    each matrix of an (N, dim, dim) stack (rank and cutoff then per matrix).
 
-    Eigenvalues below ``rcond`` times the largest one are treated as zero;
-    negative eigenvalues (Monte Carlo noise) are clipped away by the same
-    cutoff. Exactly diagonal input is inverted entrywise.
+    Eigenvalues below ``rcond`` times a matrix's largest one are treated as
+    zero; negative eigenvalues (Monte Carlo noise) are clipped away by the
+    same cutoff. Exactly diagonal matrices are inverted entrywise, the
+    others share one stacked eigendecomposition and reconstruction.
     """
     entries = matrix.entries if isinstance(matrix, MomentMatrix) else np.asarray(matrix, float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+    if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
         raise SlateError(f"expected a square matrix, got shape {entries.shape}")
-    asym = np.abs(entries - entries.T).max() if entries.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise SlateError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
-    entries = 0.5 * (entries + entries.T)
+    stack = entries if entries.ndim == 3 else entries[None]
+    flipped = stack.transpose(0, 2, 1)
+    asym = np.abs(stack - flipped).max(axis=(1, 2), initial=0.0)
+    if (asym > SYMMETRY_TOL).any():
+        worst = asym[np.argmax(asym > SYMMETRY_TOL)]
+        raise SlateError(f"matrix is not symmetric (max asymmetry {worst:.3g})")
+    stack = 0.5 * (stack + flipped)
 
-    diagonal = not (entries - np.diag(np.diag(entries))).any()
-    eigvals, eigvecs = (np.diag(entries).copy(), None) if diagonal else np.linalg.eigh(entries)
-    cutoff = rcond * float(eigvals.max(initial=0.0))
-    keep = eigvals > cutoff
+    n, dim = stack.shape[:2]
+    diag = np.arange(dim)
+    eigvals = stack[:, diag, diag]  # a copy; the eigenvalues of the diagonal matrices
+    off_diagonal = stack.copy()
+    off_diagonal[:, diag, diag] = 0.0
+    full = off_diagonal.reshape(n, -1).any(axis=1)
+    eigvecs = None
+    if full.any():
+        eigvals[full], eigvecs = np.linalg.eigh(stack[full])
+    cutoff = rcond * eigvals.max(axis=1, initial=0.0)
+    keep = eigvals > cutoff[:, None]
     inv = np.zeros_like(eigvals)
     inv[keep] = 1.0 / eigvals[keep]
-    pinv = np.diag(inv) if diagonal else (eigvecs * inv) @ eigvecs.T
-    return PseudoInverse(0.5 * (pinv + pinv.T), rank=int(keep.sum()), singular_cutoff=cutoff)
+    pinv = np.zeros_like(stack)
+    pinv[:, diag, diag] = np.where(full[:, None], 0.0, inv)
+    if eigvecs is not None:
+        pinv[full] = (eigvecs * inv[full][:, None, :]) @ eigvecs.transpose(0, 2, 1)
+    pinv = 0.5 * (pinv + pinv.transpose(0, 2, 1))
+    rank = keep.sum(axis=1)
+    if entries.ndim == 2:
+        return PseudoInverse(pinv[0], rank=int(rank[0]), singular_cutoff=float(cutoff[0]))
+    return PseudoInverse(pinv, rank=rank, singular_cutoff=cutoff)
 
 
 def pinv_uniform_cartesian(space: SlateSpace) -> PseudoInverse:
@@ -195,21 +246,49 @@ class MomentRecord:
 class PinvSource:
     """Builds and caches one ``MomentRecord`` per key: the space for a policy
     that is uniform at the context, whose closed forms depend on nothing
-    else, and (policy, context) otherwise."""
+    else, and (policy, context) otherwise. The missing contexts of one
+    space are built together, as one stack."""
 
     def __init__(self):
         self._cache: dict = {}
 
     def record(self, policy: Policy, context) -> MomentRecord:
-        space = policy.space_of(context)
-        uniform = policy.is_uniform(context)
-        key = space if uniform else (policy, context)
-        cached = self._cache.get(key)
-        if cached is None:
-            matrix = moment_matrix(policy, context, space)
-            pinv = pinv_uniform(space) if uniform else pinv_numeric(matrix)
-            cached = self._cache[key] = MomentRecord(matrix, pinv)
-        return cached
+        return self.records(policy, [context])[0]
+
+    def records(self, policy: Policy, contexts) -> list[MomentRecord]:
+        """One record per context, in order."""
+        keys, missing = [], {}
+        for context in contexts:
+            space = policy.space_of(context)
+            uniform = policy.is_uniform(context)
+            key = space if uniform else (policy, context)
+            keys.append(key)
+            if key not in self._cache:
+                missing.setdefault((space, uniform), {})[context] = key
+        for (space, uniform), group in missing.items():
+            if uniform:
+                matrix = moment_matrix(policy, next(iter(group)), space)
+                self._cache[space] = MomentRecord(matrix, pinv_uniform(space))
+                continue
+            matrices = moment_matrix(policy, list(group), space)
+            pinvs = pinv_numeric(matrices)
+            provenance, sample_count = matrices.provenance, matrices.sample_count
+            ranks, cutoffs = pinvs.rank.tolist(), pinvs.singular_cutoff.tolist()
+            for i, key in enumerate(group.values()):
+                self._cache[key] = MomentRecord(
+                    MomentMatrix(space, matrices.entries[i], provenance, sample_count),
+                    PseudoInverse(pinvs.entries[i], ranks[i], cutoffs[i]),
+                )
+        return [self._cache[key] for key in keys]
 
     def pseudoinverse(self, policy: Policy, context) -> np.ndarray:
         return self.record(policy, context).pinv.entries
+
+    def pinv_stack(self, policy: Policy, contexts) -> np.ndarray:
+        """(N, dim, dim) pseudoinverses at contexts on one space; a read-only
+        broadcast when they share one record (uniform logging)."""
+        records = self.records(policy, contexts)
+        entries = records[0].pinv.entries
+        if all(record is records[0] for record in records):
+            return np.broadcast_to(entries, (len(records), *entries.shape))
+        return np.stack([record.pinv.entries for record in records])

@@ -10,15 +10,21 @@ Plackett-Luce policy gathers each row's logits from a stacked table, an
 explicit table looks every row up in one sorted array of (context, slate)
 keys.
 
-``Policy.moment_arrays`` is the one place that picks the slate rows standing
-for a policy at a context: the exact support whenever the policy can list it
-(always for explicit tables and deterministic policies, otherwise when the
-space has at most ``enumeration_cap`` slates), else one sample of
-``mc_samples`` draws with a fixed per-context seed, so repeated queries are
-bit-reproducible. A Plackett-Luce policy lists its support over the prefix
-tree of the space's slates, taking each slot's log-sum-exp once per
-distinct prefix. The mean indicator, the second-moment matrix and the
-overlap diagnostics all read those rows.
+Moments are built per (policy, space) as stacks over contexts.
+``Policy.moment_rows`` is the one place that picks the slate rows standing
+for a policy at its contexts, back to back with per-context offsets: the
+exact support stack whenever ``support_rows`` lists it (always for explicit
+tables and deterministic policies, otherwise when the space has at most
+``enumeration_cap`` slates), else one sample of ``mc_samples`` draws per
+context with a fixed per-context seed, so repeated queries are
+bit-reproducible. A Plackett-Luce policy lists the supports of all its
+contexts in one pass over the prefix tree of the space's slates, taking
+each slot's log-sum-exp once per (context, distinct prefix); an explicit
+table keeps its rows as one context-sorted array with offsets. The mean
+indicators (``mean_indicators``, one bincount per slot), the second-moment
+matrices and the overlap diagnostics all read those rows; the one-context
+methods (``support_arrays``, ``moment_arrays``, ``mean_indicator``) are
+the N = 1 case.
 
 All policies are immutable after construction; internal moment caches are
 fill-once.
@@ -27,6 +33,7 @@ fill-once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -46,20 +53,66 @@ DEFAULT_MC_SAMPLES = 100_000
 PROB_SUM_TOL = 1e-9
 LOAD_DRIFT_TOL = 1e-6
 PL_CHUNK_ELEMENTS = 1 << 20  # bounds the (rows, pool) temporaries of one batch
+STACK_ROWS = 1 << 16  # bounds the whole-space rows one support-listing call scores
 
 
 @dataclass(frozen=True)
 class MomentArrays:
-    """Support (or sample) of a policy at one context, in array form.
+    """Supports (or samples) of a policy at one or more contexts, in array
+    form, back to back.
 
-    ``actions`` holds one slate per row; ``probs`` are the matching slate
-    probabilities (uniform 1/n for Monte Carlo rows). ``exact`` says
-    whether the rows enumerate the support or only sample it.
+    ``actions`` holds one slate per row and ``probs`` the matching slate
+    probabilities (1/n for each of a Monte Carlo sample's n rows); context
+    i's rows are ``bounds[i]:bounds[i + 1]``. ``exact`` says whether the
+    rows enumerate the supports or only sample them.
     """
 
     actions: np.ndarray
     probs: np.ndarray
     exact: bool
+    bounds: np.ndarray
+
+    def codes(self) -> np.ndarray:
+        """Each row's context index."""
+        return np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
+
+    def part(self, i: int) -> "MomentArrays":
+        """Context i's rows alone, as views."""
+        lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
+        bounds = np.array((0, hi - lo))
+        return MomentArrays(self.actions[lo:hi], self.probs[lo:hi], self.exact, bounds)
+
+
+def _offsets(counts) -> np.ndarray:
+    """Row offsets of consecutive blocks of the given sizes."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _stacked(picks: list) -> MomentArrays:
+    """The rows of several contexts back to back, each context given as
+    (stack, position): the stack itself when the picks are all of it, in
+    order."""
+    first = picks[0][0]
+    if all(rows is first for rows, _ in picks) and len(picks) == len(first.bounds) - 1:
+        if all(i == position for i, (_, position) in enumerate(picks)):
+            return first
+    parts = [rows.part(i) for rows, i in picks]
+    if len(parts) == 1:
+        return parts[0]
+    return MomentArrays(
+        np.concatenate([part.actions for part in parts]),
+        np.concatenate([part.probs for part in parts]),
+        all(part.exact for part in parts),
+        _offsets([len(part.probs) for part in parts]),
+    )
+
+
+def _positive_rows(slates: np.ndarray, probs: np.ndarray) -> MomentArrays:
+    """The positive entries of an (N, len(slates)) probability table over
+    one list of slates, context by context, in slate order."""
+    keep = probs > 0.0
+    _, slate = np.nonzero(keep)
+    return MomentArrays(slates[slate], probs[keep], True, _offsets(np.count_nonzero(keep, axis=1)))
 
 
 class Policy:
@@ -68,13 +121,13 @@ class Policy:
     Subclasses implement ``_slate_prob_rows(contexts, codes, actions)``, the
     probabilities of rows already known to be valid slates of their
     contexts' spaces, and ``sample_batch(context, n, rng)``. They may
-    override ``support_arrays`` (when they can list their support without
+    override ``support_rows`` (when they can list their supports without
     scoring the whole space) and ``is_uniform``. The base class validates
     and scores rows (``slate_prob_rows``, ``slate_prob_batch``,
     ``slate_prob``), draws one slate (``sample``), lists the support
-    (``support``) and derives the moments (``moment_arrays``,
-    ``mean_indicator``). The space may be a single :class:`SlateSpace` or a
-    per-context mapping/callable.
+    (``support``) and derives the moments of many contexts at once
+    (``moment_rows``, ``mean_indicators``) or of one. The space may be a
+    single :class:`SlateSpace` or a per-context mapping/callable.
     """
 
     def __init__(
@@ -170,23 +223,39 @@ class Policy:
             f"{type(self).__name__} must implement sample_batch(context, n, rng)"
         )
 
-    def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray] | None:
-        """Slates with positive probability, one per row, and their probabilities.
+    def support_rows(self, contexts, space: SlateSpace) -> MomentArrays | None:
+        """The slates with positive probability at each of ``contexts``, all
+        on ``space``, and their probabilities, context after context; None
+        when the policy does not list them.
 
-        The default scores the whole space in one batch, so it lists the
-        support only when the space has at most ``enumeration_cap`` slates,
-        and returns None above it.
+        The default scores the whole space at every context, at most
+        ``STACK_ROWS`` rows per call, so it lists the supports only when
+        the space has at most ``enumeration_cap`` slates.
         """
-        space = self.space_of(context)
         if space.num_slates() > self.enumeration_cap:
             return None
         slates = space.slate_array()
-        probs = self._slate_prob_rows((context,), np.zeros(len(slates), dtype=np.int64), slates)
-        keep = probs > 0.0
-        return slates[keep], probs[keep]
+        step = max(1, STACK_ROWS // len(slates))
+        probs = []
+        for start in range(0, len(contexts), step):
+            chunk = contexts[start : start + step]
+            codes = np.repeat(np.arange(len(chunk)), len(slates))
+            probs.append(self._slate_prob_rows(chunk, codes, np.tile(slates, (len(chunk), 1))))
+        return _positive_rows(slates, np.concatenate(probs).reshape(len(contexts), -1))
+
+    def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray] | None:
+        """Slates with positive probability at ``context``, one per row, and
+        their probabilities: the one-context case of ``support_rows``."""
+        listed = self.support_rows([context], self.space_of(context))
+        return None if listed is None else (listed.actions, listed.probs)
 
     def support(self, context) -> Iterator[tuple[Slate, float]]:
         """Iterate (slate, probability) pairs with positive probability."""
+        actions, probs = self._listed_support(context)
+        for row, p in zip(actions.tolist(), probs.tolist()):
+            yield tuple(row), p
+
+    def _listed_support(self, context) -> tuple[np.ndarray, np.ndarray]:
         listed = self.support_arrays(context)
         if listed is None:
             raise ConfigurationError(
@@ -194,9 +263,7 @@ class Policy:
                 f"{self.space_of(context).num_slates()} slates, above the enumeration cap "
                 f"of {self.enumeration_cap}"
             )
-        actions, probs = listed
-        for row, p in zip(actions.tolist(), probs.tolist()):
-            yield tuple(row), p
+        return listed
 
     def is_uniform(self, context) -> bool:
         """True when the policy is exactly uniform over the space's slates."""
@@ -204,52 +271,90 @@ class Policy:
 
     # -- moments ------------------------------------------------------------
 
-    def moment_arrays(self, context) -> MomentArrays:
-        """The slate rows that stand for the policy at ``context``: the exact
-        support when ``support_arrays`` lists it, else one seeded sample."""
-        cached = self._moment_cache.get(context)
-        if cached is not None:
-            return cached
-        listed = self.support_arrays(context)
-        if listed is not None:
-            arrays = MomentArrays(actions=listed[0], probs=listed[1], exact=True)
-        else:
-            if self.mc_samples <= 0:
-                raise ConfigurationError(
-                    "Monte Carlo moments requested with a non-positive sample count"
-                )
-            rng = context_rng(self.mc_seed, context)
-            actions = self.sample_batch(context, self.mc_samples, rng)
-            arrays = MomentArrays(
-                actions=actions,
-                probs=np.full(len(actions), 1.0 / len(actions)),
-                exact=False,
+    def moment_rows(self, contexts, space: SlateSpace) -> MomentArrays:
+        """The slate rows that stand for the policy at each of ``contexts``,
+        all on ``space``, back to back in the given order.
+
+        The contexts not seen before are built together: their exact
+        support stack when ``support_rows`` lists it, else one sample of
+        ``mc_samples`` draws per context with a fixed per-context seed.
+        Each context then keeps its place in that stack.
+        """
+        cache = self._moment_cache
+        missing = [c for c in dict.fromkeys(contexts) if c not in cache]
+        if missing:
+            built = self.support_rows(missing, space)
+            if built is None:
+                built = self._sample_rows(missing)
+            cache.update((context, (built, i)) for i, context in enumerate(missing))
+        return _stacked([cache[c] for c in contexts])
+
+    def _sample_rows(self, contexts) -> MomentArrays:
+        if self.mc_samples <= 0:
+            raise ConfigurationError(
+                "Monte Carlo moments requested with a non-positive sample count"
             )
-        self._moment_cache[context] = arrays
-        return arrays
+        n = self.mc_samples
+        draws = [self.sample_batch(c, n, context_rng(self.mc_seed, c)) for c in contexts]
+        actions = np.concatenate(draws).astype(np.int64, copy=False)
+        probs = np.full(len(actions), 1.0 / n)
+        return MomentArrays(actions, probs, False, _offsets([n] * len(draws)))
+
+    def moment_arrays(self, context) -> MomentArrays:
+        """The one-context case of ``moment_rows``."""
+        return self.moment_rows([context], self.space_of(context))
+
+    def mean_indicators(self, contexts, space: SlateSpace) -> np.ndarray:
+        """(N, dim) stack of the expected slate-indicator vectors at
+        ``contexts``, all on ``space``: the closed form where the policy is
+        uniform, else ``_mean_rows``. The contexts not seen before are
+        built together, and each keeps a read-only row."""
+        cache = self._mean_cache
+        missing = [c for c in dict.fromkeys(contexts) if c not in cache]
+        if missing:
+            uniform = [self.is_uniform(c) for c in missing]
+            cache.update((c, uniform_mean_indicator(space)) for c, u in zip(missing, uniform) if u)
+            rest = [c for c, u in zip(missing, uniform) if not u]
+            if rest:
+                means = self._mean_rows(rest, space)
+                means.flags.writeable = False
+                cache.update(zip(rest, means))
+        return np.array([cache[c] for c in contexts])
+
+    def _mean_rows(self, contexts, space: SlateSpace) -> np.ndarray:
+        """The per-slot action marginals summed over the ``moment_rows``.
+        Above the cap they are the mean of the same sample as the second
+        moments, so they lie in their range."""
+        return indicator_sums(space, self.moment_rows(contexts, space))
 
     def mean_indicator(self, context) -> np.ndarray:
-        """Expected slate-indicator vector, read-only: the closed form when
-        the policy is uniform, else the per-slot action marginals summed over
-        the ``moment_arrays`` rows. Above the cap it is the mean of the same
-        sample as the second moments, so it lies in their range."""
-        cached = self._mean_cache.get(context)
-        if cached is None:
-            space = self.space_of(context)
-            if self.is_uniform(context):
-                cached = uniform_mean_indicator(space)
-            else:
-                arrays = self.moment_arrays(context)
-                cached = _indicator_sum(space, arrays.actions, arrays.probs)
-                cached.flags.writeable = False
-            self._mean_cache[context] = cached
-        return cached
+        """Expected slate-indicator vector, read-only: the one-context case
+        of ``mean_indicators``."""
+        if context not in self._mean_cache:
+            self.mean_indicators([context], self.space_of(context))
+        return self._mean_cache[context]
 
 
-def _indicator_sum(space: SlateSpace, actions: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Probability-weighted sum of the indicator vectors of slate rows."""
-    coords = space.coords_of_actions(actions).ravel()
-    return np.bincount(coords, np.repeat(probs, space.num_slots), minlength=space.dim)
+def positions_by_space(policy: Policy, contexts) -> list[tuple[SlateSpace, list[int]]]:
+    """The positions of the contexts on each distinct space of the policy,
+    in order of first appearance."""
+    groups: dict = {}
+    for i, context in enumerate(contexts):
+        groups.setdefault(policy.space_of(context), []).append(i)
+    return list(groups.items())
+
+
+def indicator_sums(space: SlateSpace, rows: MomentArrays) -> np.ndarray:
+    """(N, dim) probability-weighted sums of the indicator vectors of each
+    context's rows. One bincount per slot, so every coordinate adds its
+    terms in row order."""
+    n = len(rows.bounds) - 1
+    codes = rows.codes()
+    sums = np.empty((n, space.dim))
+    for j, (offset, count) in enumerate(zip(space.offsets.tolist(), space.slot_counts)):
+        cells = np.bincount(codes * count + rows.actions[:, j], rows.probs, minlength=n * count)
+        sums[:, offset : offset + count] = cells.reshape(n, count)
+    return sums
 
 
 @lru_cache(maxsize=64)
@@ -317,8 +422,14 @@ class DeterministicPolicy(Policy):
     def sample_batch(self, context, n, rng) -> np.ndarray:
         return np.tile(np.asarray(self.slate_of(context), dtype=np.int64), (n, 1))
 
-    def support_arrays(self, context):
-        return np.asarray([self.slate_of(context)], dtype=np.int64), np.ones(1)
+    def support_rows(self, contexts, space):
+        slates = np.asarray([self.slate_of(c) for c in contexts], dtype=np.int64)
+        return MomentArrays(
+            slates.reshape(len(contexts), space.num_slots),
+            np.ones(len(contexts)),
+            True,
+            np.arange(len(contexts) + 1),
+        )
 
 
 class _SortedRows(NamedTuple):
@@ -407,44 +518,62 @@ class ExplicitPolicy(Policy):
         keys, order = sorted_rows.keys, sorted_rows.order
         repeats = keys[1:] == keys[:-1]
         twice = int(order[np.argmax(repeats)]) if repeats.any() else -1
-        self._table: dict = {}
-        self._cdf: dict = {}  # context -> cumulative probabilities, for sampling
-        normalized = np.empty(len(probs))
+        # the rows in context order, table order within a context; contexts
+        # with equal row counts sum, normalize and accumulate as one table
         by_context = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes, minlength=len(contexts))).tolist()
-        for code, (context, start, end) in enumerate(zip(contexts, [0] + ends, ends)):
-            listed = by_context[start:end]  # in table order
-            p = probs[listed]
-            total = p.sum()
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise SlateError(
-                    f"probabilities for context {context!r} sum to {total:.12g}, not 1"
-                )
-            if twice >= 0 and codes[twice] == code:
-                slate = tuple(tokens[starts[twice] : starts[twice] + widths[twice]].tolist())
-                raise SlateError(f"slate {slate} is listed twice for context {context!r}")
-            p = normalized[listed] = p / total
-            slots = np.arange(self.space_of(context).num_slots)
-            self._table[context] = (tokens[starts[listed, None] + slots], p)
-            cdf = self._cdf[context] = p.cumsum()
-            cdf /= cdf[-1]
+        counts = np.bincount(codes, minlength=len(contexts))
+        bounds = _offsets(counts)
+        listed = probs[by_context]
+        tables = [
+            (group, bounds[group, None] + np.arange(length))
+            for length in np.unique(counts).tolist()
+            for group in [np.flatnonzero(counts == length)]
+        ]
+        totals = np.empty(len(contexts))
+        for group, at in tables:
+            totals[group] = listed[at].sum(axis=1)
+        off = np.abs(totals - 1.0) > PROB_SUM_TOL
+        first_off = int(np.argmax(off)) if off.any() else len(contexts)
+        if first_off < len(contexts) and (twice < 0 or first_off <= codes[twice]):
+            raise SlateError(
+                f"probabilities for context {contexts[first_off]!r} sum to "
+                f"{totals[first_off]:.12g}, not 1"
+            )
+        if twice >= 0:
+            slate = tuple(tokens[starts[twice] : starts[twice] + widths[twice]].tolist())
+            context = contexts[codes[twice]]
+            raise SlateError(f"slate {slate} is listed twice for context {context!r}")
+        self._probs = np.empty(len(probs))  # normalized, in context order
+        self._cdf = np.empty(len(probs))  # per-context cumulative probabilities, for sampling
+        for group, at in tables:
+            p = self._probs[at] = listed[at] / totals[group, None]
+            cdf = p.cumsum(axis=1)
+            self._cdf[at] = cdf / cdf[:, -1:]
+        # one row per listed slate, zero-padded to the widest (spaces may differ per context)
+        actions = np.zeros((len(widths), int(widths.max(initial=0))), dtype=np.int64)
+        slot = np.arange(len(tokens)) - np.repeat(starts, widths)
+        actions[np.repeat(np.arange(len(widths)), widths), slot] = tokens
+        self._actions = actions[by_context]
+        self._bounds = bounds
+        slots = np.zeros(len(contexts), dtype=np.int64)
+        slots[codes] = widths
+        self._spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), slots.tolist()))
+        self._cdf_list = None  # the CDF as floats, made by the first one-row draw
+        self._contexts = list(contexts)
         self._index = {context: i for i, context in enumerate(contexts)}
         self._stride, self._ranks = sorted_rows.stride, sorted_rows.ranks
+        normalized = np.empty(len(probs))
+        normalized[by_context] = self._probs
         self._keys, self._key_probs = keys, normalized[order]
 
     @property
     def contexts(self) -> list:
-        return list(self._table)
-
-    def _entry(self, context):
-        if context not in self._table:
-            raise ContextLookupError(f"no table entry for context {context!r}")
-        return self._table[context]
+        return list(self._contexts)
 
     def _position(self, context) -> int:
         position = self._index.get(context)
         if position is None:
-            self._entry(context)  # raises ContextLookupError
+            raise ContextLookupError(f"no table entry for context {context!r}")
         return position
 
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
@@ -461,16 +590,33 @@ class ExplicitPolicy(Policy):
             probs[rows] = np.where(found, _look_up(self._keys, self._key_probs, wanted), 0.0)
         return probs
 
-    def support_arrays(self, context):
-        actions, probs = self._entry(context)
-        keep = probs > 0.0
-        return actions[keep], probs[keep]
+    def support_rows(self, contexts, space):
+        picks = np.fromiter(map(self._position, contexts), dtype=np.int64, count=len(contexts))
+        starts = self._bounds[picks]
+        lengths = self._bounds[picks + 1] - starts
+        rows = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        keep = self._probs[rows] > 0.0
+        codes = np.repeat(np.arange(len(picks)), lengths)[keep]
+        rows = rows[keep]
+        return MomentArrays(
+            self._actions[rows, : space.num_slots],
+            self._probs[rows],
+            True,
+            _offsets(np.bincount(codes, minlength=len(picks))),
+        )
 
     # Inverse-CDF draws on rng.choice's own CDF give its draws and leave the
-    # generator in the same state, without its per-call checks of the weights.
+    # generator in the same state, without its per-call checks of the
+    # weights. One draw takes a scalar random() and bisects the CDF as
+    # floats: random(1)'s value, generator state and row, without arrays.
     def sample_batch(self, context, n, rng) -> np.ndarray:
-        actions, _ = self._entry(context)
-        return actions[self._cdf[context].searchsorted(rng.random(n), "right")]
+        lo, hi, slots = self._spans[self._position(context)]
+        if n == 1:
+            if self._cdf_list is None:
+                self._cdf_list = self._cdf.tolist()
+            at = bisect_right(self._cdf_list, rng.random(), lo, hi)
+            return self._actions[at : at + 1, :slots].copy()
+        return self._actions[lo + self._cdf[lo:hi].searchsorted(rng.random(n), "right"), :slots]
 
 
 def _look_up(keys: np.ndarray, probs: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -541,15 +687,18 @@ class MultinomialWoRPolicy(Policy):
             probs[rows] = out
         return probs
 
-    def support_arrays(self, context):
-        space = self.space_of(context)
+    def support_rows(self, contexts, space):
         if space.num_slates() > self.enumeration_cap:
             return None
-        logits = self.action_logits(context)
         slates = space.slate_array()
-        probs = np.exp(_plackett_luce_prefix_log_probs(logits, slates))
-        keep = probs > 0.0
-        return slates[keep], probs[keep]
+        step = max(1, STACK_ROWS // len(slates))
+        log_probs = [
+            _plackett_luce_prefix_log_probs(
+                np.stack([self.action_logits(c) for c in contexts[start : start + step]]), slates
+            )
+            for start in range(0, len(contexts), step)
+        ]
+        return _positive_rows(slates, np.exp(np.concatenate(log_probs)))
 
     def sample_batch(self, context, n, rng) -> np.ndarray:
         # Gumbel top-k keys reproduce sequential without-replacement draws.
@@ -586,23 +735,28 @@ def _plackett_luce_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndar
 
 def _plackett_luce_prefix_log_probs(logits: np.ndarray, slates: np.ndarray) -> np.ndarray:
     """``_plackett_luce_log_probs`` of every slate of a ranking space, given
-    as its ``slate_array``, with the same operations in the same order.
+    as its ``slate_array``, at each context of an (N, m) logit stack, with
+    the same operations in the same order; (N, len(slates)).
 
     In that lexicographic array the slates sharing a length-j prefix form one
     block of (m-j)!/(m-l)! rows, so slot j's peak and log-sum-exp are taken
-    once per distinct prefix and repeated over its block.
+    once per (context, distinct prefix) and repeated over its block.
     """
-    n, m = len(slates), len(logits)
-    log_prob = np.zeros(n)
+    n, m = len(slates), logits.shape[1]
+    log_prob = np.zeros((len(logits), n))
     for j in range(slates.shape[1]):
         block = n // math.prod(range(m - j + 1, m + 1))
         prefixes = slates[::block, :j]
         available = np.ones((len(prefixes), m), dtype=bool)
         available[np.arange(len(prefixes))[:, None], prefixes] = False
-        rest = logits[np.nonzero(available)[1].reshape(len(prefixes), m - j)]
-        peak = rest.max(axis=1)
-        lse = np.log(np.exp(rest - peak[:, None]).sum(axis=1))
-        log_prob += logits[slates[:, j]] - np.repeat(peak, block) - np.repeat(lse, block)
+        columns = np.nonzero(available)[1].reshape(len(prefixes), m - j)
+        # contiguous, so each sum adds in the order of a one-context table
+        rest = np.ascontiguousarray(logits[:, columns])
+        peak = rest.max(axis=2)
+        lse = np.log(np.exp(rest - peak[:, :, None]).sum(axis=2))
+        log_prob += (
+            logits[:, slates[:, j]] - np.repeat(peak, block, axis=1) - np.repeat(lse, block, axis=1)
+        )
     return log_prob
 
 
@@ -644,10 +798,10 @@ class UniformMixturePolicy(Policy):
     # Mixes the components' indicators, so it stays exact wherever they are,
     # as moment_matrix does; the derived one would sample the mixture above
     # the cap.
-    def mean_indicator(self, context) -> np.ndarray:
-        return self.kappa * self._uniform.mean_indicator(context) + (
+    def _mean_rows(self, contexts, space) -> np.ndarray:
+        return self.kappa * uniform_mean_indicator(space) + (
             1.0 - self.kappa
-        ) * self.base.mean_indicator(context)
+        ) * self.base.mean_indicators(contexts, space)
 
 
 # -- explicit-policy text format ------------------------------------------

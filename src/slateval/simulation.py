@@ -35,7 +35,7 @@ from .estimators import (  # estimate_sb and estimate_wsb are re-exported
 from .letor import RankingDataset
 from .logs import LoggedBatch, SemibanditExample, group_rows  # SemibanditExample is re-exported
 from .moments import PinvSource
-from .policies import DeterministicPolicy, MultinomialWoRPolicy, Policy
+from .policies import DeterministicPolicy, MultinomialWoRPolicy, Policy, positions_by_space
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .spaces import SlateSpace
 from .util import fmt, pairwise_sum
@@ -190,10 +190,12 @@ class BanditInstance:
         """Exact expected NDCG of a policy: additive rewards make the value
         an inner product of the mean indicator with the intrinsic values."""
         contexts = self.contexts if contexts is None else tuple(contexts)
-        values = [
-            float(policy.mean_indicator(c) @ self.arms[c].intrinsic) for c in contexts
-        ]
-        return pairwise_sum(np.asarray(values)) / len(values)
+        values = np.empty(len(contexts))
+        for space, positions in positions_by_space(policy, contexts):
+            means = policy.mean_indicators([contexts[i] for i in positions], space)
+            for i, q in zip(positions, means):
+                values[i] = q @ self.arms[contexts[i]].intrinsic
+        return pairwise_sum(values) / len(values)
 
 
 def build_instance(dataset: RankingDataset, config: ExperimentConfig) -> BanditInstance:

@@ -189,10 +189,32 @@ def test_diagnose_identity_policies(tmp_path, capsys):
     assert header == "sigma_sq,rho,rho_bar,kappa"
 
 
+def test_evaluate_validates_each_logged_slate_once(tmp_path, monkeypatch):
+    """read_logged_dataset checks every logged slate against the space, and
+    scoring the batch on that same space does not check them again."""
+    logs, logging, target = setup_eval_files(tmp_path)
+    checked = []
+    validate = SlateSpace.validate_batch
+    monkeypatch.setattr(
+        SlateSpace,
+        "validate_batch",
+        lambda self, actions, context=None: checked.append(len(actions)) or validate(
+            self, actions, context
+        ),
+    )
+    assert main([
+        "evaluate", "--logs", str(logs), "--logging-policy", str(logging),
+        "--target-policy", str(target), "--space", "ranking:m=3,slots=2",
+        "--estimator", "pi", "--estimator", "ips", "--out-dir", str(tmp_path / "out"),
+    ]) == 0
+    assert checked.count(4) == 1  # the four logged rows, read once
+
+
 def test_diagnose_builds_each_logging_moment_matrix_once(tmp_path, monkeypatch):
     """diagnose reads one moment record per (logging policy, context): N
-    contexts build N logging moment matrices, and kappa's uniform reference,
-    keyed by space, builds one uniform matrix for them all."""
+    contexts build N logging moment matrices, together in one stacked call,
+    and kappa's uniform reference, keyed by space, builds one uniform
+    matrix for them all."""
     from slateval import moments
 
     space = SlateSpace.ranking(4, 2)
@@ -215,8 +237,9 @@ def test_diagnose_builds_each_logging_moment_matrix_once(tmp_path, monkeypatch):
         "--out-dir", str(tmp_path / "diag"),
     ])
     assert code == 0
-    assert sorted(c for p, c in built if not p.is_uniform(c)) == contexts
-    assert len(built) == len(contexts) + 1
+    stacked = [c for _, c in built if isinstance(c, list)]
+    assert stacked == [contexts]
+    assert [p.is_uniform(c) for p, c in built if not isinstance(c, list)] == [True]
     assert uniform == [space]
 
 
@@ -352,8 +375,24 @@ def test_optimize_rejects_unusable_folds_and_sizes(tmp_path, capsys, overrides, 
 def test_generate_rejects_an_empty_dataset(tmp_path, capsys):
     out = tmp_path / "data.txt"
     assert main(["generate", "--out", str(out), "--queries", "0"]) == 2
-    assert capsys.readouterr().err == "error: num_queries must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "error: --queries must be >= 1, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("queries=0", "config field 'queries': must be >= 1, got 0"),
+        ("docs_per_query=-1", "config field 'docs_per_query': must be >= 1, got -1"),
+        ("feature_noise=nan", "config field 'feature_noise': must be a finite nonnegative number"),
+    ],
+)
+def test_generator_errors_name_the_config_key(tmp_path, capsys, item, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text("m=5\nslots=2\nn_grid=100\nruns=1\nestimators=pi\n")
+    argv = ["experiment", "--config", str(config), "--set", item, "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_optimize_ndcg_table_matches_golden_bytes(tmp_path):

@@ -347,3 +347,43 @@ def test_bincount_moments_equal_the_add_at_loops_bit_for_bit():
         assert np.array_equal(moment_matrix(policy, "q").entries, entries)
         if arrays.exact:
             assert np.array_equal(policy.mean_indicator("q"), mean)
+
+
+def reference_pinv(entries, rcond=moments.DEFAULT_RCOND):
+    """The one-matrix pseudoinverse the stacked build replaced: per-matrix
+    eigh (or the diagonal inverted entrywise) and reconstruction."""
+    entries = 0.5 * (entries + entries.T)
+    diagonal = not (entries - np.diag(np.diag(entries))).any()
+    eigvals, eigvecs = (np.diag(entries).copy(), None) if diagonal else np.linalg.eigh(entries)
+    cutoff = rcond * float(eigvals.max(initial=0.0))
+    keep = eigvals > cutoff
+    inv = np.zeros_like(eigvals)
+    inv[keep] = 1.0 / eigvals[keep]
+    pinv = np.diag(inv) if diagonal else (eigvecs * inv) @ eigvecs.T
+    return 0.5 * (pinv + pinv.T), int(keep.sum()), cutoff
+
+
+def test_stacked_pinv_equals_the_one_matrix_algorithm_bit_for_bit():
+    rng = np.random.default_rng(12)
+    space = SlateSpace.ranking(6, 3)
+    contexts = [f"c{i}" for i in range(12)]
+    explicit = random_explicit_policy(space, contexts, rng, sparsity=0.3)
+    stack = list(moment_matrix(explicit, contexts).entries)
+    stack += [np.diag(rng.random(space.dim)), np.diag(np.r_[0.0, rng.random(space.dim - 1)])]
+    stack = np.stack(stack)
+    result = pinv_numeric(stack)
+    for i, entries in enumerate(stack):
+        want, rank, cutoff = reference_pinv(entries)
+        assert np.array_equal(result.entries[i], want)
+        assert (result.rank[i], result.singular_cutoff[i]) == (rank, cutoff)
+        one = pinv_numeric(entries)
+        assert np.array_equal(one.entries, want)
+        assert (one.rank, one.singular_cutoff) == (rank, cutoff)
+
+
+def test_stacked_pinv_names_the_asymmetry_of_the_first_asymmetric_matrix():
+    stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+    stack[1, 0, 2] = 1e-3
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(SlateError, match=r"asymmetry 0\.001\)"):
+        pinv_numeric(stack)

@@ -616,3 +616,44 @@ def test_every_cached_mean_indicator_is_read_only():
         assert policy.mean_indicator("q") is q
         with pytest.raises(ValueError):
             q[0] = 1.0
+
+
+def test_explicit_one_row_draws_match_rng_choice_and_leave_its_generator_state():
+    """A one-row draw takes a scalar random(): the value and generator state
+    of random(1), and so of rng.choice over the table's rows."""
+    space = SlateSpace.ranking(4, 2)
+    slates = list(space.enumerate_slates())
+    probs = np.random.default_rng(8).dirichlet(np.ones(len(slates)))
+    probs[3] = 0.0
+    probs /= probs.sum()
+    policy = ExplicitPolicy(space, {"q": list(zip(slates, probs.tolist()))})
+    for seed in range(30):
+        rng, chooser, batch = (np.random.default_rng(seed) for _ in range(3))
+        drawn = policy.sample_batch("q", 1, rng)
+        chosen = slates[chooser.choice(len(slates), p=probs)]
+        assert drawn.dtype == np.int64 and drawn.tolist() == [list(chosen)]
+        batch.random(1)
+        assert rng.bit_generator.state == chooser.bit_generator.state == batch.bit_generator.state
+
+
+def test_explicit_tables_normalize_and_accumulate_each_context_bit_for_bit():
+    """Contexts with equal row counts are summed, normalized and accumulated
+    as one (contexts, rows) table; each context's probabilities and CDF
+    equal those of its own one-context sums."""
+    rng = np.random.default_rng(4)
+    space = SlateSpace.cartesian((20, 15))
+    every = space.slate_array()
+    table = {}
+    for i, count in enumerate((1, 7, 8, 9, 130, 300, 9, 130)):
+        weights = rng.gamma(0.5, size=count) + 1e-3
+        slates = every[rng.choice(len(every), size=count, replace=False)]
+        table[f"c{i}"] = list(zip(map(tuple, slates.tolist()), (weights / weights.sum()).tolist()))
+    policy = ExplicitPolicy(space, table)
+    for context, rows in table.items():
+        probs = np.array([p for _, p in rows])
+        probs = probs / probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        lo, hi = policy._bounds[policy._position(context) : policy._position(context) + 2]
+        assert np.array_equal(policy._probs[lo:hi], probs)
+        assert np.array_equal(policy._cdf[lo:hi], cdf)

@@ -31,6 +31,7 @@ from slateval import (
     read_logged_dataset,
     write_logged_dataset,
 )
+from helpers import random_explicit_policy
 from slateval.logs import _canonical_columns, _text_columns
 from slateval.spaces import space_of
 from slateval.util import pairwise_sum
@@ -288,6 +289,58 @@ def test_sigma_sq_le_rho_le_rho_bar_inside_the_logging_support(problem):
     tol = 1e-9 * max(1.0, rho_bar)
     assert sigma_sq <= rho + tol
     assert rho <= rho_bar + tol
+
+
+@st.composite
+def stacked_logging(draw):
+    """Contexts and a maker of one logging policy over them, built afresh
+    on each call: an explicit table, Plackett-Luce at temperature 0.5 to
+    40, a uniform mixture of either, or Plackett-Luce above its
+    enumeration cap (Monte Carlo)."""
+    kind = draw(st.sampled_from(("explicit", "plackett_luce", "mixture", "monte_carlo")))
+    space = draw(spaces())
+    if kind != "explicit" and space.kind is not SpaceKind.RANKING:
+        m = draw(st.integers(2, 5))
+        space = SlateSpace.ranking(m, draw(st.integers(1, min(m, 3))))
+    contexts = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    temperature = draw(st.floats(0.5, 40.0))
+    sparsity = draw(st.sampled_from((None, 0.5)))
+    kappa = draw(st.floats(0.05, 0.95))
+    mc = dict(enumeration_cap=space.num_slates() - 1, mc_samples=draw(st.integers(1, 80)),
+              mc_seed=draw(st.integers(0, 9)))
+
+    def make():
+        rng = np.random.default_rng(seed)
+        if kind == "explicit" or (kind == "mixture" and space.kind is SpaceKind.CARTESIAN):
+            policy = random_explicit_policy(space, contexts, rng, sparsity=sparsity)
+        else:
+            scores = {c: rng.normal(size=space.num_actions) for c in contexts}
+            policy = MultinomialWoRPolicy(
+                space, scores, temperature, **(mc if kind == "monte_carlo" else {})
+            )
+        return UniformMixturePolicy(policy, kappa) if kind == "mixture" else policy
+
+    return make, contexts, draw(st.permutations(contexts))
+
+
+@PROPERTY_SETTINGS
+@given(stacked_logging())
+def test_moment_records_do_not_depend_on_which_contexts_share_a_stack(case):
+    make, contexts, order = case
+    policy = make()
+    together = dict(zip(order, PinvSource().records(policy, order)))
+    means = dict(zip(order, policy.mean_indicators(order, policy.space_of(order[0]))))
+    for context in contexts:
+        alone = make()
+        record, shared = PinvSource().record(alone, context), together[context]
+        assert np.array_equal(record.matrix.entries, shared.matrix.entries)
+        assert np.array_equal(record.pinv.entries, shared.pinv.entries)
+        assert record.pinv.rank == shared.pinv.rank
+        assert record.pinv.singular_cutoff == shared.pinv.singular_cutoff
+        assert record.matrix.provenance is shared.matrix.provenance
+        assert record.matrix.sample_count == shared.matrix.sample_count
+        assert np.array_equal(alone.mean_indicator(context), means[context])
 
 
 # -- the bulk TSV readers against the per-line loops they replaced -------------
@@ -588,6 +641,8 @@ def test_bulk_policy_loader_matches_the_per_line_loop(tmp_path_factory, case):
         assert got_error is None, got_error
         assert got.contexts == list(want)
         for context, (actions, probs) in want.items():
-            got_actions, got_probs = got._table[context]
+            lo, hi = got._bounds[got._position(context)], got._bounds[got._position(context) + 1]
+            got_actions = got._actions[lo:hi, : space_of(space_map, context).num_slots]
+            got_probs = got._probs[lo:hi]
             assert got_actions.dtype == actions.dtype and np.array_equal(got_actions, actions)
             assert got_probs.dtype == probs.dtype and np.array_equal(got_probs, probs)
