@@ -100,7 +100,8 @@ def moment_matrix(policy: Policy, contexts, space: SlateSpace | None = None) -> 
         closed = uniform_moment_matrix(space)
         if batch is not contexts:
             return closed
-        return replace(closed, entries=np.broadcast_to(closed.entries, (len(batch), *closed.entries.shape)))
+        shape = (len(batch), *closed.entries.shape)
+        return replace(closed, entries=np.broadcast_to(closed.entries, shape))
     if isinstance(policy, UniformMixturePolicy):
         uniform_part = uniform_moment_matrix(space)
         base_part = moment_matrix(policy.base, contexts, space)
@@ -119,22 +120,25 @@ def _moment_stack(space: SlateSpace, rows: MomentArrays, means: np.ndarray) -> n
     indicators the policy sums over the same rows.
 
     The diagonal holds those per-slot marginals; each cross-slot block
-    (j, k), j < k, is one bincount over the rows, mirrored into (k, j).
-    Every cell adds its context's terms in row order, as one bincount per
-    context would, and the matrices come out exactly symmetric.
+    (j, k), j < k, is one bincount over the rows of a run of contexts
+    (``MomentArrays.chunks``), mirrored into (k, j). Every cell adds its
+    context's terms in row order, as one bincount per context would, and
+    the matrices come out exactly symmetric.
     """
     n, dim = len(rows.bounds) - 1, space.dim
-    codes = rows.codes()
     entries = np.zeros((n, dim, dim))
     entries.reshape(n, dim * dim)[:, :: dim + 1] = means
     spans = list(zip(space.offsets.tolist(), space.slot_counts))
-    for j, (oj, mj) in enumerate(spans):
-        for k in range(j + 1, len(spans)):
-            ok, mk = spans[k]
-            cells = (codes * mj + rows.actions[:, j]) * mk + rows.actions[:, k]
-            block = np.bincount(cells, rows.probs, minlength=n * mj * mk).reshape(n, mj, mk)
-            entries[:, oj : oj + mj, ok : ok + mk] = block
-            entries[:, ok : ok + mk, oj : oj + mj] = block.transpose(0, 2, 1)
+    for lo, hi, part in rows.chunks():
+        codes, stack = part.codes(), entries[lo:hi]
+        for j, (oj, mj) in enumerate(spans):
+            for k in range(j + 1, len(spans)):
+                ok, mk = spans[k]
+                cells = (codes * mj + part.actions[:, j]) * mk + part.actions[:, k]
+                block = np.bincount(cells, part.probs, minlength=(hi - lo) * mj * mk)
+                block = block.reshape(hi - lo, mj, mk)
+                stack[:, oj : oj + mj, ok : ok + mk] = block
+                stack[:, ok : ok + mk, oj : oj + mj] = block.transpose(0, 2, 1)
     return entries
 
 

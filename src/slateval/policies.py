@@ -82,6 +82,20 @@ class MomentArrays:
         bounds = np.array((0, hi - lo))
         return MomentArrays(self.actions[lo:hi], self.probs[lo:hi], self.exact, bounds)
 
+    def chunks(self, limit: int = STACK_ROWS) -> Iterator[tuple[int, int, "MomentArrays"]]:
+        """Runs of consecutive contexts [lo, hi), each with at most ``limit``
+        rows (or one context), and their rows as views: what a reduction
+        over the rows takes at a time, so its temporaries stay bounded."""
+        lo, n = 0, len(self.bounds) - 1
+        while lo < n:
+            last = int(np.searchsorted(self.bounds, self.bounds[lo] + limit, "right")) - 1
+            hi = max(lo + 1, last)
+            a, b = self.bounds[lo], self.bounds[hi]
+            yield lo, hi, MomentArrays(
+                self.actions[a:b], self.probs[a:b], self.exact, self.bounds[lo : hi + 1] - a
+            )
+            lo = hi
+
 
 def _offsets(counts) -> np.ndarray:
     """Row offsets of consecutive blocks of the given sizes."""
@@ -285,20 +299,22 @@ class Policy:
         if missing:
             built = self.support_rows(missing, space)
             if built is None:
-                built = self._sample_rows(missing)
+                built = self._sample_rows(missing, space)
             cache.update((context, (built, i)) for i, context in enumerate(missing))
         return _stacked([cache[c] for c in contexts])
 
-    def _sample_rows(self, contexts) -> MomentArrays:
+    def _sample_rows(self, contexts, space: SlateSpace) -> MomentArrays:
         if self.mc_samples <= 0:
             raise ConfigurationError(
                 "Monte Carlo moments requested with a non-positive sample count"
             )
         n = self.mc_samples
-        draws = [self.sample_batch(c, n, context_rng(self.mc_seed, c)) for c in contexts]
-        actions = np.concatenate(draws).astype(np.int64, copy=False)
+        actions = np.empty((len(contexts) * n, space.num_slots), dtype=np.int64)
+        for i, context in enumerate(contexts):
+            rng = context_rng(self.mc_seed, context)
+            actions[i * n : (i + 1) * n] = self.sample_batch(context, n, rng)
         probs = np.full(len(actions), 1.0 / n)
-        return MomentArrays(actions, probs, False, _offsets([n] * len(draws)))
+        return MomentArrays(actions, probs, False, _offsets([n] * len(contexts)))
 
     def moment_arrays(self, context) -> MomentArrays:
         """The one-context case of ``moment_rows``."""
@@ -348,12 +364,12 @@ def indicator_sums(space: SlateSpace, rows: MomentArrays) -> np.ndarray:
     """(N, dim) probability-weighted sums of the indicator vectors of each
     context's rows. One bincount per slot, so every coordinate adds its
     terms in row order."""
-    n = len(rows.bounds) - 1
-    codes = rows.codes()
-    sums = np.empty((n, space.dim))
-    for j, (offset, count) in enumerate(zip(space.offsets.tolist(), space.slot_counts)):
-        cells = np.bincount(codes * count + rows.actions[:, j], rows.probs, minlength=n * count)
-        sums[:, offset : offset + count] = cells.reshape(n, count)
+    sums = np.empty((len(rows.bounds) - 1, space.dim))
+    for lo, hi, part in rows.chunks():
+        codes, n = part.codes(), hi - lo
+        for j, (offset, count) in enumerate(zip(space.offsets.tolist(), space.slot_counts)):
+            cells = np.bincount(codes * count + part.actions[:, j], part.probs, minlength=n * count)
+            sums[lo:hi, offset : offset + count] = cells.reshape(n, count)
     return sums
 
 

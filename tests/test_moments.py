@@ -387,3 +387,26 @@ def test_stacked_pinv_names_the_asymmetry_of_the_first_asymmetric_matrix():
     stack[2, 0, 1] = 1.0
     with pytest.raises(SlateError, match=r"asymmetry 0\.001\)"):
         pinv_numeric(stack)
+
+
+def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds():
+    """A stack longer than STACK_ROWS is reduced in runs of contexts (here
+    two contexts, then one); every context's matrix and mean indicator
+    equal its one-context build."""
+    from slateval.policies import STACK_ROWS
+
+    space = SlateSpace.ranking(5, 3)
+    contexts = ["a", "b", "c"]
+    scores = {c: np.random.default_rng(i).normal(size=5) for i, c in enumerate(contexts)}
+
+    def make():
+        return MultinomialWoRPolicy(space, scores, 1.0, enumeration_cap=10, mc_samples=30_000)
+
+    policy = make()
+    rows = policy.moment_rows(contexts, space)
+    assert [(lo, hi) for lo, hi, _ in rows.chunks()] == [(0, 2), (2, 3)] and 60_000 < STACK_ROWS
+    stacked = moment_matrix(policy, contexts)
+    for i, context in enumerate(contexts):
+        alone = make()
+        assert np.array_equal(moment_matrix(alone, context).entries, stacked.entries[i])
+        assert np.array_equal(alone.mean_indicator(context), policy.mean_indicator(context))
