@@ -79,18 +79,21 @@ class _Overlaps:
             raise ConfigurationError("the overlap diagnostics need at least one context")
         self.source, self.logging, self.target = source, logging, target
         self.contexts = list(contexts)
-        self.records = source.records(logging, self.contexts)
-        self.groups = positions_by_space(logging, self.contexts)
+        source.records(logging, self.contexts)  # every space's missing records, built together
+        self.groups = [
+            (space, positions, [self.contexts[i] for i in positions])
+            for space, positions in positions_by_space(logging, self.contexts)
+        ]
 
     def _per_space(self, reduce) -> np.ndarray:
-        """``reduce(space, positions, contexts)`` of each space's contexts, scattered back."""
+        """``reduce(space, contexts)`` of each space's contexts, scattered back."""
         out = np.empty(len(self.contexts))
-        for space, positions in self.groups:
-            out[positions] = reduce(space, positions, [self.contexts[i] for i in positions])
+        for space, positions, contexts in self.groups:
+            out[positions] = reduce(space, contexts)
         return out
 
-    def _stack(self, positions, part: str) -> np.ndarray:
-        return np.stack([getattr(self.records[i], part).entries for i in positions])
+    def _matrices(self, policy: Policy, contexts) -> np.ndarray:
+        return np.stack([record.matrix.entries for record in self.source.records(policy, contexts)])
 
     def _rows(self, space, contexts):
         """The logging moment rows' context codes and indicator coordinates."""
@@ -101,23 +104,22 @@ class _Overlaps:
     def _overlap(self) -> dict:
         """Per space: the target's mean indicators q and w = q' pinv."""
         out = {}
-        for space, positions in self.groups:
-            contexts = [self.contexts[i] for i in positions]
+        for space, _, contexts in self.groups:
             for context in contexts:
                 _require_space(self.target, context, space, "target")
             qs = self.target.mean_indicators(contexts, space)
-            out[space] = qs, (qs[:, None, :] @ self._stack(positions, "pinv"))[:, 0]
+            out[space] = qs, (qs[:, None, :] @ self.source.pinv_stack(self.logging, contexts))[:, 0]
         return out
 
     def sigma_sq(self) -> np.ndarray:
-        def reduce(space, positions, contexts):
+        def reduce(space, contexts):
             qs, ws = self._overlap[space]
             return (ws[:, None, :] @ qs[:, :, None])[:, 0, 0]
 
         return self._per_space(reduce)
 
     def rho(self) -> np.ndarray:
-        def reduce(space, positions, contexts):
+        def reduce(space, contexts):
             rows, codes, coords = self._rows(space, contexts)
             values = np.abs(self._overlap[space][1][codes[:, None], coords].sum(axis=1))
             return np.maximum.reduceat(values, rows.bounds[:-1])
@@ -125,25 +127,24 @@ class _Overlaps:
         return self._per_space(reduce)
 
     def rho_bar(self) -> np.ndarray:
-        def reduce(space, positions, contexts):
+        def reduce(space, contexts):
             rows, codes, coords = self._rows(space, contexts)
-            pinv, slots = self._stack(positions, "pinv"), range(space.num_slots)
+            pinv, slots = self.source.pinv_stack(self.logging, contexts), range(space.num_slots)
             values = sum(pinv[codes, coords[:, j], coords[:, k]] for j in slots for k in slots)
             return np.maximum.reduceat(values, rows.bounds[:-1])
 
         return self._per_space(reduce)
 
     def kappa(self, reference: Policy | None = None) -> np.ndarray:
-        def reduce(space, positions, contexts):
+        def reduce(space, contexts):
             ref = reference if reference is not None else UniformPolicy(space)
             for context in contexts:
                 _require_space(ref, context, space, "reference")
-            gamma_ref = np.stack([r.matrix.entries for r in self.source.records(ref, contexts)])
+            gamma, gamma_ref = self._matrices(self.logging, contexts), self._matrices(ref, contexts)
             # cross-slot pairs; a single-slot space has none and compares marginals
             slot = np.repeat(np.arange(space.num_slots), space.slot_counts)
             cross = (slot[:, None] != slot) | (space.num_slots == 1)
             ratio = np.full(gamma_ref.shape, np.inf)
-            gamma = self._stack(positions, "matrix")
             np.divide(gamma, gamma_ref, out=ratio, where=(gamma_ref > 0.0) & cross)
             return np.minimum(ratio.min(axis=(1, 2)), 1.0)
 

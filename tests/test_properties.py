@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_explicit_policy
 from slateval import (
     DeterministicPolicy,
     ExplicitPolicy,
@@ -31,7 +32,6 @@ from slateval import (
     read_logged_dataset,
     write_logged_dataset,
 )
-from helpers import random_explicit_policy
 from slateval.logs import _canonical_columns, _text_columns
 from slateval.spaces import space_of
 from slateval.util import pairwise_sum
