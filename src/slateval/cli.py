@@ -190,13 +190,11 @@ def cmd_evaluate(args) -> int:
 
 
 # GeneratorConfig fields as the user names them, where the name differs
-GENERATOR_KEYS = {"num_queries": "queries", "seed": "generator_seed"}
+GENERATOR_KEYS = {"num_queries": "queries"}
 GENERATOR_FLAGS = {
     "num_queries": "--queries",
     "docs_per_query": "--docs-per-query",
     "feature_dim": "--feature-dim",
-    "title_dims": "--title-dims",
-    "seed": "--seed",
 }
 
 

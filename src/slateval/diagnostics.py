@@ -25,7 +25,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import AbsoluteContinuityError, ConfigurationError
-from .moments import PinvSource
+from .moments import PinvSource, context_runs
 from .policies import Policy, UniformPolicy, positions_by_space
 from .util import fmt
 
@@ -71,8 +71,9 @@ def _require_space(policy: Policy, context, space, role: str) -> None:
 
 class _Overlaps:
     """The logging policy's overlaps at a list of contexts, each diagnostic
-    one array over them in order, reduced per logging space from stacks of
-    the cached moment records."""
+    one array over them in order, reduced per run of the contexts of one
+    logging space (``moments.context_runs``) from stacks of the cached
+    moment records."""
 
     def __init__(self, source: PinvSource, logging: Policy, contexts, target: Policy | None = None):
         if len(contexts) == 0:
@@ -80,16 +81,18 @@ class _Overlaps:
         self.source, self.logging, self.target = source, logging, target
         self.contexts = list(contexts)
         source.records(logging, self.contexts)  # every space's missing records, built together
-        self.groups = [
-            (space, positions, [self.contexts[i] for i in positions])
+        self.runs = [
+            (space, run, [self.contexts[i] for i in run])
             for space, positions in positions_by_space(logging, self.contexts)
+            for lo, hi in context_runs(len(positions), space.dim)
+            for run in [positions[lo:hi]]
         ]
 
-    def _per_space(self, reduce) -> np.ndarray:
-        """``reduce(space, contexts)`` of each space's contexts, scattered back."""
+    def _per_run(self, reduce) -> np.ndarray:
+        """``reduce(r, space, contexts)`` of each run r, scattered back."""
         out = np.empty(len(self.contexts))
-        for space, positions, contexts in self.groups:
-            out[positions] = reduce(space, contexts)
+        for r, (space, positions, contexts) in enumerate(self.runs):
+            out[positions] = reduce(r, space, contexts)
         return out
 
     def _matrices(self, policy: Policy, contexts) -> np.ndarray:
@@ -101,42 +104,42 @@ class _Overlaps:
         return rows, rows.codes(), space.coords_of_actions(rows.actions)
 
     @cached_property
-    def _overlap(self) -> dict:
-        """Per space: the target's mean indicators q and w = q' pinv."""
-        out = {}
-        for space, _, contexts in self.groups:
+    def _overlap(self) -> list:
+        """Per run: the target's mean indicators q and w = q' pinv."""
+        out = []
+        for space, _, contexts in self.runs:
             for context in contexts:
                 _require_space(self.target, context, space, "target")
             qs = self.target.mean_indicators(contexts, space)
-            out[space] = qs, (qs[:, None, :] @ self.source.pinv_stack(self.logging, contexts))[:, 0]
+            out.append((qs, (qs[:, None, :] @ self.source.pinv_stack(self.logging, contexts))[:, 0]))
         return out
 
     def sigma_sq(self) -> np.ndarray:
-        def reduce(space, contexts):
-            qs, ws = self._overlap[space]
+        def reduce(r, space, contexts):
+            qs, ws = self._overlap[r]
             return (ws[:, None, :] @ qs[:, :, None])[:, 0, 0]
 
-        return self._per_space(reduce)
+        return self._per_run(reduce)
 
     def rho(self) -> np.ndarray:
-        def reduce(space, contexts):
+        def reduce(r, space, contexts):
             rows, codes, coords = self._rows(space, contexts)
-            values = np.abs(self._overlap[space][1][codes[:, None], coords].sum(axis=1))
+            values = np.abs(self._overlap[r][1][codes[:, None], coords].sum(axis=1))
             return np.maximum.reduceat(values, rows.bounds[:-1])
 
-        return self._per_space(reduce)
+        return self._per_run(reduce)
 
     def rho_bar(self) -> np.ndarray:
-        def reduce(space, contexts):
+        def reduce(r, space, contexts):
             rows, codes, coords = self._rows(space, contexts)
             pinv, slots = self.source.pinv_stack(self.logging, contexts), range(space.num_slots)
             values = sum(pinv[codes, coords[:, j], coords[:, k]] for j in slots for k in slots)
             return np.maximum.reduceat(values, rows.bounds[:-1])
 
-        return self._per_space(reduce)
+        return self._per_run(reduce)
 
     def kappa(self, reference: Policy | None = None) -> np.ndarray:
-        def reduce(space, contexts):
+        def reduce(r, space, contexts):
             ref = reference if reference is not None else UniformPolicy(space)
             for context in contexts:
                 _require_space(ref, context, space, "reference")
@@ -148,7 +151,7 @@ class _Overlaps:
             np.divide(gamma, gamma_ref, out=ratio, where=(gamma_ref > 0.0) & cross)
             return np.minimum(ratio.min(axis=(1, 2)), 1.0)
 
-        return self._per_space(reduce)
+        return self._per_run(reduce)
 
 
 def compute_sigma_sq(
@@ -218,7 +221,7 @@ def check_translation(
     """
     source = pinv_source or PinvSource()
     overlaps = _Overlaps(source, logging, [context])
-    _require_space(reference, context, overlaps.groups[0][0], "reference")
+    _require_space(reference, context, overlaps.runs[0][0], "reference")
     actions = logging.moment_arrays(context).actions
     outside = reference.slate_prob_batch(context, actions) <= 0.0
     if outside.any():

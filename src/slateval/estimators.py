@@ -29,8 +29,6 @@ reduction in example order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -43,7 +41,7 @@ from .errors import (
     UndefinedEstimateError,
 )
 from .logs import LoggedBatch, LoggedExample, SemibanditExample
-from .moments import PinvSource
+from .moments import PinvSource, context_runs
 from .policies import Policy
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .spaces import SlateSpace, space_of
@@ -110,8 +108,8 @@ def _require_data(data: Sequence[LoggedExample]) -> None:
 class _ScoredBatch:
     """One scoring pass of a logged batch under a (logging, target) pair.
 
-    The constructor groups the batch's contexts by logging space. Per group
-    it validates the rows once (unless the batch was read and checked on
+    The constructor groups the batch's contexts by logging space, in runs
+    of bounded stack size (``moments.context_runs``). Per group it validates the rows once (unless the batch was read and checked on
     that space) and scores them with one row-level call of the logging
     policy; a zero logging propensity is always an error (an
     absolute-continuity violation if the target puts mass on the slate, else
@@ -167,7 +165,8 @@ class _ScoredBatch:
             for context, rows in batch.groups():
                 spaces.setdefault(logging.space_of(context), []).append((context, rows))
             for space, members in spaces.items():
-                self._score(space, members)
+                for lo, hi in context_runs(len(members), space.dim):
+                    self._score(space, members[lo:hi])
         except Exception:
             # whatever failed, the first context to fail alone raises first
             for context, rows in batch.groups():
@@ -418,12 +417,9 @@ def exact_policy_value(target: Policy, contexts: Sequence, reward_fn) -> float:
     """Exact value of a policy by full enumeration over supports.
 
     ``reward_fn(context, slate)`` must return the expected reward; contexts
-    are weighted uniformly. Each context's support is read as arrays and
-    summed in support order.
+    are weighted uniformly.
     """
     total = 0.0
     for context in contexts:
-        actions, probs = target._listed_support(context)
-        slates = map(tuple, actions.tolist())
-        total += sum(map(mul, probs.tolist(), map(reward_fn, repeat(context), slates)))
+        total += sum(p * reward_fn(context, slate) for slate, p in target.support(context))
     return total / len(contexts)

@@ -17,9 +17,9 @@ Every cell adds its context's rows in row order, so a matrix does not
 depend on which contexts share its stack.
 
 ``PinvSource`` caches one ``MomentRecord`` (matrix and pseudoinverse) per
-(logging policy, context), filling every missing context of a space in one
-stacked build; the estimators, the optimizer and the diagnostics all read
-it.
+(logging policy, context), filling the missing contexts of a space in
+stacked builds of bounded size (``context_runs``); the estimators, the
+optimizer and the diagnostics all read it, over runs of the same bound.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .spaces import SlateSpace, SpaceKind
 
 DEFAULT_RCOND = 1e-10
 SYMMETRY_TOL = 1e-8
+STACK_CELLS = 1 << 18  # bounds one (contexts, dim, dim) stack: 2 MB of float64
 
 
 class Provenance(Enum):
@@ -239,6 +240,14 @@ def pinv_uniform(space: SlateSpace) -> PseudoInverse:
     return pinv_uniform_ranking(space)
 
 
+def context_runs(n: int, dim: int) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of n contexts whose (contexts, dim, dim) stacks hold at
+    most ``STACK_CELLS`` cells each (or one context): what a stacked build
+    or product takes at a time, so its temporaries stay bounded."""
+    step = max(1, STACK_CELLS // dim**2)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 @dataclass(frozen=True)
 class MomentRecord:
     """A moment matrix and its pseudoinverse, built together once per key."""
@@ -251,7 +260,7 @@ class PinvSource:
     """Builds and caches one ``MomentRecord`` per key: the space for a policy
     that is uniform at the context, whose closed forms depend on nothing
     else, and (policy, context) otherwise. The missing contexts of one
-    space are built together, as one stack."""
+    space are built together, as stacks of at most ``STACK_CELLS`` cells."""
 
     def __init__(self):
         self._cache: dict = {}
@@ -274,15 +283,17 @@ class PinvSource:
                 matrix = moment_matrix(policy, next(iter(group)), space)
                 self._cache[space] = MomentRecord(matrix, pinv_uniform(space))
                 continue
-            matrices = moment_matrix(policy, list(group), space)
-            pinvs = pinv_numeric(matrices)
-            provenance, sample_count = matrices.provenance, matrices.sample_count
-            ranks, cutoffs = pinvs.rank.tolist(), pinvs.singular_cutoff.tolist()
-            for i, key in enumerate(group.values()):
-                self._cache[key] = MomentRecord(
-                    MomentMatrix(space, matrices.entries[i], provenance, sample_count),
-                    PseudoInverse(pinvs.entries[i], ranks[i], cutoffs[i]),
-                )
+            built, built_keys = list(group), list(group.values())
+            for lo, hi in context_runs(len(built), space.dim):
+                matrices = moment_matrix(policy, built[lo:hi], space)
+                pinvs = pinv_numeric(matrices)
+                provenance, sample_count = matrices.provenance, matrices.sample_count
+                ranks, cutoffs = pinvs.rank.tolist(), pinvs.singular_cutoff.tolist()
+                for i, key in enumerate(built_keys[lo:hi]):
+                    self._cache[key] = MomentRecord(
+                        MomentMatrix(space, matrices.entries[i], provenance, sample_count),
+                        PseudoInverse(pinvs.entries[i], ranks[i], cutoffs[i]),
+                    )
         return [self._cache[key] for key in keys]
 
     def pseudoinverse(self, policy: Policy, context) -> np.ndarray:

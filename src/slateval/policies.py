@@ -33,7 +33,6 @@ fill-once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -82,13 +81,14 @@ class MomentArrays:
         bounds = np.array((0, hi - lo))
         return MomentArrays(self.actions[lo:hi], self.probs[lo:hi], self.exact, bounds)
 
-    def chunks(self, limit: int = STACK_ROWS) -> Iterator[tuple[int, int, "MomentArrays"]]:
-        """Runs of consecutive contexts [lo, hi), each with at most ``limit``
-        rows (or one context), and their rows as views: what a reduction
-        over the rows takes at a time, so its temporaries stay bounded."""
+    def chunks(self) -> Iterator[tuple[int, int, "MomentArrays"]]:
+        """Runs of consecutive contexts [lo, hi), each with at most
+        ``STACK_ROWS`` rows (or one context), and their rows as views: what a
+        reduction over the rows takes at a time, so its temporaries stay
+        bounded."""
         lo, n = 0, len(self.bounds) - 1
         while lo < n:
-            last = int(np.searchsorted(self.bounds, self.bounds[lo] + limit, "right")) - 1
+            last = int(np.searchsorted(self.bounds, self.bounds[lo] + STACK_ROWS, "right")) - 1
             hi = max(lo + 1, last)
             a, b = self.bounds[lo], self.bounds[hi]
             yield lo, hi, MomentArrays(
@@ -265,11 +265,6 @@ class Policy:
 
     def support(self, context) -> Iterator[tuple[Slate, float]]:
         """Iterate (slate, probability) pairs with positive probability."""
-        actions, probs = self._listed_support(context)
-        for row, p in zip(actions.tolist(), probs.tolist()):
-            yield tuple(row), p
-
-    def _listed_support(self, context) -> tuple[np.ndarray, np.ndarray]:
         listed = self.support_arrays(context)
         if listed is None:
             raise ConfigurationError(
@@ -277,7 +272,9 @@ class Policy:
                 f"{self.space_of(context).num_slates()} slates, above the enumeration cap "
                 f"of {self.enumeration_cap}"
             )
-        return listed
+        actions, probs = listed
+        for row, p in zip(actions.tolist(), probs.tolist()):
+            yield tuple(row), p
 
     def is_uniform(self, context) -> bool:
         """True when the policy is exactly uniform over the space's slates."""
@@ -542,7 +539,7 @@ class ExplicitPolicy(Policy):
         listed = probs[by_context]
         tables = [
             (group, bounds[group, None] + np.arange(length))
-            for length in np.unique(counts).tolist()
+            for length in np.flatnonzero(np.bincount(counts)).tolist()
             for group in [np.flatnonzero(counts == length)]
         ]
         totals = np.empty(len(contexts))
@@ -574,7 +571,6 @@ class ExplicitPolicy(Policy):
         slots = np.zeros(len(contexts), dtype=np.int64)
         slots[codes] = widths
         self._spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), slots.tolist()))
-        self._cdf_list = None  # the CDF as floats, made by the first one-row draw
         self._contexts = list(contexts)
         self._index = {context: i for i, context in enumerate(contexts)}
         self._stride, self._ranks = sorted_rows.stride, sorted_rows.ranks
@@ -622,16 +618,9 @@ class ExplicitPolicy(Policy):
         )
 
     # Inverse-CDF draws on rng.choice's own CDF give its draws and leave the
-    # generator in the same state, without its per-call checks of the
-    # weights. One draw takes a scalar random() and bisects the CDF as
-    # floats: random(1)'s value, generator state and row, without arrays.
+    # generator in the same state, without its per-call checks of the weights.
     def sample_batch(self, context, n, rng) -> np.ndarray:
         lo, hi, slots = self._spans[self._position(context)]
-        if n == 1:
-            if self._cdf_list is None:
-                self._cdf_list = self._cdf.tolist()
-            at = bisect_right(self._cdf_list, rng.random(), lo, hi)
-            return self._actions[at : at + 1, :slots].copy()
         return self._actions[lo + self._cdf[lo:hi].searchsorted(rng.random(n), "right"), :slots]
 
 

@@ -1,5 +1,7 @@
 import csv
 import re
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -450,6 +452,30 @@ def run_golden_evaluate(out_dir):
         "--estimator", "pi", "--estimator", "ips", "--estimator", "wips", "--diagnostics",
         "--out-dir", str(out_dir),
     ]) == 0
+
+
+def test_evaluate_and_diagnose_import_no_module_numpy_loads_lazily(tmp_path):
+    """np.unique and np.quantile import numpy.ma on first use, tens of
+    milliseconds in a fresh interpreter; the explicit-table commands use
+    neither."""
+    logs, logging, target = write_golden_policy_files(tmp_path)
+    common = ["--logging-policy", str(logging), "--target-policy", str(target),
+              "--space", "ranking:m=4,slots=2"]
+    runs = [
+        ["evaluate", "--logs", str(logs), *common, "--estimator", "pi", "--estimator", "ips",
+         "--diagnostics", "--out-dir", str(tmp_path / "e")],
+        ["diagnose", *common, "--out-dir", str(tmp_path / "d")],
+    ]
+    script = (
+        "import sys\n"
+        "from slateval.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {runs!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def run_golden_diagnose(out_dir):

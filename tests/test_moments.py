@@ -410,3 +410,68 @@ def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds():
         alone = make()
         assert np.array_equal(moment_matrix(alone, context).entries, stacked.entries[i])
         assert np.array_equal(alone.mean_indicator(context), policy.mean_indicator(context))
+
+
+def test_stacks_of_more_contexts_than_one_run_equal_one_context_builds(monkeypatch):
+    """With STACK_CELLS at two matrices, the records of five contexts are
+    built in runs of two, two and one, and the estimators and overlap
+    diagnostics read their stacks in the same runs; every record equals its
+    one-context build and every output equals the one-run output."""
+    from helpers import draw_ada_logs, make_ada_instance, mixture_logging_policy
+    from slateval.diagnostics import overlap_profile
+    from slateval.estimators import _ScoredBatch
+
+    instance = make_ada_instance(num_contexts=5, seed=3)
+    logging = mixture_logging_policy(instance, 0.2, np.random.default_rng(4))
+    target = MultinomialWoRPolicy(
+        instance.space, {c: np.arange(4.0) * (c + 1) for c in instance.contexts}, 1.5
+    )
+    logs = draw_ada_logs(instance, logging, 200, np.random.default_rng(5))
+    names = ("pi", "ips", "wips")
+
+    def outputs():
+        source = PinvSource()
+        scored = _ScoredBatch(logs, logging, target, names, source)
+        profile = overlap_profile(instance.contexts, logging, target, pinv_source=source)
+        return source, (scored.pi(diagnostics=True), scored.ips(), scored.wips(), profile)
+
+    one_run, expected = outputs()
+    monkeypatch.setattr(moments, "STACK_CELLS", 2 * instance.space.dim**2)
+    sizes = []
+    build = moments.moment_matrix
+
+    def counted(policy, contexts, space=None):
+        if policy is logging:
+            sizes.append(len(contexts))
+        return build(policy, contexts, space)
+
+    monkeypatch.setattr(moments, "moment_matrix", counted)
+    source, got = outputs()
+    assert sizes == [2, 2, 1]
+    assert got == expected
+    for context in instance.contexts:
+        alone, record = PinvSource().record(logging, context), source.record(logging, context)
+        assert np.array_equal(record.matrix.entries, alone.matrix.entries)
+        assert np.array_equal(record.pinv.entries, alone.pinv.entries)
+        assert record.pinv.rank == alone.pinv.rank
+        assert record.pinv.singular_cutoff == alone.pinv.singular_cutoff
+        assert np.array_equal(record.pinv.entries, one_run.record(logging, context).pinv.entries)
+
+
+def test_a_mixture_with_a_uniform_base_reads_the_uniform_closed_forms():
+    """A mixture that is uniform at a context (a uniform base) takes the
+    uniform mean indicator and records, as its moment matrix always did;
+    kappa * u + (1 - kappa) * u differs from u in the last bit here."""
+    from slateval import UniformMixturePolicy
+    from slateval.policies import uniform_mean_indicator
+
+    space = SlateSpace.ranking(5, 2)
+    u = uniform_mean_indicator(space)
+    assert not np.array_equal(0.3 * u + 0.7 * u, u)
+    for base in (UniformPolicy(space), MultinomialWoRPolicy(space, {"q": np.arange(5.0)}, 0.0)):
+        mixture = UniformMixturePolicy(base, 0.3)
+        assert mixture.is_uniform("q")
+        assert mixture.mean_indicator("q") is u
+        record = PinvSource().record(mixture, "q")
+        assert record.matrix.provenance is Provenance.CLOSED_FORM_UNIFORM_RANKING
+        assert np.array_equal(record.pinv.entries, pinv_uniform_ranking(space).entries)
