@@ -619,8 +619,8 @@ def test_every_cached_mean_indicator_is_read_only():
 
 
 def test_explicit_one_row_draws_match_rng_choice_and_leave_its_generator_state():
-    """A one-row draw takes a scalar random(): the value and generator state
-    of random(1), and so of rng.choice over the table's rows."""
+    """A one-row draw gives the row and leaves the generator state of
+    rng.choice over the table's rows, as random(1) does."""
     space = SlateSpace.ranking(4, 2)
     slates = list(space.enumerate_slates())
     probs = np.random.default_rng(8).dirichlet(np.ones(len(slates)))
