@@ -90,6 +90,7 @@ def decompose(
     source = pinv_source if pinv_source is not None else PinvSource()
     groups = batch.groups()
     spaces = {context: logging.space_of(context) for context, _ in groups}
+    source.records(logging, list(spaces))  # every space's missing records, built together
     blocks = []
     for context, rows in groups:
         space = spaces[context]

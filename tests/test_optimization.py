@@ -34,6 +34,7 @@ from helpers import (
     keyed_features,
 )
 from slateval.letor import Query
+from slateval import moments
 from slateval.moments import moment_matrix
 from slateval.optimization import DecomposedTargets, _greedy_slates
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
@@ -102,6 +103,19 @@ def test_decompose_blocks_equal_the_column_sum_reference_bitwise(case):
     for block, want in zip(targets.phi_hats, expected):
         assert block.flags.c_contiguous
         assert np.array_equal(block, want)
+
+
+def test_decompose_builds_the_missing_logging_records_of_a_space_together(monkeypatch):
+    space, logging, logs = decompose_case("plackett-luce")
+    sizes = []
+
+    def counted(policy, contexts, space=None):
+        sizes.append(len(contexts) if isinstance(contexts, list) else 1)
+        return moment_matrix(policy, contexts, space)
+
+    monkeypatch.setattr(moments, "moment_matrix", counted)
+    decompose(logs, logging, features=unit_features(space))
+    assert sizes == [3]
 
 
 def test_decompose_zero_reward_zero_targets():
