@@ -381,7 +381,7 @@ def cmd_generate(args) -> int:
     write_letor(out_path, dataset)
     out_dir = out_path.parent
     write_manifest(out_dir, "generate", vars(args), args.seed, [out_path])
-    print(f"wrote {len(dataset.queries)} queries to {out_path}")
+    print(f"wrote {len(dataset.query_ids)} queries to {out_path}")
     return 0
 
 

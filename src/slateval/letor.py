@@ -4,6 +4,12 @@ Lines look like ``<rel> qid:<id> <k>:<v> ... # <comment>`` with 1-indexed
 feature keys in the file and 0-indexed features in memory. Relevance
 labels are restricted to {0, 1, 2}.
 
+A dataset is held in columns from the moment it is read: one
+(documents, feature_dim) float64 matrix, an int64 label array, the
+document ids, and the query ids with per-query row offsets, queries in
+order of first appearance. ``RankingDataset.rows`` yields per-document
+views for callers that want them.
+
 The synthetic generator plants a linear relevance signal in random
 features so the whole experimental pipeline can run without downloading
 anything; the same weight vector drives two feature blocks, which makes
@@ -14,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,35 +31,55 @@ from .util import fmt17
 VALID_RELEVANCES = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
+    """One document of a dataset, as ``RankingDataset.rows`` yields it."""
+
     doc_id: str
     relevance: int
     features: np.ndarray
 
 
 @dataclass(frozen=True)
-class Query:
-    query_id: str
-    documents: tuple[Document, ...]
-
-
-@dataclass(frozen=True)
 class RankingDataset:
-    queries: tuple[Query, ...]
+    """Documents grouped by query, in columns.
+
+    Query i is ``query_ids[i]``, and its documents are rows
+    ``bounds[i]:bounds[i + 1]`` of ``features`` (a (documents, feature_dim)
+    float64 matrix), ``labels`` (int64 relevance) and ``doc_ids``.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    doc_ids: tuple[str, ...]
+    query_ids: tuple[str, ...]
+    bounds: np.ndarray
 
     @property
     def feature_dim(self) -> int:
-        for query in self.queries:
-            for doc in query.documents:
-                return len(doc.features)
-        return 0
+        return self.features.shape[1]
 
-    def rows(self):
-        """Iterate (query, document) pairs in file order."""
-        for query in self.queries:
-            for doc in query.documents:
-                yield query, doc
+    def rows(self) -> Iterator[tuple[str, Document]]:
+        """(query id, document) pairs in dataset order."""
+        documents = map(Document, self.doc_ids, self.labels.tolist(), self.features)
+        return zip(self._row_queries(), documents)
+
+    def _row_queries(self) -> Iterator[str]:
+        """Each document's query id, in dataset order."""
+        return chain.from_iterable(map(repeat, self.query_ids, np.diff(self.bounds).tolist()))
+
+
+def _grouped(query_ids: list, doc_ids: list, labels: np.ndarray, features: np.ndarray):
+    """The dataset of documents given in file order with their query ids:
+    queries in order of first appearance, each keeping its documents in
+    file order."""
+    index = {query: i for i, query in enumerate(dict.fromkeys(query_ids))}
+    codes = np.fromiter(map(index.__getitem__, query_ids), dtype=np.int64, count=len(query_ids))
+    if (np.diff(codes) < 0).any():  # interleaved queries
+        order = np.argsort(codes, kind="stable")
+        codes, labels, features = codes[order], labels[order], features[order]
+        doc_ids = list(map(doc_ids.__getitem__, order.tolist()))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(codes, minlength=len(index)))])
+    return RankingDataset(features, labels, tuple(doc_ids), tuple(index), bounds)
 
 
 def parse_letor(path) -> RankingDataset:
@@ -62,22 +89,90 @@ def parse_letor(path) -> RankingDataset:
     dimensionality, and relevance labels outside {0, 1, 2} are rejected
     with their line number. Features missing from a line are 0, and a
     repeated key keeps its last value. An empty file parses to an empty
-    dataset.
+    dataset. Queries whose lines interleave are regrouped in order of first
+    appearance, each keeping its documents in file order.
 
-    The whole file is read at once: labels, query ids and document ids are
-    taken line by line, all feature keys and values are converted with one
-    numpy call each (``int()`` and ``float()`` semantics), and one
-    (documents x dim) matrix holds every document's features.
+    A canonical file, every line ``<rel> qid:<id> 1:<v> 2:<v> ... d:<v> #
+    <doc id>`` with single spaces, is read by ``_canonical_columns``; every
+    other file by ``_text_columns``, which is also the only source of
+    errors. Both convert all feature values with one numpy call
+    (``float()`` semantics) into one (documents x dim) matrix.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+    columns = _canonical_columns(text)
+    if columns is None:
+        columns = _text_columns(path, text)
+    return _grouped(*columns)
+
+
+_LABELS = {"0": 0, "1": 1, "2": 2}
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.eE")
+
+
+def _canonical_columns(text: str):
+    """(query ids, doc ids, labels, features) of a canonical file, or None.
+
+    Each line splits at its first two spaces and its first " # " into the
+    label, the qid token, the features and the doc id. The features of all
+    lines must leave exactly ":", " :", ... once their number characters
+    are deleted, so every token holds one colon; one list comparison then
+    checks the keys against "1".."d", and one numpy call converts the
+    values. Any other shape, and non-finite values, return None.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    heads = [line.split(" ", 2) for line in lines]
+    if set(map(len, heads)) != {3}:  # no lines, or a line with fewer than three fields
+        return None
+    labels, qid_tokens, rests = zip(*heads)
+    regions, marks, doc_ids = zip(*[rest.partition(" # ") for rest in rests])
+    dim = regions[0].count(":")
+    qids = "".join(qid_tokens)
+    if (
+        dim < 1
+        or not set(labels) <= _LABELS.keys()
+        or [token[:4] for token in qid_tokens] != ["qid:"] * len(lines)
+        or "#" in qids
+        or qids.split() != [qids]
+        or "" in marks
+        or "" in doc_ids
+        or "".join(doc_ids).split() != ["".join(doc_ids)]
+    ):
+        return None
+    features = " ".join(regions)
+    layout = " ".join([":" + " :" * (dim - 1)] * len(lines))
+    if features.translate(_NUMBER_CHARS) != layout:
+        return None
+    pieces = features.replace(" ", ":").split(":")
+    if pieces[0::2] != [str(key) for key in range(1, dim + 1)] * len(lines):
+        return None
+    try:
+        values = np.array(pieces[1::2], dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    query_ids = [token[4:] for token in qid_tokens]
+    codes = np.fromiter(map(_LABELS.__getitem__, labels), dtype=np.int64, count=len(labels))
+    return query_ids, list(doc_ids), codes, values.reshape(len(lines), dim)
+
+
+def _text_columns(path, text: str):
+    """(query ids, doc ids, labels, features) of any file, line by line;
+    raises the ParseError of the first malformed line.
+
+    Labels, query ids and document ids are taken line by line; all feature
+    keys and values are converted with one numpy call each (``int()`` and
+    ``float()`` semantics).
+    """
     lines = []  # (line number, whitespace-split fields, comment) per data line
     for lineno, line in enumerate(text.split("\n"), start=1):
         data, _, comment = line.partition("#")
         fields = data.split()
         if fields:
             lines.append((lineno, fields, comment))
-    del text
     labels = [_relevance(fields[0]) for _, fields, _ in lines]
     malformed = any(
         label is None or len(fields) < 2 or not fields[1].startswith("qid:")
@@ -113,22 +208,11 @@ def parse_letor(path) -> RankingDataset:
         cells, values = cells[last], values[last]
     features.flat[cells] = values
 
-    order: list[str] = []
-    per_query: dict[str, list[Document]] = {}
-    anonymous = 0
-    for (_, fields, comment), label, row in zip(lines, labels, features):
-        words = comment.split(None, 1)
-        if words:
-            doc_id = words[0]
-        else:
-            doc_id = f"doc{anonymous}"
-            anonymous += 1
-        query_id = fields[1][len("qid:") :]
-        if query_id not in per_query:
-            order.append(query_id)
-            per_query[query_id] = []
-        per_query[query_id].append(Document(doc_id, label, row))
-    return RankingDataset(tuple(Query(qid, tuple(per_query[qid])) for qid in order))
+    anonymous = map("doc{}".format, count())
+    words = [comment.split(None, 1) for _, _, comment in lines]
+    doc_ids = [first[0] if first else next(anonymous) for first in words]
+    query_ids = [fields[1][len("qid:") :] for _, fields, _ in lines]
+    return query_ids, doc_ids, np.array(labels, dtype=np.int64), features
 
 
 def _relevance(text: str) -> int | None:
@@ -179,14 +263,16 @@ def _raise_first_error(path, lines) -> None:
 
 
 def write_letor(path, dataset: RankingDataset) -> None:
-    """Serialize in the same format; doc ids go into the comment."""
+    """Serialize in the same format, 17 significant digits per value; doc
+    ids go into the comment."""
+    dim = dataset.feature_dim
+    values = map(fmt17, dataset.features.ravel().tolist())
+    row_format = " ".join(f"{k + 1}:{{}}" for k in range(dim)).format
+    rows = map(row_format, *[values] * dim) if dim else repeat("")
+    labels, queries = dataset.labels.tolist(), dataset._row_queries()
+    lines = map("{} qid:{} {} # {}\n".format, labels, queries, rows, dataset.doc_ids)
     with open(path, "w", encoding="utf-8") as handle:
-        for query in dataset.queries:
-            for doc in query.documents:
-                feats = " ".join(
-                    f"{k + 1}:{fmt17(v)}" for k, v in enumerate(doc.features)
-                )
-                handle.write(f"{doc.relevance} qid:{query.query_id} {feats} # {doc.doc_id}\n")
+        handle.writelines(lines)
 
 
 @dataclass(frozen=True)
@@ -248,15 +334,18 @@ def generate_synthetic(config: GeneratorConfig) -> RankingDataset:
     lo_cut = _quantile(ordered, 1.0 - config.highly_relevant_fraction - config.relevant_fraction)
     relevance = np.where(latent >= hi_cut, 2, np.where(latent >= lo_cut, 1, 0))
 
-    queries = []
-    for qi in range(config.num_queries):
-        rows = slice(qi * config.docs_per_query, (qi + 1) * config.docs_per_query)
-        docs = tuple(
-            Document(f"q{qi}d{di}", int(rel), feat)
-            for di, (rel, feat) in enumerate(zip(relevance[rows], features[rows]))
-        )
-        queries.append(Query(f"q{qi}", docs))
-    return RankingDataset(tuple(queries))
+    doc_ids = map(
+        "q{}d{}".format,
+        np.repeat(np.arange(config.num_queries), config.docs_per_query).tolist(),
+        np.tile(np.arange(config.docs_per_query), config.num_queries).tolist(),
+    )
+    return RankingDataset(
+        features,
+        relevance,
+        tuple(doc_ids),
+        tuple(f"q{qi}" for qi in range(config.num_queries)),
+        np.arange(config.num_queries + 1) * config.docs_per_query,
+    )
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:

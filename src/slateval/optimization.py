@@ -294,16 +294,10 @@ def fit_sup_scorer(
     if target not in ("gain", "relevance"):
         raise ConfigurationError(f"unknown supervised target {target!r}")
     contexts = tuple(instance.contexts if contexts is None else contexts)
-    rows = []
-    values = []
-    for context in contexts:
-        arm = instance.arms[context]
-        for a, feats in enumerate(arm.pool_features):
-            rows.append(feats)
-            gain = float(arm.gains[a])
-            values.append(gain if target == "gain" else float(np.log2(gain + 1.0)))
-    X = np.asarray(rows)
-    y = np.asarray(values)
+    arms = [instance.arms[context] for context in contexts]
+    X = np.concatenate([arm.pool_features for arm in arms])
+    gains = np.concatenate([arm.gains for arm in arms])
+    y = gains if target == "gain" else np.log2(gains + 1.0)
     fit = fit_ridge_cv(
         add_intercept(X), y, alphas=alphas, folds=folds, penalize=intercept_penalty_mask(X.shape[1])
     )

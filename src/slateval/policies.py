@@ -1,14 +1,16 @@
 """Stochastic slate policies and their low-order moments.
 
 A policy implements two hooks: ``_slate_prob_rows``, which scores valid
-slate rows of many contexts in one call, and ``sample_batch``, which draws
-many slates at one context. ``Policy`` derives the rest from them: the
-probabilities of the rows of one context (``slate_prob_batch``) or of many
-(``slate_prob_rows``, which takes a ``LoggedBatch``'s context, code and
-action columns), single slates and draws, the support and the moments. A
-Plackett-Luce policy gathers each row's logits from a stacked table, an
-explicit table looks every row up in one sorted array of (context, slate)
-keys.
+slate rows of many contexts in one call, and ``sample_rows``, which draws
+slates at many contexts in one call (or only its one-context case
+``sample_batch``, when draws at one context interleave several kinds of
+draw). ``Policy`` derives the rest from them: the probabilities of the
+rows of one context (``slate_prob_batch``) or of many (``slate_prob_rows``,
+which takes a ``LoggedBatch``'s context, code and action columns), single
+slates and draws, the support and the moments. A Plackett-Luce policy
+gathers each row's logits from a stacked table, both to score rows and to
+draw them by Gumbel keys; an explicit table looks every row up in one
+sorted array of (context, slate) keys.
 
 Moments are built per (policy, space) as stacks over contexts.
 ``Policy.moment_rows`` is the one place that picks the slate rows standing
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -53,6 +55,7 @@ PROB_SUM_TOL = 1e-9
 LOAD_DRIFT_TOL = 1e-6
 PL_CHUNK_ELEMENTS = 1 << 20  # bounds the (rows, pool) temporaries of one batch
 STACK_ROWS = 1 << 16  # bounds the whole-space rows one support-listing call scores
+SORT_CELLS = 1 << 15  # bounds the (rows, pool) keys one argsort of a batched draw takes
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,26 @@ class MomentArrays:
         return MomentArrays(self.actions[lo:hi], self.probs[lo:hi], self.exact, bounds)
 
     def chunks(self) -> Iterator[tuple[int, int, "MomentArrays"]]:
-        """Runs of consecutive contexts [lo, hi), each with at most
-        ``STACK_ROWS`` rows (or one context), and their rows as views: what a
-        reduction over the rows takes at a time, so its temporaries stay
-        bounded."""
-        lo, n = 0, len(self.bounds) - 1
-        while lo < n:
-            last = int(np.searchsorted(self.bounds, self.bounds[lo] + STACK_ROWS, "right")) - 1
-            hi = max(lo + 1, last)
+        """The ``row_runs`` [lo, hi) of the contexts and their rows as views:
+        what a reduction over the rows takes at a time, so its temporaries
+        stay bounded."""
+        for lo, hi in row_runs(self.bounds):
             a, b = self.bounds[lo], self.bounds[hi]
             yield lo, hi, MomentArrays(
                 self.actions[a:b], self.probs[a:b], self.exact, self.bounds[lo : hi + 1] - a
             )
-            lo = hi
+
+
+def row_runs(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of consecutive contexts, context i owning rows
+    ``bounds[i]:bounds[i + 1]``, each run with at most ``STACK_ROWS`` rows
+    (or one context)."""
+    lo, n = 0, len(bounds) - 1
+    while lo < n:
+        last = int(np.searchsorted(bounds, bounds[lo] + STACK_ROWS, "right")) - 1
+        hi = max(lo + 1, last)
+        yield lo, hi
+        lo = hi
 
 
 def _offsets(counts) -> np.ndarray:
@@ -134,7 +144,8 @@ class Policy:
 
     Subclasses implement ``_slate_prob_rows(contexts, codes, actions)``, the
     probabilities of rows already known to be valid slates of their
-    contexts' spaces, and ``sample_batch(context, n, rng)``. They may
+    contexts' spaces, and ``sample_rows(contexts, counts, rng)``, draws at
+    many contexts (or only its one-context case ``sample_batch``). They may
     override ``support_rows`` (when they can list their supports without
     scoring the whole space) and ``is_uniform``. The base class validates
     and scores rows (``slate_prob_rows``, ``slate_prob_batch``,
@@ -232,10 +243,27 @@ class Policy:
         return tuple(self.sample_batch(context, 1, rng)[0].tolist())
 
     def sample_batch(self, context, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, num_slots) int64 array of independent draws at ``context``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement sample_batch(context, n, rng)"
-        )
+        """(n, num_slots) int64 array of independent draws at ``context``:
+        the one-context case of ``sample_rows``."""
+        return self.sample_rows((context,), (n,), rng)
+
+    def sample_rows(self, contexts, counts, rng: np.random.Generator) -> np.ndarray:
+        """Independent draws at many contexts: ``counts[i]`` rows at
+        ``contexts[i]``, back to back in the given order, as one
+        (sum(counts), num_slots) int64 array. The contexts' spaces have one
+        number of slots.
+
+        The generator advances as under one ``sample_batch`` call per
+        context, in order. This default makes those calls, for policies
+        whose one-context draws interleave several kinds of draw (a mixture
+        picks each row's component, then draws from the components).
+        """
+        if type(self).sample_batch is Policy.sample_batch:
+            raise NotImplementedError(
+                f"{type(self).__name__} must implement sample_rows or sample_batch"
+            )
+        draws = [self.sample_batch(c, n, rng) for c, n in zip(contexts, counts)]
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
     def support_rows(self, contexts, space: SlateSpace) -> MomentArrays | None:
         """The slates with positive probability at each of ``contexts``, all
@@ -400,13 +428,17 @@ class UniformPolicy(Policy):
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         return _uniform_probs(self, contexts, codes)
 
-    def sample_batch(self, context, n, rng) -> np.ndarray:
-        space = self.space_of(context)
-        if space.kind is SpaceKind.CARTESIAN:
-            cols = [rng.integers(0, m, size=n) for m in space.slot_counts]
-            return np.stack(cols, axis=1).astype(np.int64)
-        keys = rng.random((n, space.num_actions))
-        return np.argsort(keys, axis=1, kind="stable")[:, : space.num_slots].astype(np.int64)
+    def sample_rows(self, contexts, counts, rng) -> np.ndarray:
+        spaces = [self.space_of(c) for c in contexts]
+        if SpaceKind.CARTESIAN not in [space.kind for space in spaces]:
+            return _ranked_rows(spaces, counts, rng.random)
+        # a Cartesian context draws its slots' columns one after another
+        return np.concatenate([
+            np.stack([rng.integers(0, m, size=n) for m in space.slot_counts], axis=1)
+            if space.kind is SpaceKind.CARTESIAN
+            else self.sample_batch(c, n, rng)
+            for c, n, space in zip(contexts, counts, spaces)
+        ]).astype(np.int64)
 
     def is_uniform(self, context) -> bool:
         return True
@@ -432,8 +464,9 @@ class DeterministicPolicy(Policy):
         picked, at = _per_context(contexts, codes, self.slate_of, np.int64)
         return np.all(actions == picked[at], axis=1).astype(np.float64)
 
-    def sample_batch(self, context, n, rng) -> np.ndarray:
-        return np.tile(np.asarray(self.slate_of(context), dtype=np.int64), (n, 1))
+    def sample_rows(self, contexts, counts, rng) -> np.ndarray:
+        slates = np.asarray([self.slate_of(c) for c in contexts], dtype=np.int64)
+        return np.repeat(slates, counts, axis=0)
 
     def support_rows(self, contexts, space):
         slates = np.asarray([self.slate_of(c) for c in contexts], dtype=np.int64)
@@ -619,9 +652,13 @@ class ExplicitPolicy(Policy):
 
     # Inverse-CDF draws on rng.choice's own CDF give its draws and leave the
     # generator in the same state, without its per-call checks of the weights.
-    def sample_batch(self, context, n, rng) -> np.ndarray:
-        lo, hi, slots = self._spans[self._position(context)]
-        return self._actions[lo + self._cdf[lo:hi].searchsorted(rng.random(n), "right"), :slots]
+    def sample_rows(self, contexts, counts, rng) -> np.ndarray:
+        draws = []
+        for context, n in zip(contexts, counts):
+            lo, hi, slots = self._spans[self._position(context)]
+            at = lo + self._cdf[lo:hi].searchsorted(rng.random(n), "right")
+            draws.append(self._actions[at, :slots])
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
 def _look_up(keys: np.ndarray, probs: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -705,16 +742,59 @@ class MultinomialWoRPolicy(Policy):
         ]
         return _positive_rows(slates, np.exp(np.concatenate(log_probs)))
 
-    def sample_batch(self, context, n, rng) -> np.ndarray:
+    def sample_rows(self, contexts, counts, rng) -> np.ndarray:
         # Gumbel top-k keys reproduce sequential without-replacement draws.
-        space = self.space_of(context)
-        logits = self.action_logits(context)
-        keys = logits[None, :] + rng.gumbel(size=(n, space.num_actions))
-        order = np.argsort(-keys, axis=1, kind="stable")
-        return order[:, : space.num_slots].astype(np.int64)
+        logits = [self.action_logits(c) for c in contexts]
+        return _ranked_rows([self.space_of(c) for c in contexts], counts, rng.gumbel, logits)
 
     def is_uniform(self, context) -> bool:
         return self.temperature == 0.0
+
+
+def _ranked_rows(spaces, counts, draw, logits=None) -> np.ndarray:
+    """Ranking slates drawn by random keys: counts[i] rows at a context on
+    ``spaces[i]``, back to back.
+
+    ``draw(size=...)`` gives the noise, context after context and row after
+    row, ``num_actions`` values per row: the stream of one (counts[i],
+    num_actions) draw per context. Each row's slate is its first
+    ``num_slots`` actions in stable ascending order of the noise, or, given
+    each context's ``logits``, in stable descending order of logits + noise.
+    Consecutive contexts on one space are drawn and sorted together,
+    ``SORT_CELLS`` keys at a time, so the keys stay small.
+    """
+    first = spaces[0]
+    if spaces.count(first) != len(spaces):
+        runs = [list(run) for _, run in groupby(range(len(spaces)), key=spaces.__getitem__)]
+        return np.concatenate([
+            _ranked_rows(
+                spaces[run[0] : run[-1] + 1],
+                counts[run[0] : run[-1] + 1],
+                draw,
+                None if logits is None else logits[run[0] : run[-1] + 1],
+            )
+            for run in runs
+        ])
+    m, total = first.num_actions, int(sum(counts))
+    step = max(1, SORT_CELLS // m)
+    if logits is not None:
+        stack, codes = np.stack(logits), np.repeat(np.arange(len(logits)), counts)
+    blocks = []
+    for start in range(0, max(total, 1), step):  # one empty block for no rows
+        size = min(step, total - start)
+        keys = None if logits is None else stack[codes[start : start + size]]
+        blocks.append(_top_slots(draw(size=(size, m)), keys, first.num_slots))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _top_slots(noise: np.ndarray, logits: np.ndarray | None, num_slots: int) -> np.ndarray:
+    """The first ``num_slots`` actions of each row in stable ascending order
+    of the noise, or, given each row's logits (a fresh array, overwritten),
+    in stable descending order of logits + noise."""
+    if logits is not None:
+        logits += noise
+        noise = np.negative(logits, out=logits)
+    return noise.argsort(axis=1, kind="stable")[:, :num_slots].copy()
 
 
 def _plackett_luce_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -784,18 +864,21 @@ class UniformMixturePolicy(Policy):
         base = self.base._slate_prob_rows(contexts, codes, actions)
         return self.kappa * _uniform_probs(self, contexts, codes) + (1.0 - self.kappa) * base
 
-    # One rng.random() picks the component and only that one draws; a batch
-    # of one would draw from both, a different stream.
+    # One rng.random() per row picks its component, then each component
+    # draws its own rows only; one row is the scalar case of that stream,
+    # without the array work (criterion 3 draws 500k slates one by one).
     def sample(self, context, rng) -> Slate:
-        if rng.random() < self.kappa:
-            return self._uniform.sample(context, rng)
-        return self.base.sample(context, rng)
+        return (self._uniform if rng.random() < self.kappa else self.base).sample(context, rng)
 
     def sample_batch(self, context, n, rng) -> np.ndarray:
         pick_uniform = rng.random(n) < self.kappa
-        uniform_rows = self._uniform.sample_batch(context, n, rng)
-        base_rows = self.base.sample_batch(context, n, rng)
-        return np.where(pick_uniform[:, None], uniform_rows, base_rows)
+        k = np.count_nonzero(pick_uniform)
+        if k == 0 or k == n:  # every row from one component
+            return (self._uniform if k else self.base).sample_batch(context, n, rng)
+        rows = np.empty((n, self.space_of(context).num_slots), dtype=np.int64)
+        rows[pick_uniform] = self._uniform.sample_batch(context, k, rng)
+        rows[~pick_uniform] = self.base.sample_batch(context, n - k, rng)
+        return rows
 
     def is_uniform(self, context) -> bool:
         return self.kappa == 1.0 or self.base.is_uniform(context)

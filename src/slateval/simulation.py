@@ -8,8 +8,11 @@ slot-by-slot without replacement from a softmax of title scores at a
 temperature knob; the target policy deterministically ranks the top
 slots by body score. The reward is NDCG, which decomposes exactly into
 per-(slot, action) intrinsic values, so every estimator can be compared
-against the exactly enumerable target value. Each cell of the RMSE sweep
-draws one log and scores it once for all the configured importance-weighted
+against the exactly enumerable target value. The score models read
+column blocks of the dataset's feature matrix, and the pools are slices
+of one sort of all documents. Each cell of the RMSE sweep draws one log,
+all its contexts' slates through one multi-context sampling call per run
+of rows, and scores it once for all the configured importance-weighted
 estimators (pi, ips, wips, sb, wsb); dm and onpolicy run on their own.
 The semi-bandit estimators live in ``slateval.estimators`` and are
 re-exported here.
@@ -33,9 +36,15 @@ from .estimators import (  # estimate_sb and estimate_wsb are re-exported
     fit_dm,
 )
 from .letor import RankingDataset
-from .logs import LoggedBatch, SemibanditExample, group_rows  # SemibanditExample is re-exported
+from .logs import LoggedBatch, SemibanditExample  # SemibanditExample is re-exported
 from .moments import PinvSource
-from .policies import DeterministicPolicy, MultinomialWoRPolicy, Policy, positions_by_space
+from .policies import (
+    DeterministicPolicy,
+    MultinomialWoRPolicy,
+    Policy,
+    positions_by_space,
+    row_runs,
+)
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .spaces import SlateSpace
 from .util import fmt, pairwise_sum
@@ -53,30 +62,23 @@ class ScoreModel:
     feature_indices: np.ndarray
     weights: np.ndarray  # restricted features plus intercept
 
-    def score(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        restricted = features[:, self.feature_indices]
-        return add_intercept(restricted) @ self.weights
-
 
 def fit_score_model(dataset: RankingDataset, feature_indices, *, folds: int = 5) -> ScoreModel:
     """Ridge fit of relevance on a feature block, strength chosen by CV."""
     feature_indices = np.asarray(list(feature_indices), dtype=np.int64)
     if len(feature_indices) == 0:
         raise ConfigurationError("score model needs at least one feature index")
-    if feature_indices.max(initial=0) >= dataset.feature_dim:
-        raise ConfigurationError(
-            f"feature index {feature_indices.max()} out of range for "
-            f"dimension {dataset.feature_dim}"
-        )
-    rows = []
-    targets = []
-    for _, doc in dataset.rows():
-        rows.append(doc.features[feature_indices])
-        targets.append(float(doc.relevance))
-    X = add_intercept(np.asarray(rows))
+    for bad in (feature_indices.max(), feature_indices.min()):
+        if not 0 <= bad < dataset.feature_dim:
+            raise ConfigurationError(
+                f"feature index {bad} out of range for dimension {dataset.feature_dim}"
+            )
+    X = add_intercept(dataset.features[:, feature_indices])
     fit = fit_ridge_cv(
-        X, np.asarray(targets), folds=folds, penalize=intercept_penalty_mask(len(feature_indices))
+        X,
+        dataset.labels.astype(np.float64),
+        folds=folds,
+        penalize=intercept_penalty_mask(len(feature_indices)),
     )
     return ScoreModel(feature_indices=feature_indices, weights=fit.weights)
 
@@ -203,71 +205,74 @@ def build_instance(dataset: RankingDataset, config: ExperimentConfig) -> BanditI
 
     Queries with fewer documents than the pool size keep all their
     documents (the space shrinks per query); queries with fewer documents
-    than slots cannot form a slate and are left out.
+    than slots cannot form a slate and are left out. Each query's pool is
+    its top-m documents by title score, ties broken by document id, and the
+    target ranks the pool by body score the same way. Both score models
+    read column blocks of the dataset's feature matrix, and each query is
+    scored by its own product, so a score does not depend on the other
+    queries.
     """
+    dim = dataset.feature_dim
     title_dims = config.title_dims if config.title_dims is not None else DEFAULT_TITLE_DIMS
-    title_dims = min(title_dims, dataset.feature_dim)
-    if title_dims < 1 or title_dims >= dataset.feature_dim:
+    if not 1 <= title_dims < dim:
+        name = "title_dims" if config.title_dims is not None else "default title_dims"
         raise ConfigurationError(
-            f"title block [0, {title_dims}) must leave a nonempty body block in "
-            f"{dataset.feature_dim} dimensions"
+            f"{name} {title_dims}: the title block [0, {title_dims}) must leave a nonempty "
+            f"body block in {dim} dimensions"
         )
     title_model = fit_score_model(dataset, range(title_dims))
-    body_model = fit_score_model(dataset, range(title_dims, dataset.feature_dim))
+    body_model = fit_score_model(dataset, range(title_dims, dim))
+    title_design = add_intercept(dataset.features[:, title_model.feature_indices])
+    body_design = add_intercept(dataset.features[:, body_model.feature_indices])
+
+    bounds = dataset.bounds.tolist()
+    kept = [q for q in range(len(dataset.query_ids)) if bounds[q + 1] - bounds[q] >= config.slots]
+    if not kept:
+        raise ConfigurationError("no query has enough documents to fill a slate")
+    title = np.zeros(len(dataset.doc_ids))
+    for q in kept:
+        rows = slice(bounds[q], bounds[q + 1])
+        title[rows] = title_design[rows] @ title_model.weights
+    # each document id's rank in str order breaks score ties
+    doc_rank = np.argsort(sorted(range(len(dataset.doc_ids)), key=dataset.doc_ids.__getitem__))
+    query_of = np.repeat(np.arange(len(dataset.query_ids)), np.diff(dataset.bounds))
+    by_title = np.lexsort((doc_rank, -title, query_of))
+    gains = 2.0 ** dataset.labels.astype(np.float64) - 1.0
 
     discounts = position_discounts(config.slots)
-    contexts: list[str] = []
     arms: dict[str, QueryArm] = {}
-    spaces: dict[str, SlateSpace] = {}
-    logging_scores: dict[str, np.ndarray] = {}
-    target_slates: dict[str, tuple[int, ...]] = {}
-
-    for query in dataset.queries:
-        if len(query.documents) < config.slots:
-            continue
-        features = np.stack([doc.features for doc in query.documents])
-        title = title_model.score(features)
-        doc_ids = [doc.doc_id for doc in query.documents]
-        order = sorted(range(len(doc_ids)), key=lambda i: (-title[i], doc_ids[i]))
-        pool = order[: config.m]
-        pool_features = features[pool]
-        pool_ids = tuple(doc_ids[i] for i in pool)
-        gains = np.array(
-            [2.0 ** query.documents[i].relevance - 1.0 for i in pool], dtype=np.float64
-        )
-        title_scores = title[pool]
-        body = body_model.score(pool_features)
-        by_body = sorted(range(len(pool)), key=lambda a: (-body[a], pool_ids[a]))
-        target_slate = tuple(by_body[: config.slots])
-
-        dcg_star = float(np.sort(gains)[::-1][: config.slots] @ discounts)
-        space = SlateSpace.ranking(len(pool), config.slots)
+    ranking_spaces: dict[int, SlateSpace] = {}
+    for q in kept:
+        query_id = dataset.query_ids[q]
+        pool = by_title[bounds[q] : min(bounds[q] + config.m, bounds[q + 1])]
+        body = body_design[pool] @ body_model.weights
+        target_slate = tuple(np.lexsort((doc_rank[pool], -body))[: config.slots].tolist())
+        pool_gains = gains[pool]
+        dcg_star = float(np.sort(pool_gains)[::-1][: config.slots] @ discounts)
+        space = ranking_spaces.get(len(pool))
+        if space is None:
+            space = ranking_spaces[len(pool)] = SlateSpace.ranking(len(pool), config.slots)
         if dcg_star > 0.0:
-            intrinsic = np.outer(discounts, gains).reshape(-1) / dcg_star
+            intrinsic = np.outer(discounts, pool_gains).reshape(-1) / dcg_star
         else:
             intrinsic = np.zeros(space.dim)
-
-        contexts.append(query.query_id)
-        spaces[query.query_id] = space
-        logging_scores[query.query_id] = title_scores
-        target_slates[query.query_id] = target_slate
-        arms[query.query_id] = QueryArm(
+        arms[query_id] = QueryArm(
             space=space,
-            pool_doc_ids=pool_ids,
-            pool_features=pool_features,
-            gains=gains,
-            title_scores=title_scores,
+            pool_doc_ids=tuple(map(dataset.doc_ids.__getitem__, pool.tolist())),
+            pool_features=dataset.features[pool],
+            gains=pool_gains,
+            title_scores=title[pool],
             dcg_star=dcg_star,
             intrinsic=intrinsic,
             target_slate=target_slate,
         )
 
-    if not contexts:
-        raise ConfigurationError("no query has enough documents to fill a slate")
-    logging = MultinomialWoRPolicy(spaces, logging_scores, config.alpha)
-    target = DeterministicPolicy(spaces, target_slates)
+    spaces = {c: arm.space for c, arm in arms.items()}
+    title_scores = {c: arm.title_scores for c, arm in arms.items()}
+    logging = MultinomialWoRPolicy(spaces, title_scores, config.alpha)
+    target = DeterministicPolicy(spaces, {c: arm.target_slate for c, arm in arms.items()})
     return BanditInstance(
-        contexts=tuple(contexts), arms=arms, logging=logging, target=target, noise=config.noise
+        contexts=tuple(arms), arms=arms, logging=logging, target=target, noise=config.noise
     )
 
 
@@ -282,28 +287,46 @@ def draw_logs(
 ) -> LoggedBatch:
     """Draw n logged examples under the instance's logging policy.
 
-    Contexts are sampled uniformly (optionally restricted to a subset);
-    slates are drawn per context in one batch, contexts in pool order, which
-    keeps the stream deterministic given the generator state. The batch
-    carries each example's per-slot values.
+    Contexts are sampled uniformly (optionally restricted to a subset).
+    The slates of the drawn contexts come from ``Policy.sample_rows`` in
+    runs of at most ``STACK_ROWS`` rows, contexts in pool order with each
+    context's rows together: the stream of one ``sample_batch`` call per
+    context, so it is deterministic given the generator state. The batch
+    carries each example's per-slot values, gathered from the contexts'
+    intrinsic values.
     """
     pool = tuple(instance.contexts if contexts is None else contexts)
     picks = rng.integers(0, len(pool), size=n)
+    counts = np.bincount(picks, minlength=len(pool))
+    present = np.flatnonzero(counts)
+    bounds = np.concatenate([[0], np.cumsum(counts[present])])
+    by_context = np.argsort(picks, kind="stable")
     num_slots = instance.space_of(pool[0]).num_slots
     actions = np.empty((n, num_slots), dtype=np.int64)
     slot_values = np.empty((n, num_slots))
-    for ci, rows in group_rows(picks, len(pool)):
-        context = pool[ci]
-        slates = instance.logging.sample_batch(context, len(rows), rng)
+    for lo, hi in row_runs(bounds):
+        run = [pool[i] for i in present[lo:hi].tolist()]
+        run_counts = counts[present[lo:hi]]
+        slates = instance.logging.sample_rows(run, run_counts, rng)
+        rows = by_context[bounds[lo] : bounds[hi]]
         actions[rows] = slates
-        coords = instance.space_of(context).coords_of_actions(slates)
-        slot_values[rows] = instance.intrinsic(context)[coords]
+        slot_values[rows] = _slot_values(instance, run, run_counts, slates)
     values = np.clip(slot_values.sum(axis=1), 0.0, 1.0)
     if instance.noise == "bernoulli":
         rewards = (rng.random(n) < values).astype(np.float64)
     else:
         rewards = values
     return LoggedBatch(pool, picks, actions, rewards, slot_values)
+
+
+def _slot_values(instance: BanditInstance, contexts, counts, slates) -> np.ndarray:
+    """Each slate's per-slot intrinsic values, counts[i] rows at contexts[i],
+    back to back: one gather from the contexts' intrinsic vectors laid end
+    to end."""
+    intrinsic = [instance.intrinsic(c) for c in contexts]
+    starts = np.cumsum([0] + [len(values) for values in intrinsic[:-1]])
+    offsets = np.stack([instance.space_of(c).offsets for c in contexts]) + starts[:, None]
+    return np.concatenate(intrinsic)[np.repeat(offsets, counts, axis=0) + slates]
 
 
 # -- RMSE sweep ----------------------------------------------------------------------

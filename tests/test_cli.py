@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 import subprocess
 import sys
@@ -334,8 +335,26 @@ def test_generate_round_trips_through_parser(tmp_path):
         "--feature-dim", "10", "--title-dims", "5", "--seed", "2",
     ]) == 0
     dataset = parse_letor(out)
-    assert len(dataset.queries) == 6
+    assert len(dataset.query_ids) == 6
     assert dataset.feature_dim == 10
+
+
+@pytest.mark.parametrize(
+    "seed, flags, digest",
+    [
+        (
+            3,
+            ["--queries", "9", "--docs-per-query", "7", "--feature-dim", "6", "--title-dims", "3"],
+            "6e513b4537e661cfd3e26612942732ec4f3ef080eb238a38c3ce733ea06c7927",
+        ),
+        (11, [], "79d4cafbd0ea9460d4b85de4a05949fc617be416c220d402c6656a520dd45348"),
+    ],
+)
+def test_generate_writes_recorded_bytes(tmp_path, seed, flags, digest):
+    """The generator and the writer keep their output bit for bit."""
+    out = tmp_path / "data.txt"
+    assert main(["generate", "--out", str(out), "--seed", str(seed), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_optimize_emits_fold_table(tmp_path):

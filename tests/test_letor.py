@@ -15,19 +15,26 @@ def test_parse_single_line(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("2 qid:10032 1:0.5 2:0.125 # docA\n")
     dataset = parse_letor(path)
-    assert len(dataset.queries) == 1
-    query = dataset.queries[0]
-    assert query.query_id == "10032"
-    doc = query.documents[0]
-    assert doc.relevance == 2
-    assert doc.doc_id == "docA"
+    assert dataset.query_ids == ("10032",)
+    assert dataset.bounds.tolist() == [0, 1]
+    assert dataset.labels.tolist() == [2]
+    assert dataset.labels.dtype == np.int64
+    assert dataset.doc_ids == ("docA",)
+    assert dataset.features.tolist() == [[0.5, 0.125]]
+    assert dataset.feature_dim == 2
+    [(query_id, doc)] = dataset.rows()
+    assert (query_id, doc.doc_id, doc.relevance) == ("10032", "docA", 2)
     assert doc.features.tolist() == [0.5, 0.125]
 
 
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    assert parse_letor(path).queries == ()
+    dataset = parse_letor(path)
+    assert dataset.query_ids == () and dataset.doc_ids == ()
+    assert dataset.bounds.tolist() == [0]
+    assert dataset.features.shape == (0, 0) and dataset.feature_dim == 0
+    assert list(dataset.rows()) == []
 
 
 def test_parse_groups_by_qid(tmp_path):
@@ -38,8 +45,26 @@ def test_parse_groups_by_qid(tmp_path):
         "2 qid:2 1:0.5 2:0.6 # c\n"
     )
     dataset = parse_letor(path)
-    assert [q.query_id for q in dataset.queries] == ["1", "2"]
-    assert len(dataset.queries[0].documents) == 2
+    assert dataset.query_ids == ("1", "2")
+    assert dataset.bounds.tolist() == [0, 2, 3]
+    assert [(q, d.doc_id) for q, d in dataset.rows()] == [("1", "a"), ("1", "b"), ("2", "c")]
+
+
+def test_parse_regroups_interleaved_queries_in_order_of_first_appearance(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text(
+        "0 qid:b 1:0.1 # x\n"
+        "1 qid:a 1:0.2 # y\n"
+        "2 qid:b 1:0.3 # z\n"
+        "0 qid:c 1:0.4 # w\n"
+        "1 qid:a 1:0.5 # v\n"
+    )
+    dataset = parse_letor(path)
+    assert dataset.query_ids == ("b", "a", "c")
+    assert dataset.bounds.tolist() == [0, 2, 4, 5]
+    assert dataset.doc_ids == ("x", "z", "y", "v", "w")
+    assert dataset.labels.tolist() == [0, 2, 1, 1, 0]
+    assert dataset.features.ravel().tolist() == [0.1, 0.3, 0.2, 0.5, 0.4]
 
 
 def test_parse_rejects_bad_relevance(tmp_path):
@@ -71,13 +96,12 @@ def test_round_trip(tmp_path):
     path = tmp_path / "round.txt"
     write_letor(path, dataset)
     back = parse_letor(path)
-    assert len(back.queries) == 4
-    for q1, q2 in zip(dataset.queries, back.queries):
-        assert q1.query_id == q2.query_id
-        for d1, d2 in zip(q1.documents, q2.documents):
-            assert d1.doc_id == d2.doc_id
-            assert d1.relevance == d2.relevance
-            np.testing.assert_array_equal(d1.features, d2.features)
+    assert len(back.query_ids) == 4
+    assert back.query_ids == dataset.query_ids
+    assert back.doc_ids == dataset.doc_ids
+    np.testing.assert_array_equal(back.bounds, dataset.bounds)
+    np.testing.assert_array_equal(back.labels, dataset.labels)
+    np.testing.assert_array_equal(back.features, dataset.features)
     # serialize -> parse -> serialize is byte stable
     path2 = tmp_path / "round2.txt"
     write_letor(path2, back)
@@ -89,21 +113,22 @@ def test_generator_shape_and_determinism():
     a = generate_synthetic(config)
     b = generate_synthetic(config)
     assert a.feature_dim == 8
-    assert len(a.queries) == 10
-    assert all(len(q.documents) == 6 for q in a.queries)
-    relevances = {d.relevance for q in a.queries for d in q.documents}
+    assert len(a.query_ids) == 10
+    assert np.diff(a.bounds).tolist() == [6] * 10
+    assert a.features.shape == (60, 8) and a.labels.shape == (60,) and len(a.doc_ids) == 60
+    relevances = set(a.labels.tolist())
     assert relevances <= {0, 1, 2} and len(relevances) > 1
-    for q1, q2 in zip(a.queries, b.queries):
-        for d1, d2 in zip(q1.documents, q2.documents):
-            np.testing.assert_array_equal(d1.features, d2.features)
+    assert a.query_ids == b.query_ids and a.doc_ids == b.doc_ids
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_generator_plants_learnable_signal():
     """A ridge fit on the features should order documents far better than
     chance within queries."""
     dataset = generate_synthetic(GeneratorConfig(num_queries=60, docs_per_query=10, seed=2))
-    X = np.stack([d.features for q in dataset.queries for d in q.documents])
-    y = np.array([d.relevance for q in dataset.queries for d in q.documents], dtype=float)
+    X = dataset.features
+    y = dataset.labels.astype(float)
     weights = np.linalg.solve(X.T @ X + np.eye(X.shape[1]), X.T @ y)
     scores = X @ weights
     corr = np.corrcoef(scores, y)[0, 1]
@@ -175,14 +200,14 @@ def test_parse_reports_the_first_malformed_line(tmp_path):
 def test_parse_zero_fills_sparse_lines(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("1 qid:1 3:0.5\n0 qid:1 1:0.25 3:1 # b\n2 qid:2 2:-4e-3 3:7\n")
-    rows = [doc.features.tolist() for _, doc in parse_letor(path).rows()]
+    rows = parse_letor(path).features.tolist()
     assert rows == [[0.0, 0.0, 0.5], [0.25, 0.0, 1.0], [0.0, -4e-3, 7.0]]
 
 
 def test_parse_keeps_the_last_value_of_a_repeated_key(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("1 qid:1 1:0.5 2:1 1:0.75\n0 qid:1 2:3 2:2 1:1\n")
-    rows = [doc.features.tolist() for _, doc in parse_letor(path).rows()]
+    rows = parse_letor(path).features.tolist()
     assert rows == [[0.75, 1.0], [1.0, 2.0]]
 
 
@@ -197,11 +222,10 @@ def test_parse_names_documents_without_a_comment_in_order(tmp_path):
         "1 qid:b 1:5#tight\n"
     )
     dataset = parse_letor(path)
-    assert [(q.query_id, [d.doc_id for d in q.documents]) for q in dataset.queries] == [
-        ("a", ["doc0", "named", "doc2"]),
-        ("b", ["doc1", "tight"]),
-    ]
-    assert [d.relevance for _, d in dataset.rows()] == [0, 1, 0, 2, 1]
+    assert dataset.query_ids == ("a", "b")
+    assert dataset.bounds.tolist() == [0, 3, 5]
+    assert dataset.doc_ids == ("doc0", "named", "doc2", "doc1", "tight")
+    assert dataset.labels.tolist() == [0, 1, 0, 2, 1]
 
 
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -223,7 +247,7 @@ def test_parse_values_match_float_bit_for_bit(tmp_path):
         f"1 qid:q{i % 3} " + " ".join(f"{k + 1}:{t}" for k, t in enumerate(row)) + "\n"
         for i, row in enumerate(texts)
     ))
-    got = np.stack([doc.features for _, doc in parse_letor(path).rows()])
+    got = parse_letor(path).features
     order = [i for q in range(3) for i in range(40) if i % 3 == q]
     want = np.array([[float(t) for t in texts[i]] for i in order])
     assert got.tobytes() == want.tobytes()
@@ -233,8 +257,8 @@ def test_parse_reads_labels_and_keys_as_int_does(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("+1 qid:1 01:0.5 +2:1\n02 qid:1 1:1 2:2\n")
     dataset = parse_letor(path)
-    assert [d.relevance for _, d in dataset.rows()] == [1, 2]
-    assert [d.features.tolist() for _, d in dataset.rows()] == [[0.5, 1.0], [1.0, 2.0]]
+    assert dataset.labels.tolist() == [1, 2]
+    assert dataset.features.tolist() == [[0.5, 1.0], [1.0, 2.0]]
 
 
 @pytest.mark.parametrize(
@@ -263,4 +287,4 @@ def test_generator_config_accepts_boundary_values():
         num_queries=1, docs_per_query=1, feature_dim=1, relevant_fraction=0.0,
         highly_relevant_fraction=1.0, feature_noise=0.0, query_spread=0.0,
     )
-    assert len(generate_synthetic(config).queries) == 1
+    assert len(generate_synthetic(config).query_ids) == 1

@@ -33,7 +33,6 @@ from helpers import (
     greedy_reference,
     keyed_features,
 )
-from slateval.letor import Query
 from slateval import moments
 from slateval.moments import moment_matrix
 from slateval.optimization import DecomposedTargets, _greedy_slates
@@ -483,11 +482,16 @@ def two_space_instance():
     dataset = generate_synthetic(
         GeneratorConfig(num_queries=24, docs_per_query=8, feature_dim=12, title_dims=6, seed=21)
     )
-    queries = tuple(
-        Query(q.query_id, q.documents[:5] if i % 3 == 0 else q.documents)
-        for i, q in enumerate(dataset.queries)
+    sizes = [5 if i % 3 == 0 else 8 for i in range(24)]
+    keep = np.concatenate([np.arange(8 * i, 8 * i + size) for i, size in enumerate(sizes)])
+    truncated = RankingDataset(
+        dataset.features[keep],
+        dataset.labels[keep],
+        tuple(dataset.doc_ids[i] for i in keep),
+        dataset.query_ids,
+        np.concatenate([[0], np.cumsum(sizes)]),
     )
-    instance = build_instance(RankingDataset(queries), ExperimentConfig(m=6, slots=3, title_dims=6))
+    instance = build_instance(truncated, ExperimentConfig(m=6, slots=3, title_dims=6))
     assert {instance.space_of(c).dim for c in instance.contexts} == {15, 18}
     return instance
 

@@ -657,3 +657,35 @@ def test_explicit_tables_normalize_and_accumulate_each_context_bit_for_bit():
         lo, hi = policy._bounds[policy._position(context) : policy._position(context) + 2]
         assert np.array_equal(policy._probs[lo:hi], probs)
         assert np.array_equal(policy._cdf[lo:hi], cdf)
+
+
+def test_mixture_one_draw_is_the_one_row_batch():
+    """``sample`` draws what a one-row ``sample_batch`` draws, and leaves the
+    generator where it leaves it."""
+    space = SlateSpace.ranking(4, 2)
+    base = random_explicit_policy(space, ["q"], np.random.default_rng(3))
+    for kappa in (0.0, 0.35, 1.0):
+        policy = UniformMixturePolicy(base, kappa)
+        for seed in range(200):
+            one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = policy.sample("q", one)
+            assert all(type(a) is int for a in got)
+            assert got == tuple(policy.sample_batch("q", 1, batch)[0].tolist())
+            assert one.random() == batch.random()
+
+
+def test_mixture_batch_draws_each_row_from_the_component_it_picks():
+    """One uniform number per row picks the component, then the uniform
+    component draws its rows and the base draws the rest."""
+    space = SlateSpace.ranking(4, 2)
+    base = MultinomialWoRPolicy(space, {"q": np.arange(4.0)}, 1.5)
+    policy = UniformMixturePolicy(base, 0.4)
+    for n in (1, 7, 50):
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = policy.sample_batch("q", n, got_rng)
+        pick = want_rng.random(n) < 0.4
+        want = np.empty((n, 2), dtype=np.int64)
+        want[pick] = UniformPolicy(space).sample_batch("q", int(pick.sum()), want_rng)
+        want[~pick] = base.sample_batch("q", n - int(pick.sum()), want_rng)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()

@@ -29,9 +29,12 @@ from slateval import (
     estimate_pi,
     estimate_wips,
     load_explicit_policy,
+    parse_letor,
     read_logged_dataset,
     write_logged_dataset,
 )
+from slateval.letor import _canonical_columns as _letor_canonical
+from slateval.letor import _text_columns as _letor_text_columns
 from slateval.logs import _canonical_columns, _text_columns
 from slateval.spaces import space_of
 from slateval.util import pairwise_sum
@@ -646,3 +649,172 @@ def test_bulk_policy_loader_matches_the_per_line_loop(tmp_path_factory, case):
             got_probs = got._probs[lo:hi]
             assert got_actions.dtype == actions.dtype and np.array_equal(got_actions, actions)
             assert got_probs.dtype == probs.dtype and np.array_equal(got_probs, probs)
+
+
+# -- ranking data files -------------------------------------------------------------
+
+
+def reference_parse_letor(path):
+    """The per-line ranking-data parser: the first malformed line's error,
+    or the dataset's columns, queries in order of first appearance."""
+    queries: dict = {}
+    dim, anonymous = None, 0
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        data, _, comment = line.partition("#")
+        fields = data.split()
+        if not fields:
+            continue
+        where = f"{path}:{lineno}"
+        if len(fields) < 2 or not fields[1].startswith("qid:"):
+            raise ParseError(f"{where}: expected '<rel> qid:<id> ...'")
+        try:
+            label = int(fields[0])
+        except ValueError:
+            raise ParseError(f"{where}: bad relevance {fields[0]!r}") from None
+        if label not in (0, 1, 2):
+            raise ParseError(f"{where}: relevance {label} outside (0, 1, 2)")
+        values = {}
+        for token in fields[2:]:
+            key_text, colon, value_text = token.partition(":")
+            try:
+                if not colon:
+                    raise ValueError
+                key, value = int(key_text), float(value_text)
+            except ValueError:
+                raise ParseError(f"{where}: bad feature token {token!r}") from None
+            if key < 1:
+                raise ParseError(f"{where}: feature indices are 1-based")
+            if key >= 2**63:
+                raise ParseError(f"{where}: feature index {key} does not fit in int64")
+            if not np.isfinite(value):
+                raise ParseError(f"{where}: feature value {value_text!r} is not finite")
+            values[key] = value
+        line_dim = max(values, default=0)
+        if dim is None:
+            dim = line_dim
+        elif line_dim != dim:
+            raise ParseError(f"{where}: feature dimension {line_dim} != {dim} seen earlier")
+        words = comment.split()
+        if not words:
+            words, anonymous = [f"doc{anonymous}"], anonymous + 1
+        row = [values.get(k, 0.0) for k in range(1, line_dim + 1)]
+        queries.setdefault(fields[1][4:], []).append((words[0], label, row))
+    documents = [doc for docs in queries.values() for doc in docs]
+    features = np.array([row for _, _, row in documents], dtype=np.float64)
+    return (
+        tuple(queries),
+        np.cumsum([0] + [len(docs) for docs in queries.values()]),
+        tuple(doc_id for doc_id, _, _ in documents),
+        np.array([label for _, label, _ in documents], dtype=np.int64),
+        features.reshape(len(documents), dim or 0),
+    )
+
+
+LETOR_DEFECTS = ("label", "qid", "token", "key", "value", "nonfinite", "dimension", "hash", "shift")
+
+
+def render_letor(rows, rng, canonical=False):
+    """File text for [label, qid token, feature tokens, doc id or None] rows:
+    in canonical form (single spaces, " # <doc id>", "\\n" ends, the last one
+    optional), or with blank and comment lines, tabs and runs of spaces,
+    "\\r\\n" ends, tight and anonymous comments."""
+    if canonical:
+        lines = [f"{label} {qid} {' '.join(tokens)} # {doc}" for label, qid, tokens, doc in rows]
+        return "\n".join(lines) + pick(rng, ("", "\n"))
+    ending = pick(rng, ("\n", "\r\n"))
+    lines = []
+    for label, qid, tokens, doc in rows:
+        if lines and rng.random() < 0.2:
+            lines.append(pick(rng, ("", "   ", "# comment", "#1 qid:1 1:1")))
+        comment = "" if doc is None else pick(rng, (" # {}", "#{}", " # {} more words", " #\t{}"))
+        space = pick(rng, (" ", "\t", "  "))
+        lines.append(space.join([label, qid, *tokens]) + comment.format(doc))
+    return ending.join(lines) + pick(rng, ("", ending))
+
+
+def inject_letor(rows, defect, rng):
+    """A copy of the rows with one defect at a random row."""
+    rows = [[label, qid, list(tokens), doc] for label, qid, tokens, doc in rows]
+    row = rows[int(rng.integers(len(rows)))]
+    at = int(rng.integers(len(row[2])))
+    if defect == "label":  # "+1" and "01" are valid labels, but not canonical
+        row[0] = pick(rng, ("3", "-1", "x", "1.0", "+1", "01"))
+    elif defect == "qid":
+        row[1] = pick(rng, ("qid", "q:1", "qid1", "qid:a\tb", "qid:a\x0bb", "qid:x#y"))
+    elif defect == "token":
+        row[2][at] = pick(rng, ("junk", "1:2:3", ":5", "1:", "a:1", "1_0:2"))
+    elif defect == "key":
+        row[2][at] = pick(rng, ("0", "-2", "99999999999999999999")) + ":1"
+    elif defect == "value":  # "1_0", "+.5" and "-0" are valid values, but not canonical
+        row[2][at] = row[2][at].partition(":")[0] + ":" + pick(rng, ("x", "1_0", "+.5", "-0", "1e"))
+    elif defect == "nonfinite":
+        row[2][at] = row[2][at].partition(":")[0] + ":" + pick(rng, ("nan", "inf", "-inf", "1e999"))
+    elif defect == "dimension":
+        row[2].append(f"{len(row[2]) + 1}:0.5")
+    elif defect == "hash":  # the comment starts inside a token
+        row[2][at] += "#x"
+    elif defect == "shift" and at + 1 < len(row[2]):  # a colon moves to the next token
+        key, _, value = row[2][at].partition(":")
+        row[2][at : at + 2] = [key, f"{value}:{row[2][at + 1]}"]
+    return rows
+
+
+@st.composite
+def letor_files(draw):
+    """The text of a ranking data file, then one text per defect kind. Files
+    that are not canonical also miss, repeat and reorder keys, and leave
+    documents without an id."""
+    canonical = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    qids = st.sampled_from(("1", "2", "a", "q:r", "10032"))
+    rows = []
+    for i in range(n):
+        values = rng.normal(size=dim) * 10.0 ** rng.integers(-30, 30, size=dim)
+        tokens = [f"{k + 1}:{v!r}" for k, v in enumerate(values.tolist())]
+        doc = f"d{i}"
+        if not canonical:
+            if rng.random() < 0.3:  # missing keys; the last stays, and so does the dimension
+                tokens = [t for t in tokens[:-1] if rng.random() < 0.5] + tokens[-1:]
+            if rng.random() < 0.3:
+                tokens.append(f"{rng.integers(1, dim + 1)}:{rng.normal()!r}")
+            if rng.random() < 0.3:
+                tokens = [tokens[j] for j in rng.permutation(len(tokens))]
+            if rng.random() < 0.3:
+                doc = None
+        rows.append([str(draw(st.integers(0, 2))), "qid:" + draw(qids), tokens, doc])
+    texts = [render_letor(rows, rng, canonical)] + [
+        render_letor(inject_letor(rows, defect, rng), rng, canonical) for defect in LETOR_DEFECTS
+    ]
+    return texts, canonical
+
+
+@PROPERTY_SETTINGS
+@given(letor_files())
+def test_both_letor_parse_paths_match_the_per_line_parser(tmp_path_factory, case):
+    texts, canonical = case
+    path = tmp_path_factory.mktemp("letor") / "data.txt"
+    for i, text in enumerate(texts):
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, "r", encoding="utf-8") as handle:
+            read = handle.read()
+        fast = _letor_canonical(read)
+        assert fast is not None or i or not canonical  # a clean canonical file is fast
+        if fast is not None:
+            slow = _letor_text_columns(path, read)
+            assert fast[0] == slow[0] and fast[1] == slow[1]  # query ids, doc ids
+            for column, expected in zip(fast[2:], slow[2:]):  # labels, features
+                assert column.dtype == expected.dtype and np.array_equal(column, expected)
+        want, want_error = outcome(reference_parse_letor, path)
+        got, got_error = outcome(parse_letor, path)
+        if want_error is not None:
+            assert type(got_error) is ParseError and str(got_error) == str(want_error)
+            continue
+        assert got_error is None, got_error
+        query_ids, bounds, doc_ids, labels, features = want
+        assert got.query_ids == query_ids and got.doc_ids == doc_ids
+        assert np.array_equal(got.bounds, bounds)
+        assert got.labels.dtype == np.int64 and np.array_equal(got.labels, labels)
+        assert got.features.dtype == np.float64 and np.array_equal(got.features, features)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from slateval import (
     ConfigurationError,
     ExperimentConfig,
     GeneratorConfig,
+    RankingDataset,
+    UniformMixturePolicy,
     UniformPolicy,
     build_instance,
     draw_logs,
@@ -12,7 +16,9 @@ from slateval import (
     generate_synthetic,
     run_rmse_sweep,
 )
+from slateval import policies
 from slateval.moments import PinvSource
+from slateval.ridge import add_intercept
 from slateval.policies import DeterministicPolicy, MultinomialWoRPolicy
 from slateval.simulation import (
     _run_once,
@@ -272,9 +278,10 @@ def test_pi_rmse_decreases_with_n():
 def test_score_model_orders_relevance():
     dataset = generate_synthetic(GeneratorConfig(num_queries=40, docs_per_query=8, seed=4))
     model = fit_score_model(dataset, range(12))
-    X = np.stack([d.features for q in dataset.queries for d in q.documents])
-    y = np.array([d.relevance for q in dataset.queries for d in q.documents], dtype=float)
-    corr = np.corrcoef(model.score(X), y)[0, 1]
+    X = dataset.features
+    y = dataset.labels.astype(float)
+    scores = add_intercept(X[:, model.feature_indices]) @ model.weights
+    corr = np.corrcoef(scores, y)[0, 1]
     assert corr > 0.3
 
 
@@ -311,3 +318,157 @@ def test_a_sweep_cell_scores_each_context_once_per_policy(monkeypatch):
 def test_experiment_config_rejects_a_non_finite_temperature(alpha):
     with pytest.raises(ConfigurationError, match="finite nonnegative"):
         ExperimentConfig(m=5, slots=2, alpha=alpha)
+
+
+def test_build_instance_names_the_configured_title_dims():
+    """An out-of-range title block is reported as configured, not clamped to
+    the data's dimension first."""
+    dataset = generate_synthetic(
+        GeneratorConfig(num_queries=4, docs_per_query=5, feature_dim=10, title_dims=5, seed=1)
+    )
+    for title_dims in (30, 10, 0):
+        with pytest.raises(ConfigurationError) as caught:
+            build_instance(dataset, ExperimentConfig(m=4, slots=2, title_dims=title_dims))
+        assert str(caught.value) == (
+            f"title_dims {title_dims}: the title block [0, {title_dims}) must leave a "
+            f"nonempty body block in 10 dimensions"
+        )
+    with pytest.raises(ConfigurationError) as caught:
+        build_instance(dataset, ExperimentConfig(m=4, slots=2))
+    assert str(caught.value).startswith("default title_dims 20: the title block [0, 20)")
+
+
+@pytest.mark.parametrize("indices, bad", [([-1, -2], -1), ([0, -2], -2), ([3, 24], 24)])
+def test_fit_score_model_rejects_indices_outside_the_features(indices, bad):
+    dataset = generate_synthetic(GeneratorConfig(num_queries=4, docs_per_query=5, seed=1))
+    with pytest.raises(ConfigurationError) as caught:
+        fit_score_model(dataset, indices)
+    assert str(caught.value) == f"feature index {bad} out of range for dimension 24"
+
+
+def two_space_instance(alpha, noise="none"):
+    """Every third query keeps 5 of its 8 documents, so its pool, and its
+    ranking space, is smaller than the m = 6 of the others."""
+    dataset = generate_synthetic(
+        GeneratorConfig(num_queries=12, docs_per_query=8, feature_dim=12, title_dims=6, seed=21)
+    )
+    sizes = [5 if i % 3 == 0 else 8 for i in range(12)]
+    keep = np.concatenate([np.arange(8 * i, 8 * i + size) for i, size in enumerate(sizes)])
+    truncated = RankingDataset(
+        dataset.features[keep],
+        dataset.labels[keep],
+        tuple(dataset.doc_ids[i] for i in keep),
+        dataset.query_ids,
+        np.concatenate([[0], np.cumsum(sizes)]),
+    )
+    config = ExperimentConfig(m=6, slots=3, alpha=alpha, title_dims=6, noise=noise)
+    instance = build_instance(truncated, config)
+    assert {instance.space_of(c).num_actions for c in instance.contexts} == {5, 6}
+    return instance
+
+
+def per_context_draw_logs(instance, n, rng, contexts=None, draw=None):
+    """draw_logs one context at a time: each drawn context's slates in one
+    call of ``draw(context, count, rng)``, contexts in pool order."""
+    draw = draw or instance.logging.sample_batch
+    pool = tuple(instance.contexts if contexts is None else contexts)
+    picks = rng.integers(0, len(pool), size=n)
+    actions = np.empty((n, instance.space_of(pool[0]).num_slots), dtype=np.int64)
+    slot_values = np.empty(actions.shape)
+    for code in np.unique(picks).tolist():
+        rows = np.flatnonzero(picks == code)
+        context = pool[code]
+        slates = draw(context, len(rows), rng)
+        actions[rows] = slates
+        arm = instance.arms[context]
+        slot_values[rows] = arm.intrinsic[arm.space.offsets + slates]
+    values = np.clip(slot_values.sum(axis=1), 0.0, 1.0)
+    if instance.noise == "bernoulli":
+        values = (rng.random(n) < values).astype(np.float64)
+    return picks, actions, values, slot_values
+
+
+def gumbel_top_slots(instance):
+    """Plackett-Luce draws at one context by Gumbel keys on its logits."""
+
+    def draw(context, count, rng):
+        space = instance.space_of(context)
+        logits = instance.logging.action_logits(context)
+        keys = logits + rng.gumbel(size=(count, space.num_actions))
+        return np.argsort(-keys, axis=1, kind="stable")[:, : space.num_slots]
+
+    return draw
+
+
+def uniform_top_slots(instance):
+    def draw(context, count, rng):
+        space = instance.space_of(context)
+        keys = rng.random((count, space.num_actions))
+        return np.argsort(keys, axis=1, kind="stable")[:, : space.num_slots]
+
+    return draw
+
+
+@pytest.mark.parametrize("stack_rows", [None, 40])
+@pytest.mark.parametrize("logging", ["pl0", "pl1", "pl40", "uniform", "mixture"])
+def test_batched_draws_equal_per_context_draws(monkeypatch, logging, stack_rows):
+    """draw_logs over two spaces, in one run or in many, draws what one call
+    per context draws and leaves the generator in the same state."""
+    if stack_rows is not None:
+        monkeypatch.setattr(policies, "STACK_ROWS", stack_rows)
+    temperature = {"pl0": 0.0, "pl1": 1.0, "pl40": 40.0}.get(logging, 1.0)
+    instance = two_space_instance(temperature, noise="bernoulli" if logging == "pl1" else "none")
+    spaces = {c: instance.space_of(c) for c in instance.contexts}
+    if logging == "uniform":
+        instance = replace(instance, logging=UniformPolicy(spaces))
+        reference = uniform_top_slots(instance)
+    elif logging == "mixture":
+        instance = replace(instance, logging=UniformMixturePolicy(instance.logging, 0.4))
+        reference = instance.logging.sample_batch
+    else:
+        reference = gumbel_top_slots(instance)
+    subset = instance.contexts[::-1][:7]  # reversed: the two spaces interleave
+    for n, contexts in ((1, None), (500, None), (500, subset), (3000, subset)):
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = draw_logs(instance, n, got_rng, contexts=contexts)
+        picks, actions, rewards, slot_values = per_context_draw_logs(
+            instance, n, want_rng, contexts, reference
+        )
+        assert np.array_equal(got.codes, picks)
+        assert got.actions.dtype == np.int64 and np.array_equal(got.actions, actions)
+        assert np.array_equal(got.rewards, rewards)
+        assert np.array_equal(got.slot_values, slot_values)
+        assert got_rng.random() == want_rng.random()
+
+
+def test_draws_above_one_run_of_stack_rows():
+    instance = two_space_instance(1.0)
+    n = policies.STACK_ROWS + 5000
+    got = draw_logs(instance, n, np.random.default_rng(3))
+    want_rng = np.random.default_rng(3)
+    _, actions, rewards, _ = per_context_draw_logs(
+        instance, n, want_rng, draw=gumbel_top_slots(instance)
+    )
+    assert np.array_equal(got.actions, actions) and np.array_equal(got.rewards, rewards)
+
+
+def test_score_ties_rank_documents_by_id():
+    """Documents with equal scores keep the order of their ids: in the pool
+    by title score, and in the target's ranking by body score."""
+    rng = np.random.default_rng(8)
+    features = rng.normal(size=(12, 4))
+    features[1] = features[0]  # "q0d9" and "q0d1" tie on both scores
+    dataset = RankingDataset(
+        features,
+        rng.integers(0, 3, size=12),
+        ("q0d9", "q0d1", "q0d5", "q0d2", "q0d0", "q0d7")
+        + tuple(f"q1d{i}" for i in range(6)),
+        ("q0", "q1"),
+        np.array([0, 6, 12]),
+    )
+    instance = build_instance(dataset, ExperimentConfig(m=6, slots=6, title_dims=2))
+    arm = instance.arms["q0"]
+    pool = arm.pool_doc_ids
+    assert pool.index("q0d1") + 1 == pool.index("q0d9")
+    ranked = [pool[a] for a in arm.target_slate]
+    assert ranked.index("q0d1") + 1 == ranked.index("q0d9")
