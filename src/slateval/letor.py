@@ -123,6 +123,7 @@ def _canonical_columns(text: str):
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
+    n = len(lines)
     heads = [line.split(" ", 2) for line in lines]
     if set(map(len, heads)) != {3}:  # no lines, or a line with fewer than three fields
         return None
@@ -133,7 +134,7 @@ def _canonical_columns(text: str):
     if (
         dim < 1
         or not set(labels) <= _LABELS.keys()
-        or [token[:4] for token in qid_tokens] != ["qid:"] * len(lines)
+        or [token[:4] for token in qid_tokens] != ["qid:"] * n
         or "#" in qids
         or qids.split() != [qids]
         or "" in marks
@@ -141,22 +142,28 @@ def _canonical_columns(text: str):
         or "".join(doc_ids).split() != ["".join(doc_ids)]
     ):
         return None
+    # each copy of the text goes before the next is made, which keeps the
+    # heap the parse leaves behind small
+    del lines, heads, rests
     features = " ".join(regions)
-    layout = " ".join([":" + " :" * (dim - 1)] * len(lines))
+    del regions
+    layout = " ".join([":" + " :" * (dim - 1)] * n)
     if features.translate(_NUMBER_CHARS) != layout:
         return None
     pieces = features.replace(" ", ":").split(":")
-    if pieces[0::2] != [str(key) for key in range(1, dim + 1)] * len(lines):
+    del features
+    if pieces[0::2] != [str(key) for key in range(1, dim + 1)] * n:
         return None
     try:
         values = np.array(pieces[1::2], dtype=np.float64)
     except ValueError:
         return None
+    del pieces
     if not np.isfinite(values).all():
         return None
     query_ids = [token[4:] for token in qid_tokens]
     codes = np.fromiter(map(_LABELS.__getitem__, labels), dtype=np.int64, count=len(labels))
-    return query_ids, list(doc_ids), codes, values.reshape(len(lines), dim)
+    return query_ids, list(doc_ids), codes, values.reshape(n, dim)
 
 
 def _text_columns(path, text: str):

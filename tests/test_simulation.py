@@ -18,8 +18,8 @@ from slateval import (
 )
 from slateval import policies
 from slateval.moments import PinvSource
-from slateval.ridge import add_intercept
 from slateval.policies import DeterministicPolicy, MultinomialWoRPolicy
+from slateval.ridge import add_intercept
 from slateval.simulation import (
     _run_once,
     fit_score_model,
