@@ -17,15 +17,16 @@ off-policy path never sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SlateError
 from .estimators import FeatureMap, _feature_table
 from .logs import LoggedBatch, LoggedExample
 from .moments import PinvSource
-from .policies import Policy
+from .policies import Policy, positions_by_space, row_runs
 from .ridge import (
     DEFAULT_ALPHAS,
     FoldMoments,
@@ -36,6 +37,8 @@ from .ridge import (
     solve_ridge,
 )
 from .spaces import SlateSpace, SpaceKind
+
+RUN_ROWS = 1 << 12  # bounds the rows one step of decompose or of the greedy scoring holds
 
 
 @dataclass(frozen=True)
@@ -79,32 +82,52 @@ def decompose(
 ) -> DecomposedTargets:
     """Per-example reward decomposition through the logging pseudoinverse.
 
-    Works one context at a time: a context's target block starts as the
-    pseudoinverse columns of its logged slates' first-slot coordinates, adds
-    those of each later slot in turn, and is scaled by the rewards, one
-    contiguous row per example.
+    Works one space at a time, in runs of at most ``RUN_ROWS`` rows: one
+    ``validate_batch`` and one ``coords_of_actions`` serve all of a run's
+    contexts. A failing check is redone context by context in batch order,
+    so the error names the first failing context. Each moment record (one
+    per space under uniform logging) gives one contiguous copy of its
+    pseudoinverse's transpose: row k is column k of the pseudoinverse, the
+    entries a slate's targets sum, so the bits do not rest on its exact
+    symmetry. A context's target block starts as the rows of its logged
+    slates' first-slot coordinates, adds those of each later slot in turn,
+    and is scaled by the rewards, one contiguous row per example.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot decompose an empty dataset")
     batch = LoggedBatch.from_examples(data)
     source = pinv_source if pinv_source is not None else PinvSource()
     groups = batch.groups()
-    spaces = {context: logging.space_of(context) for context, _ in groups}
-    source.records(logging, list(spaces))  # every space's missing records, built together
-    blocks = []
-    for context, rows in groups:
-        space = spaces[context]
-        # row k of this view is column k of pinv, the entries a slate's
-        # targets sum; the bits then do not rest on pinv's exact symmetry
-        columns = source.pseudoinverse(logging, context).T
-        coords = space.coords_of_actions(space.validate_batch(batch.actions[rows], context))
-        block = columns[coords[:, 0]]
-        for j in range(1, space.num_slots):
-            block += columns[coords[:, j]]
-        block *= batch.rewards[rows][:, None]
-        blocks.append(block)
+    contexts = [context for context, _ in groups]
+    spaces = {context: logging.space_of(context) for context in contexts}
+    records = source.records(logging, contexts)  # every space's missing records, built together
+    blocks = [None] * len(groups)
+    record = columns = None
+    for space, positions in positions_by_space(logging, contexts):
+        space_rows = [groups[i][1] for i in positions]
+        bounds = np.concatenate([[0], np.cumsum([len(rows) for rows in space_rows])])
+        for lo, hi in row_runs(bounds, RUN_ROWS):
+            try:
+                coords = space.coords_of_actions(
+                    space.validate_batch(batch.actions[np.concatenate(space_rows[lo:hi])])
+                )
+            except SlateError:
+                for context, rows in groups:
+                    spaces[context].validate_batch(batch.actions[rows], context)
+                raise
+            starts = (bounds[lo : hi + 1] - bounds[lo]).tolist()
+            for k, i in enumerate(positions[lo:hi]):
+                if records[i] is not record:
+                    record = records[i]
+                    columns = np.ascontiguousarray(record.pinv.entries.T)
+                own = coords[starts[k] : starts[k + 1]]
+                block = columns[own[:, 0]]
+                for j in range(1, space.num_slots):
+                    block += columns[own[:, j]]
+                block *= batch.rewards[space_rows[lo + k]][:, None]
+                blocks[i] = block
     return DecomposedTargets(
-        contexts=tuple(context for context, _ in groups),
+        contexts=tuple(contexts),
         rows=tuple(rows for _, rows in groups),
         phi_hats=tuple(blocks),
         spaces=spaces,
@@ -129,16 +152,31 @@ class PointwiseScorer:
     def feature_weights(self) -> np.ndarray:
         return self.weights[self.num_slots :]
 
-    def score_matrix(self, context, space: SlateSpace, features: FeatureMap) -> np.ndarray:
-        """(slots, max actions) score table; impossible cells are -inf."""
-        scores = _feature_table(space, context, features) @ self.feature_weights()
+    def score_tables(self, contexts, space: SlateSpace, features: FeatureMap) -> np.ndarray:
+        """(contexts, slots, max actions) score tables of contexts on one
+        space, from one stacked product; impossible cells are -inf."""
+        tables = np.stack([_feature_table(space, c, features) for c in contexts])
+        scores = tables @ self.feature_weights()
         scores += np.repeat(self.slot_weights(), space.slot_counts)
         width = max(space.slot_counts)
         if space.dim == space.num_slots * width:
-            return scores.reshape(space.num_slots, width)
-        table = np.full((space.num_slots, width), -np.inf)
-        table[np.arange(width) < np.array(space.slot_counts)[:, None]] = scores
-        return table
+            return scores.reshape(len(contexts), space.num_slots, width)
+        stack = np.full((len(contexts), space.num_slots, width), -np.inf)
+        stack[:, np.arange(width) < np.array(space.slot_counts)[:, None]] = scores
+        return stack
+
+    def score_matrix(self, context, space: SlateSpace, features: FeatureMap) -> np.ndarray:
+        """(slots, max actions) score table of one context: ``score_tables``
+        of that context alone."""
+        return self.score_tables((context,), space, features)[0]
+
+
+@lru_cache(maxsize=64)
+def _slot_block(space: SlateSpace) -> np.ndarray:
+    """(dim, slots) slot one-hot columns of a space: read-only, one per space."""
+    block = np.repeat(np.eye(space.num_slots), space.slot_counts, axis=0)
+    block.flags.writeable = False
+    return block
 
 
 def _slot_design(space: SlateSpace, table: np.ndarray, feature_dim: int) -> np.ndarray:
@@ -147,7 +185,7 @@ def _slot_design(space: SlateSpace, table: np.ndarray, feature_dim: int) -> np.n
         raise ConfigurationError(
             f"the feature map gives {table.shape[1]} features per action, expected {feature_dim}"
         )
-    return np.hstack([np.repeat(np.eye(space.num_slots), space.slot_counts, axis=0), table])
+    return np.hstack([_slot_block(space), table])
 
 
 def fit_scorer(
@@ -182,7 +220,10 @@ def _table_moments(targets: DecomposedTargets, tables, feature_dim: int, folds: 
     of an example whose rows start at ``s`` lands in fold ``(s + k) %
     folds``, so cell ``(fold, k)`` holds the examples of residue class
     ``s % folds == (fold - k) % folds``, and the block's rows are summed
-    once per class.
+    once per class (in place when one class holds them all, as it does
+    whenever the fold count divides every dim). The slot one-hot columns
+    and the class of every cell are built once per space; the products
+    and sums stay per context, in context order.
     """
     width = targets.num_slots + feature_dim
     # global row start of every example: cumulative sum of the block dims
@@ -195,19 +236,23 @@ def _table_moments(targets: DecomposedTargets, tables, feature_dim: int, folds: 
     xty = np.zeros((folds, width))
     yty = np.zeros(folds)
     counts = np.zeros(folds)
+    cells: dict[SlateSpace, tuple[np.ndarray, np.ndarray]] = {}
     for context, rows, block, table in zip(targets.contexts, targets.rows, targets.phi_hats, tables):
         space = targets.spaces[context]
+        if space not in cells:
+            local = np.arange(space.dim)
+            cells[space] = (local, (np.arange(folds)[:, None] - local) % folds)
+        local, cls = cells[space]
         design = _slot_design(space, table, feature_dim)
         residues = starts[rows] % folds
-        class_counts = np.bincount(residues, minlength=folds)
+        # as floats: the products below would otherwise convert every count
+        class_counts = np.bincount(residues, minlength=folds).astype(np.float64)
         class_sums = np.zeros((folds, space.dim))
         class_squares = np.zeros((folds, space.dim))
         for r in np.flatnonzero(class_counts):
-            members = block[residues == r]
+            members = block if class_counts[r] == len(rows) else block[residues == r]
             class_sums[r] = members.sum(axis=0)
             class_squares[r] = (members * members).sum(axis=0)
-        local = np.arange(space.dim)
-        cls = (np.arange(folds)[:, None] - local) % folds
         n_rows = class_counts[cls]
         xtx += (design.T * n_rows[:, None, :]) @ design
         xty += class_sums[cls, local] @ design
@@ -249,28 +294,34 @@ def _greedy_slates(scores: np.ndarray, space: SlateSpace) -> np.ndarray:
 def greedy_slate(scorer, context, space: SlateSpace, features: FeatureMap) -> tuple[int, ...]:
     """Build a slate by repeatedly taking the best available (slot, action);
     see ``_greedy_slates`` for the rule."""
-    scores = scorer.score_matrix(context, space, features)
-    return space.validate(_greedy_slates([scores], space)[0])
+    scores = scorer.score_tables((context,), space, features)
+    return space.validate(_greedy_slates(scores, space)[0])
 
 
 def evaluate_learned(scorer, instance, contexts=None) -> float:
     """Mean NDCG of the scorer's greedy slates over an instance's queries.
 
-    Contexts sharing a space are scored into one stack and built by one
-    greedy pass.
+    A scorer gives the score tables of many contexts on one space in one
+    call, ``scorer.score_tables(contexts, space, features)`` (a
+    ``PointwiseScorer`` through one stacked product). Each space's contexts
+    are scored, built by one greedy pass and checked by one
+    ``validate_batch``, in runs of at most ``RUN_ROWS`` (slot, action)
+    rows; the NDCG values are then summed in the caller's context order.
     """
     contexts = tuple(instance.contexts if contexts is None else contexts)
-    groups: dict[SlateSpace, list] = {}
-    for context in contexts:
-        groups.setdefault(instance.space_of(context), []).append(context)
-    slates = {}
-    for space, group in groups.items():
-        scores = [scorer.score_matrix(c, space, instance.features) for c in group]
-        for context, slate in zip(group, _greedy_slates(scores, space)):
-            slates[context] = space.validate(slate)
+    if not contexts:
+        raise ConfigurationError("cannot evaluate a scorer over no contexts")
+    slates = [None] * len(contexts)
+    for space, positions in positions_by_space(instance, contexts):
+        step = max(1, RUN_ROWS // space.dim)
+        for lo in range(0, len(positions), step):
+            run = positions[lo : lo + step]
+            scores = scorer.score_tables([contexts[i] for i in run], space, instance.features)
+            for i, slate in zip(run, space.validate_batch(_greedy_slates(scores, space))):
+                slates[i] = slate
     total = 0.0
-    for context in contexts:
-        total += instance.ndcg(context, slates[context])
+    for context, slate in zip(contexts, slates):
+        total += instance.ndcg(context, slate)
     return total / len(contexts)
 
 
@@ -294,6 +345,8 @@ def fit_sup_scorer(
     if target not in ("gain", "relevance"):
         raise ConfigurationError(f"unknown supervised target {target!r}")
     contexts = tuple(instance.contexts if contexts is None else contexts)
+    if not contexts:
+        raise ConfigurationError("cannot fit a supervised scorer on no contexts")
     arms = [instance.arms[context] for context in contexts]
     X = np.concatenate([arm.pool_features for arm in arms])
     gains = np.concatenate([arm.gains for arm in arms])

@@ -9,8 +9,9 @@ rows of one context (``slate_prob_batch``) or of many (``slate_prob_rows``,
 which takes a ``LoggedBatch``'s context, code and action columns), single
 slates and draws, the support and the moments. A Plackett-Luce policy
 gathers each row's logits from a stacked table, both to score rows and to
-draw them by Gumbel keys; an explicit table looks every row up in one
-sorted array of (context, slate) keys.
+draw them by Gumbel keys (at temperature 0 every row of a space scores the
+same bits, so one row per space is scored); an explicit table looks every
+row up in one sorted array of (context, slate) keys.
 
 Moments are built per (policy, space) as stacks over contexts.
 ``Policy.moment_rows`` is the one place that picks the slate rows standing
@@ -95,13 +96,13 @@ class MomentArrays:
             )
 
 
-def row_runs(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
+def row_runs(bounds: np.ndarray, limit: int = STACK_ROWS) -> Iterator[tuple[int, int]]:
     """Runs [lo, hi) of consecutive contexts, context i owning rows
-    ``bounds[i]:bounds[i + 1]``, each run with at most ``STACK_ROWS`` rows
-    (or one context)."""
+    ``bounds[i]:bounds[i + 1]``, each run with at most ``limit`` rows (or
+    one context)."""
     lo, n = 0, len(bounds) - 1
     while lo < n:
-        last = int(np.searchsorted(bounds, bounds[lo] + STACK_ROWS, "right")) - 1
+        last = int(np.searchsorted(bounds, bounds[lo] + limit, "right")) - 1
         hi = max(lo + 1, last)
         yield lo, hi
         lo = hi
@@ -719,8 +720,13 @@ class MultinomialWoRPolicy(Policy):
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         probs = np.empty(len(codes))
         for space, rows in self._rows_by_space(contexts, codes):
+            # every context's logits, so their checks still run
             logits, at = _per_context(contexts, codes[rows], self.action_logits)
             group = actions[rows]
+            if self.temperature == 0.0:
+                # zero logits (of either sign): every row's chain is
+                # 0 - log(m) - log(m - 1) - ..., the same bits; score one
+                at, group = at[:1], group[:1]
             out = np.empty(len(group))
             step = max(1, PL_CHUNK_ELEMENTS // logits.shape[1])
             for start in range(0, len(group), step):

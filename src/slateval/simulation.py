@@ -192,6 +192,8 @@ class BanditInstance:
         """Exact expected NDCG of a policy: additive rewards make the value
         an inner product of the mean indicator with the intrinsic values."""
         contexts = self.contexts if contexts is None else tuple(contexts)
+        if not contexts:
+            raise ConfigurationError("cannot value a policy over no contexts")
         values = np.empty(len(contexts))
         for space, positions in positions_by_space(policy, contexts):
             means = policy.mean_indicators([contexts[i] for i in positions], space)

@@ -11,6 +11,7 @@ from slateval import (
     MultinomialWoRPolicy,
     PinvSource,
     RankingDataset,
+    SlateError,
     SlateSpace,
     UniformPolicy,
     build_instance,
@@ -35,7 +36,7 @@ from helpers import (
 )
 from slateval import moments
 from slateval.moments import moment_matrix
-from slateval.optimization import DecomposedTargets, _greedy_slates
+from slateval.optimization import DecomposedTargets, PointwiseScorer, _greedy_slates
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
 
 
@@ -115,6 +116,35 @@ def test_decompose_builds_the_missing_logging_records_of_a_space_together(monkey
     monkeypatch.setattr(moments, "moment_matrix", counted)
     decompose(logs, logging, features=unit_features(space))
     assert sizes == [3]
+
+
+@pytest.mark.parametrize(
+    "slates, named",
+    [
+        ({"a": (0, 1), "b": (1, 3)}, "b"),  # only the second context's slate is invalid
+        ({"a": (2, 2), "b": (1, 3)}, "a"),  # both are: the first in batch order
+    ],
+)
+def test_decompose_error_names_the_first_invalid_context(slates, named):
+    space = SlateSpace.ranking(3, 2)
+    logs = [LoggedExample("a", (1, 0), 0.5)]
+    logs += [LoggedExample(c, slate, 1.0) for c, slate in slates.items()]
+    with pytest.raises(SlateError, match=f"invalid slate at context '{named}'"):
+        decompose(logs, UniformPolicy(space), features=unit_features(space))
+
+
+def test_decompose_error_names_the_first_invalid_context_across_spaces():
+    """Contexts a and c share a space and b has its own; with b and c
+    invalid, the error names b, which comes first in batch order."""
+    spaces = {"a": SlateSpace.ranking(4, 2), "b": SlateSpace.ranking(3, 2)}
+    spaces["c"] = spaces["a"]
+    logs = [
+        LoggedExample("a", (3, 0), 1.0),
+        LoggedExample("b", (2, 3), 1.0),
+        LoggedExample("c", (1, 1), 1.0),
+    ]
+    with pytest.raises(SlateError, match="invalid slate at context 'b'"):
+        decompose(logs, UniformPolicy(spaces), features=unit_features(spaces.__getitem__))
 
 
 def test_decompose_zero_reward_zero_targets():
@@ -294,8 +324,8 @@ class _TableScorer:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
 
-    def score_matrix(self, context, space, features):
-        return self.table
+    def score_tables(self, contexts, space, features):
+        return np.broadcast_to(self.table, (len(contexts), *self.table.shape))
 
 
 def test_greedy_unique_maximizers():
@@ -343,8 +373,8 @@ def test_true_intrinsic_scorer_reaches_perfect_ndcg():
     instance = build_instance(dataset, config)
 
     class _IntrinsicScorer:
-        def score_matrix(self, context, space, features):
-            return instance.intrinsic(context).reshape(space.num_slots, -1)
+        def score_tables(self, contexts, space, features):
+            return np.stack([instance.intrinsic(c).reshape(space.num_slots, -1) for c in contexts])
 
     scored = [c for c in instance.contexts if instance.arms[c].dcg_star > 0]
     value = evaluate_learned(_IntrinsicScorer(), instance, scored)
@@ -510,6 +540,44 @@ def test_evaluate_learned_over_two_spaces_matches_per_context_greedy():
             slate = greedy_slate(scorer, context, instance.space_of(context), instance.features)
             total += instance.ndcg(context, slate)
         assert evaluate_learned(scorer, instance, contexts) == total / len(contexts)
+
+
+@pytest.mark.parametrize(
+    "space", [SlateSpace.ranking(6, 3), SlateSpace.cartesian((2, 4, 3))], ids=["ranking", "ragged"]
+)
+def test_stacked_scores_equal_one_context_products_bitwise(space):
+    """One stacked product scores every context as its own (dim,
+    feature_dim) @ weights product would, bit for bit; cells past a short
+    slot's actions are -inf."""
+    features = unit_features(space, dim=5, seed=3)
+    rng = np.random.default_rng(4)
+    scorer = PointwiseScorer(rng.normal(size=space.num_slots + 5), space.num_slots, 5, 1.0)
+    contexts = [f"q{i}" for i in range(7)]
+    stack = scorer.score_tables(contexts, space, features)
+    width = max(space.slot_counts)
+    filled = np.arange(width) < np.array(space.slot_counts)[:, None]
+    for context, table in zip(contexts, stack):
+        want = features(context) @ scorer.feature_weights()
+        want += np.repeat(scorer.slot_weights(), space.slot_counts)
+        assert table[filled].tobytes() == want.tobytes()
+        assert (table[~filled] == -np.inf).all()
+        assert np.array_equal(scorer.score_matrix(context, space, features), table)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda instance, scorer: evaluate_learned(scorer, instance, []),
+        lambda instance, scorer: fit_sup_scorer(instance, []),
+        lambda instance, scorer: instance.policy_value(instance.logging, []),
+    ],
+    ids=["evaluate_learned", "fit_sup_scorer", "policy_value"],
+)
+def test_an_empty_context_list_is_a_configuration_error(call):
+    instance = two_space_instance()
+    scorer = fit_sup_scorer(instance, target="gain")
+    with pytest.raises(ConfigurationError, match="no contexts"):
+        call(instance, scorer)
 
 
 class _CountingInstance:

@@ -429,6 +429,35 @@ def test_plackett_luce_support_equals_the_per_slate_recursion_bit_for_bit(m, slo
     assert policy.slate_prob_batch("q", every).tobytes() == want.tobytes()
 
 
+def test_zero_temperature_rows_equal_the_row_by_row_recursion_bit_for_bit():
+    """Temperature 0 on two spaces (pools of 6 and, for shorter queries, 4),
+    with scores of both signs and zero, so logits of both signs of zero."""
+    from slateval.policies import _plackett_luce_log_probs
+
+    rng = np.random.default_rng(5)
+    contexts = [f"q{i}" for i in range(8)]
+    spaces = {c: SlateSpace.ranking(4 if i % 3 == 0 else 6, 3) for i, c in enumerate(contexts)}
+    scores = {c: rng.choice([-2.5, -1.0, 0.0, 1.5], size=spaces[c].num_actions) for c in contexts}
+    policy = MultinomialWoRPolicy(spaces, scores, 0.0)
+    logits = {c: policy.action_logits(c) for c in contexts}
+    both = np.concatenate(list(logits.values()))
+    assert (both == 0.0).all() and np.signbit(both).any() and not np.signbit(both).all()
+    codes = rng.integers(0, len(contexts), size=300)
+    actions = np.stack([
+        rng.permutation(spaces[contexts[c]].num_actions)[:3] for c in codes.tolist()
+    ])
+    want = np.concatenate([
+        np.exp(_plackett_luce_log_probs(logits[contexts[c]][None], actions[i : i + 1]))
+        for i, c in enumerate(codes.tolist())
+    ])
+    assert policy.slate_prob_rows(contexts, codes, actions).tobytes() == want.tobytes()
+
+    scores["q7"] = np.array([0.5, np.inf, 1.0, 0.0, 2.0, -1.0])
+    policy = MultinomialWoRPolicy(spaces, scores, 0.0)
+    with pytest.raises(SlateError, match="context 'q7'.*non-finite"):
+        policy.slate_prob_rows(contexts, codes, actions)
+
+
 def test_plackett_luce_above_the_cap_keeps_its_seeded_monte_carlo_sample():
     from slateval.util import context_rng
 
