@@ -43,7 +43,6 @@ from .logs import (
 )
 from .moments import (
     MomentMatrix,
-    MomentRecord,
     PinvSource,
     PseudoInverse,
     moment_matrix,

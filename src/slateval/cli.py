@@ -310,6 +310,27 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _optimize_fold(instance, n_logs, folds, fold, seed, source) -> dict:
+    """One fold's policy values; its logs, targets and scorer are freed on
+    return, before the next fold draws its own."""
+    test = [c for i, c in enumerate(instance.contexts) if i % folds == fold]
+    train = [c for i, c in enumerate(instance.contexts) if i % folds != fold]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, fold]))
+    logs = draw_logs(instance, n_logs, rng, contexts=train)
+    targets = decompose(logs, instance.logging, features=instance.features, pinv_source=source)
+    scorer = fit_scorer(targets)
+    return {
+        "logger": instance.policy_value(instance.logging, test),
+        "sup_rel": evaluate_learned(
+            fit_sup_scorer(instance, train, target="relevance"), instance, test
+        ),
+        "sup_gain": evaluate_learned(
+            fit_sup_scorer(instance, train, target="gain"), instance, test
+        ),
+        "pi_opt": evaluate_learned(scorer, instance, test),
+    }
+
+
 def cmd_optimize(args) -> int:
     reader = ConfigReader(_apply_overrides(parse_config_file(args.config), args.set))
     config = _experiment_config(reader, args.seed)
@@ -331,22 +352,7 @@ def cmd_optimize(args) -> int:
     columns = {"logger": [], "sup_rel": [], "sup_gain": [], "pi_opt": []}
     source = PinvSource()
     for fold in range(folds):
-        test = [c for i, c in enumerate(instance.contexts) if i % folds == fold]
-        train = [c for i, c in enumerate(instance.contexts) if i % folds != fold]
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, fold]))
-        logs = draw_logs(instance, n_logs, rng, contexts=train)
-        targets = decompose(logs, instance.logging, features=instance.features, pinv_source=source)
-        scorer = fit_scorer(targets)
-        values = {
-            "logger": instance.policy_value(instance.logging, test),
-            "sup_rel": evaluate_learned(
-                fit_sup_scorer(instance, train, target="relevance"), instance, test
-            ),
-            "sup_gain": evaluate_learned(
-                fit_sup_scorer(instance, train, target="gain"), instance, test
-            ),
-            "pi_opt": evaluate_learned(scorer, instance, test),
-        }
+        values = _optimize_fold(instance, n_logs, folds, fold, config.seed, source)
         for key, value in values.items():
             columns[key].append(value)
         rows.append(

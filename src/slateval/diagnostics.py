@@ -10,9 +10,9 @@ deviation bound.
 The slate maxima run over the logging policy's ``moment_rows``: its exact
 support when the policy lists it, else the same seeded sample its second
 moments and mean indicator are built from. Every diagnostic is a reduction
-over per-space stacks of the cached moment records of a ``PinvSource``
-(one batched product gives every context's ``q' P``), and
-``overlap_profile`` builds them once for all four.
+over per-space stacks read from the moment store of a ``PinvSource`` (one
+batched product gives every context's ``q' P``), and ``overlap_profile``
+builds them once for all four.
 """
 
 from __future__ import annotations
@@ -72,18 +72,20 @@ def _require_space(policy: Policy, context, space, role: str) -> None:
 class _Overlaps:
     """The logging policy's overlaps at a list of contexts, each diagnostic
     one array over them in order, reduced per run of the contexts of one
-    logging space (``moments.context_runs``) from stacks of the cached
-    moment records."""
+    logging space (``moments.context_runs``) from stacks of the rows of the
+    moment store."""
 
     def __init__(self, source: PinvSource, logging: Policy, contexts, target: Policy | None = None):
         if len(contexts) == 0:
             raise ConfigurationError("the overlap diagnostics need at least one context")
         self.source, self.logging, self.target = source, logging, target
         self.contexts = list(contexts)
-        source.records(logging, self.contexts)  # every space's missing records, built together
+        by_space = positions_by_space(logging, self.contexts)
+        for _, positions in by_space:  # every space's missing moments, built together
+            source.moments(logging, [self.contexts[i] for i in positions])
         self.runs = [
             (space, run, [self.contexts[i] for i in run])
-            for space, positions in positions_by_space(logging, self.contexts)
+            for space, positions in by_space
             for lo, hi in context_runs(len(positions), space.dim)
             for run in [positions[lo:hi]]
         ]
@@ -96,7 +98,8 @@ class _Overlaps:
         return out
 
     def _matrices(self, policy: Policy, contexts) -> np.ndarray:
-        return np.stack([record.matrix.entries for record in self.source.records(policy, contexts)])
+        store, rows = self.source.moments(policy, contexts)
+        return store.column("gamma")[rows]
 
     def _rows(self, space, contexts):
         """The logging moment rows' context codes and indicator coordinates."""

@@ -283,8 +283,8 @@ def estimate_pi(
 ) -> EstimatorReport:
     """Pseudoinverse estimator of the target policy's value.
 
-    ``pinv_source`` lets callers share the per-context pseudoinverse cache
-    across repeated calls; by default a fresh one is used (closed form under
+    ``pinv_source`` lets callers share the pseudoinverse store across
+    repeated calls; by default a fresh one is used (closed form under
     uniform logging, numeric otherwise).
     """
     return _ScoredBatch(data, logging, target, ("pi",), pinv_source).pi(diagnostics, delta)

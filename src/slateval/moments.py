@@ -16,21 +16,25 @@ from one stacked symmetric eigendecomposition with per-matrix cutoffs.
 Every cell adds its context's rows in row order, so a matrix does not
 depend on which contexts share its stack.
 
-``PinvSource`` caches one ``MomentRecord`` (matrix and pseudoinverse) per
-(logging policy, context), filling the missing contexts of a space in
-stacked builds of bounded size (``context_runs``); the estimators, the
-optimizer and the diagnostics all read it, over runs of the same bound.
+``PinvSource`` keeps one stacked moment store per (logging policy, space),
+one row per context with its matrix, pseudoinverse, rank, cutoff,
+provenance and sample count, filled in stacked builds of bounded size
+(``context_runs``); under uniform logging one closed-form row per space
+serves every context. The estimators, the optimizer and the diagnostics
+all read it by one fancy index (or a broadcast of that row), over runs of
+the same bound.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import SlateError
-from .policies import MomentArrays, Policy, UniformMixturePolicy
+from .policies import ContextColumns, MomentArrays, Policy, UniformMixturePolicy
 from .spaces import SlateSpace, SpaceKind
 
 DEFAULT_RCOND = 1e-10
@@ -248,62 +252,56 @@ def context_runs(n: int, dim: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-@dataclass(frozen=True)
-class MomentRecord:
-    """A moment matrix and its pseudoinverse, built together once per key."""
-
-    matrix: MomentMatrix
-    pinv: PseudoInverse
-
-
 class PinvSource:
-    """Builds and caches one ``MomentRecord`` per key: the space for a policy
-    that is uniform at the context, whose closed forms depend on nothing
-    else, and (policy, context) otherwise. The missing contexts of one
-    space are built together, as stacks of at most ``STACK_CELLS`` cells."""
+    """One moment store per key: the space where the policy is uniform,
+    whose one closed-form row serves every uniform policy on it, and
+    (policy, space) otherwise. A store holds each context's moment matrix
+    ``gamma``, pseudoinverse ``pinv``, rank, cutoff, provenance and sample
+    count as ``ContextColumns``, each column read-only to its readers."""
 
     def __init__(self):
-        self._cache: dict = {}
+        self._stores = defaultdict(ContextColumns)
 
-    def record(self, policy: Policy, context) -> MomentRecord:
-        return self.records(policy, [context])[0]
-
-    def records(self, policy: Policy, contexts) -> list[MomentRecord]:
-        """One record per context, in order."""
-        keys, missing = [], {}
-        for context in contexts:
-            space = policy.space_of(context)
-            uniform = policy.is_uniform(context)
-            key = space if uniform else (policy, context)
-            keys.append(key)
-            if key not in self._cache:
-                missing.setdefault((space, uniform), {})[context] = key
-        for (space, uniform), group in missing.items():
-            if uniform:
-                matrix = moment_matrix(policy, next(iter(group)), space)
-                self._cache[space] = MomentRecord(matrix, pinv_uniform(space))
-                continue
-            built, built_keys = list(group), list(group.values())
-            for lo, hi in context_runs(len(built), space.dim):
-                matrices = moment_matrix(policy, built[lo:hi], space)
-                pinvs = pinv_numeric(matrices)
-                provenance, sample_count = matrices.provenance, matrices.sample_count
-                ranks, cutoffs = pinvs.rank.tolist(), pinvs.singular_cutoff.tolist()
-                for i, key in enumerate(built_keys[lo:hi]):
-                    self._cache[key] = MomentRecord(
-                        MomentMatrix(space, matrices.entries[i], provenance, sample_count),
-                        PseudoInverse(pinvs.entries[i], ranks[i], cutoffs[i]),
-                    )
-        return [self._cache[key] for key in keys]
+    def moments(self, policy: Policy, contexts) -> tuple[ContextColumns, np.ndarray]:
+        """The store of the moments at contexts on one space and each
+        context's row in it: all 0 in the one-row store where the policy is
+        uniform. The missing contexts are built together, as stacks of at
+        most ``STACK_CELLS`` cells."""
+        space = policy.space_of(contexts[0])
+        uniform = [policy.is_uniform(c) for c in contexts]
+        if any(uniform) != all(uniform):
+            raise SlateError("a moment stack mixes contexts where the policy is uniform and not")
+        store = self._stores[space if uniform[0] else (policy, space)]
+        if uniform[0]:
+            if not store.index:
+                matrix, pinv = moment_matrix(policy, contexts[0], space), pinv_uniform(space)
+                store.append(
+                    [space], gamma=[matrix.entries], pinv=[pinv.entries], rank=[pinv.rank],
+                    cutoff=[pinv.singular_cutoff], provenance=[matrix.provenance], sample_count=[0],
+                )
+            return store, np.zeros(len(contexts), dtype=np.int64)
+        missing = store.missing(contexts)
+        for lo, hi in context_runs(len(missing), space.dim):
+            matrices = moment_matrix(policy, missing[lo:hi], space)
+            pinvs = pinv_numeric(matrices)
+            store.append(
+                missing[lo:hi], gamma=matrices.entries, pinv=pinvs.entries, rank=pinvs.rank,
+                cutoff=pinvs.singular_cutoff, provenance=[matrices.provenance] * (hi - lo),
+                sample_count=[matrices.sample_count or 0] * (hi - lo),  # 0 where exact
+            )
+        return store, store.rows(contexts)
 
     def pseudoinverse(self, policy: Policy, context) -> np.ndarray:
-        return self.record(policy, context).pinv.entries
+        """The pseudoinverse at one context: a read-only row of its store."""
+        store, rows = self.moments(policy, [context])
+        return store.column("pinv")[rows[0]]
 
     def pinv_stack(self, policy: Policy, contexts) -> np.ndarray:
-        """(N, dim, dim) pseudoinverses at contexts on one space; a read-only
-        broadcast when they share one record (uniform logging)."""
-        records = self.records(policy, contexts)
-        entries = records[0].pinv.entries
-        if all(record is records[0] for record in records):
-            return np.broadcast_to(entries, (len(records), *entries.shape))
-        return np.stack([record.pinv.entries for record in records])
+        """(N, dim, dim) pseudoinverses at contexts on one space: one fancy
+        index of their store, or a read-only broadcast of its row when it
+        has one (uniform logging)."""
+        store, rows = self.moments(policy, contexts)
+        pinv = store.column("pinv")
+        if len(pinv) == 1:
+            return np.broadcast_to(pinv[0], (len(rows), *pinv.shape[1:]))
+        return pinv[rows]

@@ -85,9 +85,9 @@ def decompose(
     Works one space at a time, in runs of at most ``RUN_ROWS`` rows: one
     ``validate_batch`` and one ``coords_of_actions`` serve all of a run's
     contexts. A failing check is redone context by context in batch order,
-    so the error names the first failing context. Each moment record (one
-    per space under uniform logging) gives one contiguous copy of its
-    pseudoinverse's transpose: row k is column k of the pseudoinverse, the
+    so the error names the first failing context. Each row of the moment
+    store (one per space under uniform logging) gives one contiguous copy of
+    its pseudoinverse's transpose: row k is column k of the pseudoinverse, the
     entries a slate's targets sum, so the bits do not rest on its exact
     symmetry. A context's target block starts as the rows of its logged
     slates' first-slot coordinates, adds those of each later slot in turn,
@@ -100,10 +100,12 @@ def decompose(
     groups = batch.groups()
     contexts = [context for context, _ in groups]
     spaces = {context: logging.space_of(context) for context in contexts}
-    records = source.records(logging, contexts)  # every space's missing records, built together
+    by_space = positions_by_space(logging, contexts)
+    # every space's missing moments are built before any slate is checked
+    stores = [source.moments(logging, [contexts[i] for i in at]) for _, at in by_space]
     blocks = [None] * len(groups)
-    record = columns = None
-    for space, positions in positions_by_space(logging, contexts):
+    for (space, positions), (store, store_rows) in zip(by_space, stores):
+        pinv, row = store.column("pinv"), -1
         space_rows = [groups[i][1] for i in positions]
         bounds = np.concatenate([[0], np.cumsum([len(rows) for rows in space_rows])])
         for lo, hi in row_runs(bounds, RUN_ROWS):
@@ -117,9 +119,9 @@ def decompose(
                 raise
             starts = (bounds[lo : hi + 1] - bounds[lo]).tolist()
             for k, i in enumerate(positions[lo:hi]):
-                if records[i] is not record:
-                    record = records[i]
-                    columns = np.ascontiguousarray(record.pinv.entries.T)
+                if store_rows[lo + k] != row:
+                    row = store_rows[lo + k]
+                    columns = np.ascontiguousarray(pinv[row].T)
                 own = coords[starts[k] : starts[k + 1]]
                 block = columns[own[:, 0]]
                 for j in range(1, space.num_slots):

@@ -23,19 +23,22 @@ context with a fixed per-context seed, so repeated queries are
 bit-reproducible. A Plackett-Luce policy lists the supports of all its
 contexts in one pass over the prefix tree of the space's slates, taking
 each slot's log-sum-exp once per (context, distinct prefix); an explicit
-table keeps its rows as one context-sorted array with offsets. The mean
-indicators (``mean_indicators``, one bincount per slot), the second-moment
-matrices and the overlap diagnostics all read those rows; the one-context
-methods (``support_arrays``, ``moment_arrays``, ``mean_indicator``) are
-the N = 1 case.
+table keeps its rows as one context-sorted array with offsets. Each
+space's rows are kept read-only in a ``ContextColumns`` store, one row per
+context holding its place in them and their indicator sums (one bincount
+per slot): the mean indicators (``mean_indicators``) are one fancy index
+of that column, and the second-moment matrices and the overlap
+diagnostics read the rows; the one-context methods (``support_arrays``,
+``moment_arrays``, ``mean_indicator``) are the N = 1 case.
 
-All policies are immutable after construction; internal moment caches are
+All policies are immutable after construction; their moment stores are
 fill-once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, groupby
@@ -168,8 +171,7 @@ class Policy:
         self.enumeration_cap = int(enumeration_cap)
         self.mc_samples = int(mc_samples)
         self.mc_seed = int(mc_seed)
-        self._moment_cache: dict = {}
-        self._mean_cache: dict = {}
+        self._stores = defaultdict(ContextColumns)  # per space: each context's rows and q
 
     def space_of(self, context) -> SlateSpace:
         return space_of(self._space, context)
@@ -313,21 +315,28 @@ class Policy:
 
     def moment_rows(self, contexts, space: SlateSpace) -> MomentArrays:
         """The slate rows that stand for the policy at each of ``contexts``,
-        all on ``space``, back to back in the given order.
+        all on ``space``, back to back in the given order."""
+        store = self._store(contexts, space)
+        rows = store.rows(contexts)
+        return _stacked(list(zip(store.column("block")[rows], store.column("at")[rows].tolist())))
 
-        The contexts not seen before are built together: their exact
-        support stack when ``support_rows`` lists it, else one sample of
-        ``mc_samples`` draws per context with a fixed per-context seed.
-        Each context then keeps its place in that stack.
-        """
-        cache = self._moment_cache
-        missing = [c for c in dict.fromkeys(contexts) if c not in cache]
+    def _store(self, contexts, space: SlateSpace) -> ContextColumns:
+        """The space's store, after the contexts not seen before are built
+        together: their exact support stack when ``support_rows`` lists it,
+        else one sample of ``mc_samples`` draws per context with a fixed
+        per-context seed. Each gets a row: the read-only stack, its place in
+        it and the indicator sums ``q`` of its rows."""
+        store = self._stores[space]
+        missing = store.missing(contexts)
         if missing:
             built = self.support_rows(missing, space)
             if built is None:
                 built = self._sample_rows(missing, space)
-            cache.update((context, (built, i)) for i, context in enumerate(missing))
-        return _stacked([cache[c] for c in contexts])
+            for array in (built.actions, built.probs, built.bounds):
+                array.flags.writeable = False
+            at = np.arange(len(missing))
+            store.append(missing, q=indicator_sums(space, built), block=[built] * len(at), at=at)
+        return store
 
     def _sample_rows(self, contexts, space: SlateSpace) -> MomentArrays:
         if self.mc_samples <= 0:
@@ -349,32 +358,66 @@ class Policy:
     def mean_indicators(self, contexts, space: SlateSpace) -> np.ndarray:
         """(N, dim) stack of the expected slate-indicator vectors at
         ``contexts``, all on ``space``: the closed form where the policy is
-        uniform, else ``_mean_rows``. The contexts not seen before are
-        built together, and each keeps a read-only row."""
-        cache = self._mean_cache
-        missing = [c for c in dict.fromkeys(contexts) if c not in cache]
-        if missing:
-            uniform = [self.is_uniform(c) for c in missing]
-            cache.update((c, uniform_mean_indicator(space)) for c, u in zip(missing, uniform) if u)
-            rest = [c for c, u in zip(missing, uniform) if not u]
-            if rest:
-                means = self._mean_rows(rest, space)
-                means.flags.writeable = False
-                cache.update(zip(rest, means))
-        return np.array([cache[c] for c in contexts])
+        uniform, else ``_mean_rows``."""
+        uniform = [self.is_uniform(c) for c in contexts]
+        if not any(uniform):
+            return self._mean_rows(contexts, space)
+        means = np.tile(uniform_mean_indicator(space), (len(contexts), 1))
+        rest = [i for i, u in enumerate(uniform) if not u]
+        if rest:
+            means[rest] = self._mean_rows([contexts[i] for i in rest], space)
+        return means
 
     def _mean_rows(self, contexts, space: SlateSpace) -> np.ndarray:
         """The per-slot action marginals summed over the ``moment_rows``.
         Above the cap they are the mean of the same sample as the second
         moments, so they lie in their range."""
-        return indicator_sums(space, self.moment_rows(contexts, space))
+        store = self._store(contexts, space)
+        return store.column("q")[store.rows(contexts)]
 
     def mean_indicator(self, context) -> np.ndarray:
         """Expected slate-indicator vector, read-only: the one-context case
         of ``mean_indicators``."""
-        if context not in self._mean_cache:
-            self.mean_indicators([context], self.space_of(context))
-        return self._mean_cache[context]
+        q = self.mean_indicators([context], self.space_of(context))[0]
+        q.flags.writeable = False
+        return q
+
+
+class ContextColumns:
+    """Per-context columns of one owner and space: one row per context, in
+    order of arrival, a context -> row dict, and room that doubles as blocks
+    of contexts arrive. Readers take one fancy index of a read-only column."""
+
+    def __init__(self):
+        self.index: dict = {}
+        self._data: dict = {}
+
+    def missing(self, contexts) -> list:
+        """The distinct contexts without a row, in order."""
+        index = self.index
+        return [c for c in dict.fromkeys(contexts) if c not in index]
+
+    def append(self, contexts, **columns) -> None:
+        """Rows for new distinct ``contexts``: each column's values, one row
+        per context (the first block sets the column's row shape and dtype)."""
+        n, k = len(self.index), len(contexts)
+        for name, values in columns.items():
+            values = np.asarray(values)
+            data = self._data.get(name, values[:0])
+            if n + k > len(data):
+                grown = np.empty((max(2 * len(data), n + k), *values.shape[1:]), values.dtype)
+                grown[:n] = data[:n]
+                self._data[name] = data = grown
+            data[n : n + k] = values
+        self.index.update(zip(contexts, range(n, n + k)))
+
+    def rows(self, contexts) -> np.ndarray:
+        return np.fromiter(map(self.index.__getitem__, contexts), np.int64, len(contexts))
+
+    def column(self, name: str) -> np.ndarray:
+        view = self._data[name][: len(self.index)]
+        view.flags.writeable = False
+        return view
 
 
 def positions_by_space(policy: Policy, contexts) -> list[tuple[SlateSpace, list[int]]]:

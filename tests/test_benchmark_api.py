@@ -76,7 +76,7 @@ def test_attributes_the_tracer_wraps_or_reads_exist():
 
 def test_record_builder_calls_the_traced_moment_functions(monkeypatch):
     """The tracer replaces ``moments.moment_matrix``, ``pinv_numeric`` and
-    ``pinv_uniform`` on the module. A record builder that bound them locally
+    ``pinv_uniform`` on the module. A moment store that bound them locally
     would bypass the spans, and the ``moments.*`` metrics would read 0
     without any failure, so each must see its call here."""
     import numpy as np
@@ -96,7 +96,7 @@ def test_record_builder_calls_the_traced_moment_functions(monkeypatch):
         monkeypatch.setattr(moments, name, counted(name))
     space = SlateSpace.ranking(4, 2)
     source = moments.PinvSource()
-    source.record(UniformPolicy(space), "q")
+    source.pseudoinverse(UniformPolicy(space), "q")
     assert calls == ["moment_matrix", "pinv_uniform"]
-    source.record(random_explicit_policy(space, ["q"], np.random.default_rng(0)), "q")
+    source.pseudoinverse(random_explicit_policy(space, ["q"], np.random.default_rng(0)), "q")
     assert calls == ["moment_matrix", "pinv_uniform", "moment_matrix", "pinv_numeric"]

@@ -236,43 +236,107 @@ def test_mean_overlap_identity_on_support():
 def test_pinv_source_uses_closed_form_for_uniform():
     space = SlateSpace.ranking(4, 2)
     source = PinvSource()
-    record = source.record(UniformPolicy(space), "q")
-    np.testing.assert_array_equal(record.pinv.entries, pinv_uniform_ranking(space).entries)
-    assert record.pinv.rank == pinv_uniform_ranking(space).rank
-    np.testing.assert_array_equal(record.matrix.entries, uniform_moment_matrix(space).entries)
-    assert record.matrix.provenance is Provenance.CLOSED_FORM_UNIFORM_RANKING
-    assert source.pseudoinverse(UniformPolicy(space), "q") is record.pinv.entries
+    store, rows = source.moments(UniformPolicy(space), ["q", "r"])
+    assert rows.tolist() == [0, 0] and len(store.index) == 1
+    np.testing.assert_array_equal(store.column("pinv")[0], pinv_uniform_ranking(space).entries)
+    assert store.column("rank")[0] == pinv_uniform_ranking(space).rank
+    np.testing.assert_array_equal(store.column("gamma")[0], uniform_moment_matrix(space).entries)
+    assert store.column("provenance")[0] is Provenance.CLOSED_FORM_UNIFORM_RANKING
+    pinv = source.pseudoinverse(UniformPolicy(space), "q")
+    np.testing.assert_array_equal(pinv, store.column("pinv")[0])
+    stack = source.pinv_stack(UniformPolicy(space), ["q", "r", "s"])
+    assert stack.shape == (3, space.dim, space.dim) and not stack.flags.writeable
+    assert (stack == pinv).all()
 
 
 def test_pinv_source_caches(monkeypatch):
-    space = SlateSpace.ranking(4, 2)
-    policy = UniformPolicy(space)
-    source = PinvSource()
-    assert source.record(policy, "q") is source.record(policy, "q")
-
     # the closed form depends on the space alone: uniform contexts sharing a
-    # space get one record, whichever uniform policy asks
+    # space read one row, whichever uniform policy asks
     calls = []
     build = moments.pinv_uniform
     monkeypatch.setattr(moments, "pinv_uniform", lambda sp: calls.append(sp) or build(sp))
+    space = SlateSpace.ranking(4, 2)
+    policy = UniformPolicy(space)
     source = PinvSource()
     softmax_at_zero = MultinomialWoRPolicy(space, {"b": np.arange(4.0)}, 0.0)
-    first = source.record(policy, "a")
-    assert source.record(policy, "b") is first
-    assert source.record(softmax_at_zero, "b") is first
+    first = source.pseudoinverse(policy, "a")
+    assert np.array_equal(source.pseudoinverse(policy, "a"), first)
+    assert np.array_equal(source.pseudoinverse(policy, "b"), first)
+    assert np.array_equal(source.pseudoinverse(softmax_at_zero, "b"), first)
     assert calls == [space]
     other = SlateSpace.cartesian((3, 3))
-    source.record(UniformPolicy(other), "a")
+    source.pseudoinverse(UniformPolicy(other), "a")
     assert calls == [space, other]
 
-    # numeric records stay keyed by (policy, context) and keep the matrix
+    # numeric moments stay keyed by (policy, space), one row per context,
+    # built once and keeping the matrix
     explicit = random_explicit_policy(space, ["a", "b"], np.random.default_rng(8))
-    at_a = source.record(explicit, "a")
-    assert source.record(explicit, "a") is at_a
-    assert at_a.matrix.provenance is Provenance.ENUMERATED
-    np.testing.assert_array_equal(at_a.matrix.entries, moment_matrix(explicit, "a").entries)
-    np.testing.assert_array_equal(at_a.pinv.entries, pinv_numeric(at_a.matrix).entries)
-    assert not np.array_equal(source.record(explicit, "b").pinv.entries, at_a.pinv.entries)
+    built = []
+    build_matrix = moments.moment_matrix
+    monkeypatch.setattr(
+        moments, "moment_matrix", lambda p, c, s=None: built.append(c) or build_matrix(p, c, s)
+    )
+    at_a = source.pseudoinverse(explicit, "a")
+    assert np.array_equal(source.pseudoinverse(explicit, "a"), at_a)
+    assert built == [["a"]]
+    store, (row,) = source.moments(explicit, ["a"])
+    assert store.column("provenance")[row] is Provenance.ENUMERATED
+    gamma = store.column("gamma")[row]
+    np.testing.assert_array_equal(gamma, moment_matrix(explicit, "a").entries)
+    np.testing.assert_array_equal(at_a, pinv_numeric(gamma).entries)
+    assert not np.array_equal(source.pseudoinverse(explicit, "b"), at_a)
+    assert built == [["a"], ["b"]]
+
+
+def test_a_stack_mixing_uniform_and_numeric_contexts_is_rejected():
+    """A store serves one kind of moments, so a call that mixes contexts
+    where the policy is uniform and where it is not is rejected, as
+    moment_matrix rejects such a stack; each kind alone is served."""
+
+    class UniformAtU(ExplicitPolicy):
+        def is_uniform(self, context):
+            return context == "u"
+
+    space = SlateSpace.ranking(4, 2)
+    table = {c: list(space.enumerate_slates()) for c in ("u", "n")}
+    table = {c: [(s, 1.0 / len(slates)) for s in slates] for c, slates in table.items()}
+    policy = UniformAtU(space, table)
+    source = PinvSource()
+    with pytest.raises(SlateError, match="mixes contexts"):
+        source.pinv_stack(policy, ["u", "n"])
+    closed = pinv_uniform_ranking(space).entries
+    np.testing.assert_array_equal(source.pseudoinverse(policy, "u"), closed)
+    np.testing.assert_allclose(source.pseudoinverse(policy, "n"), closed, atol=1e-9)
+
+
+def test_cached_moments_are_read_only():
+    """Writes into what a source or a policy hands out raise, and a later
+    estimate, from the same source or a fresh one, is unchanged."""
+    from helpers import draw_ada_logs, make_ada_instance, mixture_logging_policy
+    from slateval import estimate_pi
+
+    instance = make_ada_instance(num_contexts=3, seed=5)
+    logging = random_explicit_policy(instance.space, instance.contexts, np.random.default_rng(2))
+    target = mixture_logging_policy(instance, 0.3, np.random.default_rng(3))
+    logs = draw_ada_logs(instance, logging, 100, np.random.default_rng(4))
+    source = PinvSource()
+    before = estimate_pi(logs, logging, target, pinv_source=source).estimate
+    context = instance.contexts[0]
+    with pytest.raises(ValueError):
+        source.pseudoinverse(logging, context)[0, 0] = 5.0
+    store, rows = source.moments(logging, instance.contexts)
+    for name in ("gamma", "pinv", "rank", "cutoff", "provenance", "sample_count"):
+        with pytest.raises(ValueError):
+            store.column(name)[rows[0]] = store.column(name)[rows[1]]
+    for policy in (logging, target.base):
+        arrays = policy.moment_arrays(context)
+        for array in (arrays.actions, arrays.probs):
+            with pytest.raises(ValueError):
+                array[:] = 0
+    with pytest.raises(ValueError):
+        target.mean_indicator(context)[0] = 1.0
+    assert estimate_pi(logs, logging, target, pinv_source=source).estimate == before
+    assert estimate_pi(logs, logging, target, pinv_source=PinvSource()).estimate == before
 
 
 def test_monte_carlo_moment_matrix_close_to_exact():
@@ -413,10 +477,10 @@ def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds():
 
 
 def test_stacks_of_more_contexts_than_one_run_equal_one_context_builds(monkeypatch):
-    """With STACK_CELLS at two matrices, the records of five contexts are
+    """With STACK_CELLS at two matrices, the moments of five contexts are
     built in runs of two, two and one, and the estimators and overlap
-    diagnostics read their stacks in the same runs; every record equals its
-    one-context build and every output equals the one-run output."""
+    diagnostics read their stacks in the same runs; every store row equals
+    its one-context build and every output equals the one-run output."""
     from helpers import draw_ada_logs, make_ada_instance, mixture_logging_policy
     from slateval.diagnostics import overlap_profile
     from slateval.estimators import _ScoredBatch
@@ -450,17 +514,18 @@ def test_stacks_of_more_contexts_than_one_run_equal_one_context_builds(monkeypat
     assert sizes == [2, 2, 1]
     assert got == expected
     for context in instance.contexts:
-        alone, record = PinvSource().record(logging, context), source.record(logging, context)
-        assert np.array_equal(record.matrix.entries, alone.matrix.entries)
-        assert np.array_equal(record.pinv.entries, alone.pinv.entries)
-        assert record.pinv.rank == alone.pinv.rank
-        assert record.pinv.singular_cutoff == alone.pinv.singular_cutoff
-        assert np.array_equal(record.pinv.entries, one_run.record(logging, context).pinv.entries)
+        (store, (row,)), (alone, (at,)) = (
+            s.moments(logging, [context]) for s in (source, PinvSource())
+        )
+        for name in ("gamma", "pinv", "rank", "cutoff"):
+            assert np.array_equal(store.column(name)[row], alone.column(name)[at])
+        pinv = one_run.pseudoinverse(logging, context)
+        assert np.array_equal(store.column("pinv")[row], pinv)
 
 
 def test_a_mixture_with_a_uniform_base_reads_the_uniform_closed_forms():
     """A mixture that is uniform at a context (a uniform base) takes the
-    uniform mean indicator and records, as its moment matrix always did;
+    uniform mean indicator and moments, as its moment matrix always did;
     kappa * u + (1 - kappa) * u differs from u in the last bit here."""
     from slateval import UniformMixturePolicy
     from slateval.policies import uniform_mean_indicator
@@ -471,7 +536,8 @@ def test_a_mixture_with_a_uniform_base_reads_the_uniform_closed_forms():
     for base in (UniformPolicy(space), MultinomialWoRPolicy(space, {"q": np.arange(5.0)}, 0.0)):
         mixture = UniformMixturePolicy(base, 0.3)
         assert mixture.is_uniform("q")
-        assert mixture.mean_indicator("q") is u
-        record = PinvSource().record(mixture, "q")
-        assert record.matrix.provenance is Provenance.CLOSED_FORM_UNIFORM_RANKING
-        assert np.array_equal(record.pinv.entries, pinv_uniform_ranking(space).entries)
+        assert np.array_equal(mixture.mean_indicator("q"), u)
+        assert np.array_equal(mixture.mean_indicators(["q"], space), [u])
+        store, (row,) = PinvSource().moments(mixture, ["q"])
+        assert store.column("provenance")[row] is Provenance.CLOSED_FORM_UNIFORM_RANKING
+        assert np.array_equal(store.column("pinv")[row], pinv_uniform_ranking(space).entries)

@@ -540,11 +540,13 @@ def test_explicit_rows_at_a_context_missing_from_the_table_raise_context_lookup_
 def test_uniform_mean_indicator_is_one_read_only_array_per_space():
     from slateval.policies import uniform_mean_indicator
 
-    q = UniformPolicy(SlateSpace.ranking(4, 2)).mean_indicator("x")
-    assert q is uniform_mean_indicator(SlateSpace.ranking(4, 2))
-    assert q is MultinomialWoRPolicy(SlateSpace.ranking(4, 2), {}, 0.0).mean_indicator("y")
-    assert not q.flags.writeable
-    np.testing.assert_array_equal(q, np.full(8, 0.25))
+    u = uniform_mean_indicator(SlateSpace.ranking(4, 2))
+    assert u is uniform_mean_indicator(SlateSpace.ranking(4, 2)) and not u.flags.writeable
+    np.testing.assert_array_equal(u, np.full(8, 0.25))
+    for policy in (UniformPolicy(SlateSpace.ranking(4, 2)),
+                   MultinomialWoRPolicy(SlateSpace.ranking(4, 2), {}, 0.0)):
+        q = policy.mean_indicator("x")
+        assert not q.flags.writeable and np.array_equal(q, u)
 
 
 def test_explicit_rows_on_a_space_whose_keys_do_not_fit_int64():
@@ -642,9 +644,39 @@ def test_every_cached_mean_indicator_is_read_only():
     for policy in policies:
         q = policy.mean_indicator("q")
         assert not q.flags.writeable, type(policy).__name__
-        assert policy.mean_indicator("q") is q
+
+        def rebuilt(*args):
+            raise AssertionError(f"{type(policy).__name__} built its mean indicator twice")
+
+        policy.support_rows = policy._sample_rows = rebuilt
+        again = policy.mean_indicator("q")
+        assert not again.flags.writeable and np.array_equal(again, q)
+        assert np.array_equal(policy.mean_indicators(["q", "q"], policy.space_of("q")), [q, q])
         with pytest.raises(ValueError):
             q[0] = 1.0
+
+
+def test_context_columns_grow_by_doubling_and_hand_out_read_only_views():
+    from slateval.policies import ContextColumns
+
+    store = ContextColumns()
+    assert store.missing(["a", "b", "a"]) == ["a", "b"]
+    buffers = []
+    for i in range(5):
+        store.append([f"c{i}"], x=[[i, -i]], tag=[7])
+        buffers.append(store._data["x"])
+    assert [len(buffer) for buffer in buffers] == [1, 2, 4, 4, 8]
+    assert buffers[3] is buffers[2]  # a block that fits is written in place
+    assert store.missing(["c0", "d", "c4", "d"]) == ["d"]
+    store.append(["d", "e"], x=[[5, -5], [6, -6]], tag=[8, 9])
+    rows = store.rows(["c3", "c0", "e", "c3"])
+    assert rows.tolist() == [3, 0, 6, 3]
+    assert store.column("x")[rows].tolist() == [[3, -3], [0, 0], [6, -6], [3, -3]]
+    assert store.column("tag").tolist() == [7, 7, 7, 7, 7, 8, 9]
+    view = store.column("x")
+    assert view.shape == (7, 2) and not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0] = 1.0
 
 
 def test_explicit_one_row_draws_match_rng_choice_and_leave_its_generator_state():

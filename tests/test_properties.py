@@ -330,20 +330,37 @@ def stacked_logging(draw):
 @PROPERTY_SETTINGS
 @given(stacked_logging())
 def test_moment_records_do_not_depend_on_which_contexts_share_a_stack(case):
+    """Every store row equals the context's build alone, and stores grown
+    block by block (the first context alone, then the rest) equal a
+    one-block build bit for bit."""
     make, contexts, order = case
-    policy = make()
-    together = dict(zip(order, PinvSource().records(policy, order)))
-    means = dict(zip(order, policy.mean_indicators(order, policy.space_of(order[0]))))
+    policy, grown = make(), make()
+    space = policy.space_of(order[0])
+    source, grown_source = PinvSource(), PinvSource()
+    store, rows = source.moments(policy, order)
+    means = policy.mean_indicators(order, space)
+    moment_rows = policy.moment_rows(order, space)
+    for block in (order[:1], order[1:]):
+        if block:
+            grown_source.pinv_stack(grown, block)
+            grown.mean_indicators(block, space)
+            grown.moment_rows(block, space)
+    grown_store, grown_rows = grown_source.moments(grown, order)
+    columns = ("gamma", "pinv", "rank", "cutoff", "provenance", "sample_count")
+    for name in columns:
+        assert np.array_equal(grown_store.column(name)[grown_rows], store.column(name)[rows])
+    assert np.array_equal(grown_source.pinv_stack(grown, order), source.pinv_stack(policy, order))
+    assert np.array_equal(grown.mean_indicators(order, space), means)
+    grown_moment_rows = grown.moment_rows(order, space)
+    assert grown_moment_rows.exact == moment_rows.exact
+    for field in ("actions", "probs", "bounds"):
+        assert np.array_equal(getattr(grown_moment_rows, field), getattr(moment_rows, field))
     for context in contexts:
         alone = make()
-        record, shared = PinvSource().record(alone, context), together[context]
-        assert np.array_equal(record.matrix.entries, shared.matrix.entries)
-        assert np.array_equal(record.pinv.entries, shared.pinv.entries)
-        assert record.pinv.rank == shared.pinv.rank
-        assert record.pinv.singular_cutoff == shared.pinv.singular_cutoff
-        assert record.matrix.provenance is shared.matrix.provenance
-        assert record.matrix.sample_count == shared.matrix.sample_count
-        assert np.array_equal(alone.mean_indicator(context), means[context])
+        (alone_store, (at,)), (row,) = PinvSource().moments(alone, [context]), store.rows([context])
+        for name in columns:
+            assert np.array_equal(alone_store.column(name)[at], store.column(name)[row])
+        assert np.array_equal(alone.mean_indicator(context), means[order.index(context)])
 
 
 # -- the bulk TSV readers against the per-line loops they replaced -------------
