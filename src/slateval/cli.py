@@ -376,7 +376,6 @@ def cmd_generate(args) -> int:
             num_queries=args.queries,
             docs_per_query=args.docs_per_query,
             feature_dim=args.feature_dim,
-            title_dims=args.title_dims,
             seed=args.seed,
         )
     except FieldError as exc:
@@ -402,10 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"slateval {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, seed=0, seed_help=None):
+        p.add_argument("--seed", type=int, default=seed, help=seed_help)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out-dir", default="out")
+
+    def configured(p):
+        p.add_argument("--config", required=True)
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config field; repeatable")
+        common(p, None, "overrides the config seed")
 
     p_eval = sub.add_parser("evaluate", help="score a target policy on logged data")
     p_eval.add_argument("--logs", required=True)
@@ -421,12 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_exp = sub.add_parser("experiment", help="RMSE sweep from a config file")
-    p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config field; repeatable")
-    p_exp.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p_exp.add_argument("--threads", type=int, default=1)
-    p_exp.add_argument("--out-dir", default="out")
+    configured(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_diag = sub.add_parser("diagnose", help="overlap diagnostics for a policy pair")
@@ -437,12 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_opt = sub.add_parser("optimize", help="off-policy optimization with baselines")
-    p_opt.add_argument("--config", required=True)
-    p_opt.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config field; repeatable")
-    p_opt.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p_opt.add_argument("--threads", type=int, default=1)
-    p_opt.add_argument("--out-dir", default="out")
+    configured(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_gen = sub.add_parser("generate", help="write a synthetic ranking dataset")
@@ -450,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--queries", type=int, default=120)
     p_gen.add_argument("--docs-per-query", type=int, default=15)
     p_gen.add_argument("--feature-dim", type=int, default=24)
-    p_gen.add_argument("--title-dims", type=int, default=12)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_generate)
     return parser

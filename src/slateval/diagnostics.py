@@ -215,9 +215,9 @@ def check_translation(
     context,
     *,
     pinv_source: PinvSource | None = None,
-    tol: float = 1e-8,
 ) -> TranslationCheck:
-    """Check kappa * rho_bar(logging) <= rho_bar(reference) at one context.
+    """Check kappa * rho_bar(logging) <= rho_bar(reference) at one context,
+    up to 1e-8.
 
     Requires the logging policy to be absolutely continuous with respect
     to the reference on its moment rows (support or sample).
@@ -235,7 +235,7 @@ def check_translation(
         )
     lhs = float(overlaps.kappa(reference)[0] * overlaps.rho_bar()[0])
     rhs = float(_Overlaps(source, reference, [context]).rho_bar()[0])
-    return TranslationCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return TranslationCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-8)
 
 
 def kappa_uniform_rho_limit(space) -> float:

@@ -345,9 +345,7 @@ class RewardModel:
         return np.clip(scores[coords].sum(axis=1) + self.weights[-1], -1.0, 1.0)
 
 
-def fit_dm(
-    train: Sequence[LoggedExample], features: FeatureMap, space, *, folds: int = 5
-) -> RewardModel:
+def fit_dm(train: Sequence[LoggedExample], features: FeatureMap, space) -> RewardModel:
     """Fit the direct-method reward model on logged examples.
 
     ``space`` is a ``SlateSpace`` or a per-context mapping/callable, as for
@@ -367,9 +365,7 @@ def fit_dm(
     X = np.empty((len(batch), widths.pop()))
     for rows, block in blocks:
         X[rows] = block
-    fit = fit_ridge_cv(
-        add_intercept(X), batch.rewards, folds=folds, penalize=intercept_penalty_mask(X.shape[1])
-    )
+    fit = fit_ridge_cv(add_intercept(X), batch.rewards, penalize=intercept_penalty_mask(X.shape[1]))
     return RewardModel(fit.weights, fit.alpha, features, space, batch.num_slots)
 
 

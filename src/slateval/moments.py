@@ -90,18 +90,15 @@ def moment_matrix(policy: Policy, contexts, space: SlateSpace | None = None) -> 
     or the (N, dim, dim) stack at a list of N contexts on one space (a list
     is never a context: contexts are hashable).
 
-    Exact closed form where the policy is uniform (at every listed context
-    or at none); otherwise the probability-weighted sum of indicator outer
-    products over ``policy.moment_rows``: exact over a listed support, and
-    a Monte Carlo average over a sample. Mixtures combine their components
-    so they stay exact whenever the components are.
+    Exact closed form when the policy is uniform; otherwise the
+    probability-weighted sum of indicator outer products over
+    ``policy.moment_rows``: exact over a listed support, and a Monte Carlo
+    average over a sample. Mixtures combine their components so they stay
+    exact whenever the components are.
     """
     batch = contexts if isinstance(contexts, list) else [contexts]
     space = space if space is not None else policy.space_of(batch[0])
-    uniform = [policy.is_uniform(c) for c in batch]
-    if any(uniform):
-        if not all(uniform):
-            raise SlateError("a moment stack mixes contexts where the policy is uniform and not")
+    if policy.uniform:
         closed = uniform_moment_matrix(space)
         if batch is not contexts:
             return closed
@@ -147,14 +144,15 @@ def _moment_stack(space: SlateSpace, rows: MomentArrays, means: np.ndarray) -> n
     return entries
 
 
-def pinv_numeric(matrix: MomentMatrix | np.ndarray, rcond: float = DEFAULT_RCOND) -> PseudoInverse:
+def pinv_numeric(matrix: MomentMatrix | np.ndarray) -> PseudoInverse:
     """Pseudoinverse via symmetric eigendecomposition, of one matrix or of
     each matrix of an (N, dim, dim) stack (rank and cutoff then per matrix).
 
-    Eigenvalues below ``rcond`` times a matrix's largest one are treated as
-    zero; negative eigenvalues (Monte Carlo noise) are clipped away by the
-    same cutoff. Exactly diagonal matrices are inverted entrywise, the
-    others share one stacked eigendecomposition and reconstruction.
+    Eigenvalues below ``DEFAULT_RCOND`` times a matrix's largest one are
+    treated as zero; negative eigenvalues (Monte Carlo noise) are clipped
+    away by the same cutoff. Exactly diagonal matrices are inverted
+    entrywise, the others share one stacked eigendecomposition and
+    reconstruction.
     """
     entries = matrix.entries if isinstance(matrix, MomentMatrix) else np.asarray(matrix, float)
     if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
@@ -176,7 +174,7 @@ def pinv_numeric(matrix: MomentMatrix | np.ndarray, rcond: float = DEFAULT_RCOND
     eigvecs = None
     if full.any():
         eigvals[full], eigvecs = np.linalg.eigh(stack[full])
-    cutoff = rcond * eigvals.max(axis=1, initial=0.0)
+    cutoff = DEFAULT_RCOND * eigvals.max(axis=1, initial=0.0)
     keep = eigvals > cutoff[:, None]
     inv = np.zeros_like(eigvals)
     inv[keep] = 1.0 / eigvals[keep]
@@ -264,15 +262,12 @@ class PinvSource:
 
     def moments(self, policy: Policy, contexts) -> tuple[ContextColumns, np.ndarray]:
         """The store of the moments at contexts on one space and each
-        context's row in it: all 0 in the one-row store where the policy is
+        context's row in it: all 0 in the one-row store when the policy is
         uniform. The missing contexts are built together, as stacks of at
         most ``STACK_CELLS`` cells."""
         space = policy.space_of(contexts[0])
-        uniform = [policy.is_uniform(c) for c in contexts]
-        if any(uniform) != all(uniform):
-            raise SlateError("a moment stack mixes contexts where the policy is uniform and not")
-        store = self._stores[space if uniform[0] else (policy, space)]
-        if uniform[0]:
+        store = self._stores[space if policy.uniform else (policy, space)]
+        if policy.uniform:
             if not store.index:
                 matrix, pinv = moment_matrix(policy, contexts[0], space), pinv_uniform(space)
                 store.append(

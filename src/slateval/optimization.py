@@ -167,11 +167,6 @@ class PointwiseScorer:
         stack[:, np.arange(width) < np.array(space.slot_counts)[:, None]] = scores
         return stack
 
-    def score_matrix(self, context, space: SlateSpace, features: FeatureMap) -> np.ndarray:
-        """(slots, max actions) score table of one context: ``score_tables``
-        of that context alone."""
-        return self.score_tables((context,), space, features)[0]
-
 
 @lru_cache(maxsize=64)
 def _slot_block(space: SlateSpace) -> np.ndarray:
@@ -335,8 +330,6 @@ def fit_sup_scorer(
     contexts=None,
     *,
     target: str = "gain",
-    alphas=DEFAULT_ALPHAS,
-    folds: int = 5,
 ) -> PointwiseScorer:
     """Pointwise scorer fit directly on relevance labels.
 
@@ -353,9 +346,7 @@ def fit_sup_scorer(
     X = np.concatenate([arm.pool_features for arm in arms])
     gains = np.concatenate([arm.gains for arm in arms])
     y = gains if target == "gain" else np.log2(gains + 1.0)
-    fit = fit_ridge_cv(
-        add_intercept(X), y, alphas=alphas, folds=folds, penalize=intercept_penalty_mask(X.shape[1])
-    )
+    fit = fit_ridge_cv(add_intercept(X), y, penalize=intercept_penalty_mask(X.shape[1]))
     num_slots = instance.space_of(contexts[0]).num_slots
     # Identical scores in every slot: the greedy pass then ranks by score.
     weights = np.concatenate([np.full(num_slots, fit.weights[-1]), fit.weights[:-1]])

@@ -2,12 +2,13 @@
 
 A policy implements two hooks: ``_slate_prob_rows``, which scores valid
 slate rows of many contexts in one call, and ``sample_rows``, which draws
-slates at many contexts in one call (or only its one-context case
-``sample_batch``, when draws at one context interleave several kinds of
-draw). ``Policy`` derives the rest from them: the probabilities of the
-rows of one context (``slate_prob_batch``) or of many (``slate_prob_rows``,
-which takes a ``LoggedBatch``'s context, code and action columns), single
-slates and draws, the support and the moments. A Plackett-Luce policy
+slates at many contexts in one call. It may also list its supports
+(``support_rows``) and say by its ``uniform`` attribute that it is uniform
+over every context's slates, so its moments take the closed forms.
+``Policy`` derives the rest from them: the probabilities of the rows of
+one context (``slate_prob_batch``) or of many (``slate_prob_rows``, which
+takes a ``LoggedBatch``'s context, code and action columns), single slates
+and draws, the support and the moments. A Plackett-Luce policy
 gathers each row's logits from a stacked table, both to score rows and to
 draw them by Gumbel keys (at temperature 0 every row of a space scores the
 same bits, so one row per space is scored); an explicit table looks every
@@ -28,8 +29,8 @@ space's rows are kept read-only in a ``ContextColumns`` store, one row per
 context holding its place in them and their indicator sums (one bincount
 per slot): the mean indicators (``mean_indicators``) are one fancy index
 of that column, and the second-moment matrices and the overlap
-diagnostics read the rows; the one-context methods (``support_arrays``,
-``moment_arrays``, ``mean_indicator``) are the N = 1 case.
+diagnostics read the rows; the one-context methods (``moment_arrays``,
+``mean_indicator``) are the N = 1 case.
 
 All policies are immutable after construction; their moment stores are
 fill-once.
@@ -149,15 +150,17 @@ class Policy:
     Subclasses implement ``_slate_prob_rows(contexts, codes, actions)``, the
     probabilities of rows already known to be valid slates of their
     contexts' spaces, and ``sample_rows(contexts, counts, rng)``, draws at
-    many contexts (or only its one-context case ``sample_batch``). They may
-    override ``support_rows`` (when they can list their supports without
-    scoring the whole space) and ``is_uniform``. The base class validates
-    and scores rows (``slate_prob_rows``, ``slate_prob_batch``,
-    ``slate_prob``), draws one slate (``sample``), lists the support
-    (``support``) and derives the moments of many contexts at once
-    (``moment_rows``, ``mean_indicators``) or of one. The space may be a
-    single :class:`SlateSpace` or a per-context mapping/callable.
+    many contexts. They may override ``support_rows`` (when they can list
+    their supports without scoring the whole space) and set ``uniform``.
+    The base class validates and scores rows (``slate_prob_rows``,
+    ``slate_prob_batch``, ``slate_prob``), draws at one context
+    (``sample_batch``, ``sample``), lists the support (``support``) and
+    derives the moments of many contexts at once (``moment_rows``,
+    ``mean_indicators``) or of one. The space may be a single
+    :class:`SlateSpace` or a per-context mapping/callable.
     """
+
+    uniform = False  # exactly uniform over the slates of every context's space
 
     def __init__(
         self,
@@ -254,19 +257,11 @@ class Policy:
         """Independent draws at many contexts: ``counts[i]`` rows at
         ``contexts[i]``, back to back in the given order, as one
         (sum(counts), num_slots) int64 array. The contexts' spaces have one
-        number of slots.
-
-        The generator advances as under one ``sample_batch`` call per
-        context, in order. This default makes those calls, for policies
-        whose one-context draws interleave several kinds of draw (a mixture
-        picks each row's component, then draws from the components).
-        """
-        if type(self).sample_batch is Policy.sample_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement sample_rows or sample_batch"
-            )
-        draws = [self.sample_batch(c, n, rng) for c, n in zip(contexts, counts)]
-        return draws[0] if len(draws) == 1 else np.concatenate(draws)
+        number of slots. The generator advances as under one
+        ``sample_batch`` call per context, in order."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement sample_rows(contexts, counts, rng)"
+        )
 
     def support_rows(self, contexts, space: SlateSpace) -> MomentArrays | None:
         """The slates with positive probability at each of ``contexts``, all
@@ -288,28 +283,17 @@ class Policy:
             probs.append(self._slate_prob_rows(chunk, codes, np.tile(slates, (len(chunk), 1))))
         return _positive_rows(slates, np.concatenate(probs).reshape(len(contexts), -1))
 
-    def support_arrays(self, context) -> tuple[np.ndarray, np.ndarray] | None:
-        """Slates with positive probability at ``context``, one per row, and
-        their probabilities: the one-context case of ``support_rows``."""
-        listed = self.support_rows([context], self.space_of(context))
-        return None if listed is None else (listed.actions, listed.probs)
-
     def support(self, context) -> Iterator[tuple[Slate, float]]:
         """Iterate (slate, probability) pairs with positive probability."""
-        listed = self.support_arrays(context)
+        listed = self.support_rows([context], self.space_of(context))
         if listed is None:
             raise ConfigurationError(
                 f"the support at context {context!r} is not listed: its space has "
                 f"{self.space_of(context).num_slates()} slates, above the enumeration cap "
                 f"of {self.enumeration_cap}"
             )
-        actions, probs = listed
-        for row, p in zip(actions.tolist(), probs.tolist()):
+        for row, p in zip(listed.actions.tolist(), listed.probs.tolist()):
             yield tuple(row), p
-
-    def is_uniform(self, context) -> bool:
-        """True when the policy is exactly uniform over the space's slates."""
-        return False
 
     # -- moments ------------------------------------------------------------
 
@@ -357,16 +341,11 @@ class Policy:
 
     def mean_indicators(self, contexts, space: SlateSpace) -> np.ndarray:
         """(N, dim) stack of the expected slate-indicator vectors at
-        ``contexts``, all on ``space``: the closed form where the policy is
+        ``contexts``, all on ``space``: the closed form when the policy is
         uniform, else ``_mean_rows``."""
-        uniform = [self.is_uniform(c) for c in contexts]
-        if not any(uniform):
-            return self._mean_rows(contexts, space)
-        means = np.tile(uniform_mean_indicator(space), (len(contexts), 1))
-        rest = [i for i, u in enumerate(uniform) if not u]
-        if rest:
-            means[rest] = self._mean_rows([contexts[i] for i in rest], space)
-        return means
+        if self.uniform:
+            return np.tile(uniform_mean_indicator(space), (len(contexts), 1))
+        return self._mean_rows(contexts, space)
 
     def _mean_rows(self, contexts, space: SlateSpace) -> np.ndarray:
         """The per-slot action marginals summed over the ``moment_rows``.
@@ -469,6 +448,8 @@ def _uniform_probs(policy: Policy, contexts, codes) -> np.ndarray:
 class UniformPolicy(Policy):
     """Uniform distribution over all valid slates; all moments closed-form."""
 
+    uniform = True
+
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
         return _uniform_probs(self, contexts, codes)
 
@@ -483,9 +464,6 @@ class UniformPolicy(Policy):
             else self.sample_batch(c, n, rng)
             for c, n, space in zip(contexts, counts, spaces)
         ]).astype(np.int64)
-
-    def is_uniform(self, context) -> bool:
-        return True
 
 
 class DeterministicPolicy(Policy):
@@ -727,6 +705,7 @@ class MultinomialWoRPolicy(Policy):
                 f"temperature must be a finite nonnegative number, got {temperature}"
             )
         self.temperature = float(temperature)
+        self.uniform = self.temperature == 0.0
         self._scores = scores
         self._weights_cache: dict = {}
 
@@ -795,9 +774,6 @@ class MultinomialWoRPolicy(Policy):
         # Gumbel top-k keys reproduce sequential without-replacement draws.
         logits = [self.action_logits(c) for c in contexts]
         return _ranked_rows([self.space_of(c) for c in contexts], counts, rng.gumbel, logits)
-
-    def is_uniform(self, context) -> bool:
-        return self.temperature == 0.0
 
 
 def _ranked_rows(spaces, counts, draw, logits=None) -> np.ndarray:
@@ -907,6 +883,7 @@ class UniformMixturePolicy(Policy):
         super().__init__(base._space, **kwargs)
         self.base = base
         self.kappa = float(kappa)
+        self.uniform = self.kappa == 1.0 or base.uniform
         self._uniform = UniformPolicy(base._space)
 
     def _slate_prob_rows(self, contexts, codes, actions) -> np.ndarray:
@@ -919,18 +896,19 @@ class UniformMixturePolicy(Policy):
     def sample(self, context, rng) -> Slate:
         return (self._uniform if rng.random() < self.kappa else self.base).sample(context, rng)
 
-    def sample_batch(self, context, n, rng) -> np.ndarray:
-        pick_uniform = rng.random(n) < self.kappa
-        k = np.count_nonzero(pick_uniform)
-        if k == 0 or k == n:  # every row from one component
-            return (self._uniform if k else self.base).sample_batch(context, n, rng)
-        rows = np.empty((n, self.space_of(context).num_slots), dtype=np.int64)
-        rows[pick_uniform] = self._uniform.sample_batch(context, k, rng)
-        rows[~pick_uniform] = self.base.sample_batch(context, n - k, rng)
-        return rows
-
-    def is_uniform(self, context) -> bool:
-        return self.kappa == 1.0 or self.base.is_uniform(context)
+    def sample_rows(self, contexts, counts, rng) -> np.ndarray:
+        draws = []
+        for context, n in zip(contexts, counts):
+            pick_uniform = rng.random(n) < self.kappa
+            k = np.count_nonzero(pick_uniform)
+            if k == 0 or k == n:  # every row from one component
+                draws.append((self._uniform if k else self.base).sample_batch(context, n, rng))
+                continue
+            rows = np.empty((n, self.space_of(context).num_slots), dtype=np.int64)
+            rows[pick_uniform] = self._uniform.sample_batch(context, k, rng)
+            rows[~pick_uniform] = self.base.sample_batch(context, n - k, rng)
+            draws.append(rows)
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
     # Mixes the components' indicators, so it stays exact wherever they are,
     # as moment_matrix does; the derived one would sample the mixture above

@@ -63,7 +63,7 @@ class ScoreModel:
     weights: np.ndarray  # restricted features plus intercept
 
 
-def fit_score_model(dataset: RankingDataset, feature_indices, *, folds: int = 5) -> ScoreModel:
+def fit_score_model(dataset: RankingDataset, feature_indices) -> ScoreModel:
     """Ridge fit of relevance on a feature block, strength chosen by CV."""
     feature_indices = np.asarray(list(feature_indices), dtype=np.int64)
     if len(feature_indices) == 0:
@@ -74,12 +74,8 @@ def fit_score_model(dataset: RankingDataset, feature_indices, *, folds: int = 5)
                 f"feature index {bad} out of range for dimension {dataset.feature_dim}"
             )
     X = add_intercept(dataset.features[:, feature_indices])
-    fit = fit_ridge_cv(
-        X,
-        dataset.labels.astype(np.float64),
-        folds=folds,
-        penalize=intercept_penalty_mask(len(feature_indices)),
-    )
+    labels = dataset.labels.astype(np.float64)
+    fit = fit_ridge_cv(X, labels, penalize=intercept_penalty_mask(len(feature_indices)))
     return ScoreModel(feature_indices=feature_indices, weights=fit.weights)
 
 

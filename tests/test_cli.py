@@ -242,7 +242,7 @@ def test_diagnose_builds_each_logging_moment_matrix_once(tmp_path, monkeypatch):
     assert code == 0
     stacked = [c for _, c in built if isinstance(c, list)]
     assert stacked == [contexts]
-    assert [p.is_uniform(c) for p, c in built if not isinstance(c, list)] == [True]
+    assert [p.uniform for p, c in built if not isinstance(c, list)] == [True]
     assert uniform == [space]
 
 
@@ -332,7 +332,7 @@ def test_generate_round_trips_through_parser(tmp_path):
     out = tmp_path / "synth" / "data.txt"
     assert main([
         "generate", "--out", str(out), "--queries", "6", "--docs-per-query", "5",
-        "--feature-dim", "10", "--title-dims", "5", "--seed", "2",
+        "--feature-dim", "10", "--seed", "2",
     ]) == 0
     dataset = parse_letor(out)
     assert len(dataset.query_ids) == 6
@@ -344,7 +344,7 @@ def test_generate_round_trips_through_parser(tmp_path):
     [
         (
             3,
-            ["--queries", "9", "--docs-per-query", "7", "--feature-dim", "6", "--title-dims", "3"],
+            ["--queries", "9", "--docs-per-query", "7", "--feature-dim", "6"],
             "6e513b4537e661cfd3e26612942732ec4f3ef080eb238a38c3ce733ea06c7927",
         ),
         (11, [], "79d4cafbd0ea9460d4b85de4a05949fc617be416c220d402c6656a520dd45348"),

@@ -61,8 +61,8 @@ def test_mean_indicator_mc_fallback_is_reproducible():
         def _slate_prob_rows(self, contexts, codes, actions):
             return np.full(len(actions), 1.0 / space.num_slates())
 
-        def sample_batch(self, context, n, rng):
-            keys = rng.random((n, 9))
+        def sample_rows(self, contexts, counts, rng):
+            keys = rng.random((sum(counts), 9))
             return np.argsort(keys, axis=1, kind="stable")[:, :4]
 
     def build():

@@ -247,6 +247,10 @@ def test_pinv_source_uses_closed_form_for_uniform():
     stack = source.pinv_stack(UniformPolicy(space), ["q", "r", "s"])
     assert stack.shape == (3, space.dim, space.dim) and not stack.flags.writeable
     assert (stack == pinv).all()
+    # a table listing every slate uniformly takes the numeric path to the same matrix
+    slates = list(space.enumerate_slates())
+    listed = ExplicitPolicy(space, {"q": [(s, 1.0 / len(slates)) for s in slates]})
+    np.testing.assert_allclose(source.pseudoinverse(listed, "q"), pinv, atol=1e-9)
 
 
 def test_pinv_source_caches(monkeypatch):
@@ -286,27 +290,6 @@ def test_pinv_source_caches(monkeypatch):
     np.testing.assert_array_equal(at_a, pinv_numeric(gamma).entries)
     assert not np.array_equal(source.pseudoinverse(explicit, "b"), at_a)
     assert built == [["a"], ["b"]]
-
-
-def test_a_stack_mixing_uniform_and_numeric_contexts_is_rejected():
-    """A store serves one kind of moments, so a call that mixes contexts
-    where the policy is uniform and where it is not is rejected, as
-    moment_matrix rejects such a stack; each kind alone is served."""
-
-    class UniformAtU(ExplicitPolicy):
-        def is_uniform(self, context):
-            return context == "u"
-
-    space = SlateSpace.ranking(4, 2)
-    table = {c: list(space.enumerate_slates()) for c in ("u", "n")}
-    table = {c: [(s, 1.0 / len(slates)) for s in slates] for c, slates in table.items()}
-    policy = UniformAtU(space, table)
-    source = PinvSource()
-    with pytest.raises(SlateError, match="mixes contexts"):
-        source.pinv_stack(policy, ["u", "n"])
-    closed = pinv_uniform_ranking(space).entries
-    np.testing.assert_array_equal(source.pseudoinverse(policy, "u"), closed)
-    np.testing.assert_allclose(source.pseudoinverse(policy, "n"), closed, atol=1e-9)
 
 
 def test_cached_moments_are_read_only():
@@ -535,7 +518,6 @@ def test_a_mixture_with_a_uniform_base_reads_the_uniform_closed_forms():
     assert not np.array_equal(0.3 * u + 0.7 * u, u)
     for base in (UniformPolicy(space), MultinomialWoRPolicy(space, {"q": np.arange(5.0)}, 0.0)):
         mixture = UniformMixturePolicy(base, 0.3)
-        assert mixture.is_uniform("q")
         assert np.array_equal(mixture.mean_indicator("q"), u)
         assert np.array_equal(mixture.mean_indicators(["q"], space), [u])
         store, (row,) = PinvSource().moments(mixture, ["q"])

@@ -216,7 +216,7 @@ def test_fit_scorer_constant_targets():
     )
     scorer = fit_scorer(targets)
     for context in ("q0", "q5"):
-        table = scorer.score_matrix(context, space, features)
+        table = scorer.score_tables((context,), space, features)[0]
         np.testing.assert_allclose(table, 0.7, atol=1e-3)
 
 
@@ -432,7 +432,7 @@ def test_sup_scorer_slates_sort_by_predicted_gain():
     context = instance.contexts[0]
     space = instance.space_of(context)
     slate = greedy_slate(scorer, context, space, instance.features)
-    scores = scorer.score_matrix(context, space, instance.features)[0]
+    scores = scorer.score_tables((context,), space, instance.features)[0, 0]
     expected = tuple(np.argsort(-scores, kind="stable")[:3])
     assert slate == expected
 
@@ -561,7 +561,7 @@ def test_stacked_scores_equal_one_context_products_bitwise(space):
         want += np.repeat(scorer.slot_weights(), space.slot_counts)
         assert table[filled].tobytes() == want.tobytes()
         assert (table[~filled] == -np.inf).all()
-        assert np.array_equal(scorer.score_matrix(context, space, features), table)
+        assert np.array_equal(scorer.score_tables((context,), space, features)[0], table)
 
 
 @pytest.mark.parametrize(

@@ -36,10 +36,32 @@ def test_uniform_ranking_probabilities():
     )
 
 
+def test_uniform_is_pinned_for_every_builtin_policy():
+    """``uniform`` is set once per policy: the uniform policy, softmax at
+    temperature 0, and a mixture at kappa 1 or over a uniform base."""
+    space = SlateSpace.ranking(4, 2)
+    scores = {"q": np.array([3.0, -1.0, 0.5, 2.0])}
+    softmax = {t: MultinomialWoRPolicy(space, scores, t) for t in (0.0, 0.5)}
+    explicit = random_explicit_policy(space, ["q"], np.random.default_rng(1))
+    expected = [
+        (UniformPolicy(space), True),
+        (softmax[0.0], True),
+        (softmax[0.5], False),
+        (UniformMixturePolicy(softmax[0.5], 1.0), True),
+        (UniformMixturePolicy(softmax[0.5], 0.3), False),
+        (UniformMixturePolicy(softmax[0.0], 0.3), True),
+        (UniformMixturePolicy(UniformPolicy(space), 0.0), True),
+        (UniformMixturePolicy(explicit, 0.3), False),
+        (explicit, False),
+        (DeterministicPolicy(space, {"q": (1, 0)}), False),
+    ]
+    for policy, uniform in expected:
+        assert policy.uniform is uniform, type(policy).__name__
+
+
 def test_multinomial_zero_temperature_is_uniform():
     space = SlateSpace.ranking(4, 2)
     policy = MultinomialWoRPolicy(space, {"q": np.array([3.0, -1.0, 0.5, 2.0])}, 0.0)
-    assert policy.is_uniform("q")
     for slate in space.enumerate_slates():
         assert policy.slate_prob("q", slate) == pytest.approx(1 / 12, abs=1e-12)
 
@@ -181,7 +203,7 @@ def test_support_above_the_enumeration_cap_is_configuration_error():
 
     space = SlateSpace.ranking(7, 4)  # 840 slates, above the forced cap
     policy = MultinomialWoRPolicy(space, {"q": np.arange(7.0)}, 1.5, enumeration_cap=10)
-    assert policy.support_arrays("q") is None
+    assert policy.support_rows(["q"], space) is None
     with pytest.raises(ConfigurationError, match=r"'q'.*840 slates.*cap of 10"):
         list(policy.support("q"))
     assert not policy.moment_arrays("q").exact
@@ -371,8 +393,7 @@ def test_explicit_policy_with_a_space_per_context(tmp_path):
     path.write_text("a\t0\t0.25\nb\t0,1\t1.0\na\t2\t0.75\n")
     loaded = load_explicit_policy(path, spaces)
     for context in spaces:
-        for got, want in zip(loaded.support_arrays(context), policy.support_arrays(context)):
-            np.testing.assert_array_equal(got, want)
+        assert list(loaded.support(context)) == list(policy.support(context))
     path.write_text("a\t0\t0.25\nb\t0,1\t1.0\na\t2,1\t0.75\n")
     with pytest.raises(SlateError, match=r"policy\.tsv:3: context 'a': .*has 2 slots"):
         load_explicit_policy(path, spaces)
@@ -404,7 +425,7 @@ def test_multinomial_rejects_non_finite_scores_naming_the_context(scores, temper
     assert policy.slate_prob("ok", (0, 1)) == pytest.approx(1 / 6)
     for call in (
         lambda: policy.slate_prob("bad", (0, 1)),
-        lambda: policy.support_arrays("bad"),
+        lambda: list(policy.support("bad")),
         lambda: policy.sample("bad", np.random.default_rng(0)),
         lambda: policy.slate_prob_rows(("ok", "bad"), [0, 1], [[0, 1], [1, 0]]),
     ):
@@ -423,7 +444,8 @@ def test_plackett_luce_support_equals_the_per_slate_recursion_bit_for_bit(m, slo
     every = space.slate_array()
     want = np.exp(plackett_luce_log_probs_reference(policy.action_logits("q"), every))
     keep = want > 0.0
-    slates, probs = policy.support_arrays("q")
+    listed = policy.support_rows(["q"], space)
+    slates, probs = listed.actions, listed.probs
     np.testing.assert_array_equal(slates, every[keep])
     assert probs.tobytes() == want[keep].tobytes()
     assert policy.slate_prob_batch("q", every).tobytes() == want.tobytes()
@@ -466,7 +488,7 @@ def test_plackett_luce_above_the_cap_keeps_its_seeded_monte_carlo_sample():
     policy = MultinomialWoRPolicy(
         space, scores, 1.5, enumeration_cap=119, mc_samples=400, mc_seed=4
     )
-    assert policy.support_arrays("q") is None
+    assert policy.support_rows(["q"], space) is None
     arrays = policy.moment_arrays("q")
     assert not arrays.exact
     expected = MultinomialWoRPolicy(space, scores, 1.5).sample_batch("q", 400, context_rng(4, "q"))
@@ -617,8 +639,8 @@ def test_a_policy_with_only_the_two_hooks_answers_every_query():
         def _slate_prob_rows(self, contexts, codes, actions):
             return np.where(actions[:, 0] + actions[:, 1] == 1, 0.5, 0.0)
 
-        def sample_batch(self, context, n, rng):
-            first = rng.integers(0, 2, size=n)
+        def sample_rows(self, contexts, counts, rng):
+            first = rng.integers(0, 2, size=sum(counts))
             return np.stack([first, 1 - first], axis=1)
 
     policy = TwoSlates(space)
@@ -632,6 +654,20 @@ def test_a_policy_with_only_the_two_hooks_answers_every_query():
     assert sorted(policy.support("q")) == [((0, 1), 0.5), ((1, 0), 0.5)]
     q = policy.mean_indicator("q")
     np.testing.assert_array_equal(q, [0.5, 0.5, 0.0, 0.5, 0.5, 0.0])
+
+
+def test_a_policy_without_sample_rows_names_it_when_drawing():
+    from slateval.policies import Policy
+
+    class ScoresOnly(Policy):
+        def _slate_prob_rows(self, contexts, codes, actions):
+            return np.full(len(actions), 1.0 / 6)
+
+    policy = ScoresOnly(SlateSpace.ranking(3, 2))
+    assert policy.slate_prob("q", (0, 1)) == 1.0 / 6
+    message = r"ScoresOnly must implement sample_rows\(contexts, counts, rng\)"
+    with pytest.raises(NotImplementedError, match=message):
+        policy.sample("q", np.random.default_rng(0))
 
 
 def test_every_cached_mean_indicator_is_read_only():
@@ -750,3 +786,17 @@ def test_mixture_batch_draws_each_row_from_the_component_it_picks():
         want[~pick] = base.sample_batch("q", n - int(pick.sum()), want_rng)
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert got_rng.random() == want_rng.random()
+
+
+def test_mixture_rows_at_many_contexts_are_one_batch_per_context():
+    """``sample_rows`` over several contexts draws what one ``sample_batch``
+    per context draws in order, and leaves the generator in the same state."""
+    space = SlateSpace.ranking(4, 2)
+    scores = {c: np.arange(4.0) * (i + 1) for i, c in enumerate("abc")}
+    policy = UniformMixturePolicy(MultinomialWoRPolicy(space, scores, 1.5), 0.4)
+    for seed in range(20):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = policy.sample_rows(["a", "b", "c"], (3, 1, 5), got_rng)
+        want = [policy.sample_batch(c, n, want_rng) for c, n in zip("abc", (3, 1, 5))]
+        assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -226,7 +226,7 @@ def overlapping_problems(draw, single_slot=False):
     else:
         table = {}
         for c in CONTEXTS:
-            slates, _ = logging.support_arrays(c)
+            slates = logging.support_rows([c], space).actions
             keep = rng.random(len(slates)) < 0.5
             keep[rng.integers(len(slates))] = True
             weights = rng.gamma(0.5, size=int(keep.sum())) + 1e-3

@@ -86,8 +86,7 @@ def test_ada_exactness_of_rewards():
 
 def test_alpha_zero_logging_is_uniform():
     instance, _ = small_instance(alpha=0.0)
-    context = instance.contexts[0]
-    assert instance.logging.is_uniform(context)
+    assert instance.logging.uniform
 
 
 def test_large_alpha_concentrates_on_title_ranking():
