@@ -457,7 +457,10 @@ def main(argv=None) -> int:
     if getattr(args, "estimator", None) is None and args.command == "evaluate":
         args.estimator = ["pi"]
     try:
-        with blas_threads(getattr(args, "threads", 1)):
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {threads}")
+        with blas_threads(threads):
             return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)

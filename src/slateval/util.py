@@ -61,7 +61,9 @@ def fmt17(x: float) -> str:
 
 @functools.cache
 def _openblas_thread_calls():
-    """(get, set) of the OpenBLAS pool size in numpy's wheel, or None."""
+    """(get, set, shutdown) of the OpenBLAS pool in numpy's wheel, or None;
+    shutdown is None when the build does not export ``blas_thread_shutdown_``
+    (an OpenMP build, for one)."""
     package = Path(np.__file__).parent
     for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
                         *package.glob(".dylibs/*openblas*")]):
@@ -74,7 +76,10 @@ def _openblas_thread_calls():
             if get is not None and set_ is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                return get, set_, shutdown
     return None
 
 
@@ -89,14 +94,26 @@ def blas_threads(limit: int):
     whenever the machine is busy. The commands write the same bytes at any
     pool size (the acceptance suite compares ``--threads`` 1 and 4). A no-op
     when numpy does not bundle OpenBLAS.
+
+    At one thread the block also stops OpenBLAS's idle workers: the one
+    started when numpy loads would otherwise spin for about 0.1 s, whatever
+    the pool size. Restoring the pool size starts them again, as OpenBLAS
+    does after a ``fork``. Like ``openblas_set_num_threads`` itself, the
+    helper must not be entered or left while another Python thread is
+    inside a BLAS call.
     """
     calls = _openblas_thread_calls()
     before = calls[0]() if calls is not None else 0
-    if before <= max(limit, 1):
+    limit = max(limit, 1)
+    if before <= limit:
         yield
         return
-    calls[1](max(limit, 1))
+    _, set_, shutdown = calls
+    set_(limit)
+    # after the cap: setting the size on a stopped pool would restart it
+    if limit == 1 and shutdown is not None:
+        shutdown()
     try:
         yield
     finally:
-        calls[1](before)
+        set_(before)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -646,6 +647,21 @@ def _blas_pool():
     return calls[0]
 
 
+def _blas_workers():
+    """The pool-size getter, when the pool's idle workers can be stopped and
+    counted; each worker is one entry of /proc/self/task."""
+    pool = _blas_pool()
+    if _openblas_thread_calls()[2] is None:
+        pytest.skip("numpy's OpenBLAS does not export blas_thread_shutdown_")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("threads are counted in /proc/self/task, which only Linux has")
+    return pool
+
+
+def _tasks():
+    return len(os.listdir("/proc/self/task"))
+
+
 def test_blas_threads_caps_the_pool_and_restores_it():
     pool = _blas_pool()
     before = pool()
@@ -661,13 +677,44 @@ def test_blas_threads_caps_the_pool_and_restores_it():
     assert pool() == before
 
 
+def test_blas_threads_stops_the_idle_workers_at_one_thread():
+    pool = _blas_workers()
+    before, tasks = pool(), _tasks()
+    with blas_threads(1):
+        assert _tasks() == tasks - (before - 1)
+    assert _tasks() == tasks
+    with blas_threads(2):
+        assert _tasks() == tasks  # a cap above one thread stops no worker
+    assert pool() == before
+
+
+def test_blas_threads_restores_a_threaded_pool_with_the_same_products():
+    pool = _blas_workers()
+    before, tasks = pool(), _tasks()
+    a = np.random.default_rng(0).random((800, 800))
+    with blas_threads(1):
+        capped = a @ a
+        assert _tasks() == tasks - (before - 1)  # the product restarted no worker
+    assert pool() == before and _tasks() == tasks
+    assert np.array_equal(a @ a, capped)
+
+
 def test_a_command_runs_with_the_pool_capped_at_threads(tmp_path, monkeypatch):
-    pool = _blas_pool()
-    before = pool()
+    pool = _blas_workers()
+    before, tasks = pool(), _tasks()
     seen = []
-    monkeypatch.setattr(cli, "cmd_experiment", lambda args: seen.append(pool()) or 0)
+    monkeypatch.setattr(cli, "cmd_experiment",
+                        lambda args: seen.append((pool(), _tasks())) or 0)
     config = str(tmp_path / "unused.cfg")
     assert main(["experiment", "--config", config]) == 0
     assert main(["experiment", "--config", config, "--threads", "4"]) == 0
-    assert seen == [1, min(4, before)]
-    assert pool() == before
+    assert seen == [(1, tasks - (before - 1)), (min(4, before), tasks)]
+    assert pool() == before and _tasks() == tasks
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_2(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setattr(cli, "cmd_experiment", lambda args: pytest.fail("ran"))
+    config = str(tmp_path / "unused.cfg")
+    assert main(["experiment", "--config", config, "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
