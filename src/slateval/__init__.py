@@ -9,7 +9,6 @@ from .diagnostics import (
     compute_rho,
     compute_rho_bar,
     compute_sigma_sq,
-    kappa_of,
     overlap_profile,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .logs import (
     LoggedExample,
     SemibanditExample,
     read_logged_dataset,
-    write_logged_dataset,
 )
 from .moments import (
     MomentMatrix,
@@ -57,7 +55,6 @@ from .optimization import (
     evaluate_learned,
     fit_scorer,
     fit_sup_scorer,
-    greedy_slate,
 )
 from .policies import (
     DeterministicPolicy,

@@ -191,17 +191,6 @@ def compute_rho_bar(
     return float(_Overlaps(pinv_source or PinvSource(), logging, [context]).rho_bar()[0])
 
 
-def kappa_of(logging: Policy, context, *, reference: Policy | None = None) -> float:
-    """Smallest ratio of pairwise slot-action probabilities to a reference.
-
-    The reference defaults to the uniform policy. The minimum runs over
-    the reference's positive cross-slot pairwise probabilities and is
-    clipped at 1. Single-slot spaces have no pairs, so the per-action
-    marginal ratios are used instead.
-    """
-    return float(_Overlaps(PinvSource(), logging, [context]).kappa(reference)[0])
-
-
 @dataclass(frozen=True)
 class TranslationCheck:
     lhs: float  # kappa * rho_bar(logging)

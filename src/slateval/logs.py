@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ParseError, SlateError
 from .spaces import Slate, space_of
-from .util import fmt
 
 
 @dataclass(frozen=True)
@@ -392,9 +391,3 @@ def _raise_invalid_slate(path, error_type, space, columns: _Columns) -> None:
     context = contexts[codes[row]]
     raise error_type(f"{path}:{columns.linenos[row]}: context {context!r}: {exc}") from None
 
-
-def write_logged_dataset(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for ex in examples:
-            slate_text = ",".join(str(a) for a in ex.slate)
-            handle.write(f"{ex.context}\t{slate_text}\t{fmt(ex.reward)}\n")

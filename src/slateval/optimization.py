@@ -5,6 +5,9 @@ the logging policy's indicator second moment, which turns one slate-level
 observation into a full vector of per-(slot, action) regression targets.
 A pointwise ridge scorer (slot one-hot concatenated with action features)
 is fit to those targets and slates are built greedily from its scores.
+The fit reads the targets only through per-(context, fold residue class)
+row counts and target sums, so those are all ``decompose`` keeps; no
+per-example target is ever built.
 The action features come from a ``FeatureMap``: one call per context
 returns that context's ``(dim, feature_dim)`` table, one row per (slot,
 action) coordinate in the indicator's slot-major, action-minor order.
@@ -39,38 +42,45 @@ from .ridge import (
 from .spaces import SlateSpace, SpaceKind
 
 RUN_ROWS = 1 << 12  # bounds the rows one step of decompose or of the greedy scoring holds
+FOLDS = 5  # cross-validation folds of the PI scorer's ridge fit
 
 
 @dataclass(frozen=True)
 class DecomposedTargets:
-    """Per-(slot, action) regression targets recovered from logged rewards.
+    """Per-(slot, action) regression targets recovered from logged rewards,
+    summed per context and fold residue class.
 
-    One block per context: ``rows[b]`` holds the indices of the logged
-    examples of ``contexts[b]``, ascending, and ``phi_hats[b]`` is the
-    ``(len(rows[b]), dim)`` target block, one row per example and one
-    column per indicator coordinate of that context's space. Rows pair the
-    targets with (slot one-hot, action features).
+    Example i's targets are ``r_i P 1_{s_i}``, one per indicator coordinate
+    of its context's space, and its regression rows start at global row
+    ``s``, the dims of the examples before it summed in batch order. Its
+    coordinate k lands in fold ``(s + k) % FOLDS``, so the class ``s %
+    FOLDS`` fixes every fold it touches. Per context ``contexts[b]``,
+    ``counts[b]`` holds the ``(FOLDS,)`` example counts of the classes and
+    ``phi_hats[b]`` the ``(FOLDS, dim)`` sums of their targets. Rows pair
+    the targets with (slot one-hot, action features).
     """
 
     contexts: tuple
-    rows: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
     phi_hats: tuple[np.ndarray, ...]
     spaces: dict
     features: FeatureMap
     num_slots: int
 
     def __post_init__(self):
-        pairs = zip(self.contexts, self.rows, strict=True)
-        expected = [(len(rows), self.spaces[context].dim) for context, rows in pairs]
-        seen = np.bincount(np.concatenate([*self.rows, []]).astype(np.int64), minlength=len(self))
-        if not self.rows or [b.shape for b in self.phi_hats] != expected or (seen != 1).any():
+        shapes = [(FOLDS, self.spaces[context].dim) for context in self.contexts]
+        if (
+            not self.contexts
+            or [sums.shape for sums in self.phi_hats] != shapes
+            or [counts.shape for counts in self.counts] != [(FOLDS,)] * len(shapes)
+        ):
             raise ConfigurationError(
-                "target blocks must be nonempty, shaped (rows, dim), and hold every example "
-                "index exactly once"
+                f"targets must be nonempty, with ({FOLDS}, dim) sums and ({FOLDS},) counts "
+                "per context"
             )
 
     def __len__(self) -> int:
-        return sum(len(rows) for rows in self.rows)
+        return int(sum(counts.sum() for counts in self.counts))
 
 
 def decompose(
@@ -80,18 +90,17 @@ def decompose(
     features: FeatureMap,
     pinv_source: PinvSource | None = None,
 ) -> DecomposedTargets:
-    """Per-example reward decomposition through the logging pseudoinverse.
+    """Reward decomposition through the logging pseudoinverse, summed per
+    context and fold residue class.
 
     Works one space at a time, in runs of at most ``RUN_ROWS`` rows: one
     ``validate_batch`` and one ``coords_of_actions`` serve all of a run's
     contexts. A failing check is redone context by context in batch order,
-    so the error names the first failing context. Each row of the moment
-    store (one per space under uniform logging) gives one contiguous copy of
-    its pseudoinverse's transpose: row k is column k of the pseudoinverse, the
-    entries a slate's targets sum, so the bits do not rest on its exact
-    symmetry. A context's target block starts as the rows of its logged
-    slates' first-slot coordinates, adds those of each later slot in turn,
-    and is scaled by the rewards, one contiguous row per example.
+    so the error names the first failing context. One reward-weighted
+    ``bincount`` of the run's logged coordinates gives each context's
+    ``(FOLDS, dim)`` class sums ``B`` of ``r_i 1_{s_i}``, and its targets
+    are ``B @ P.T`` with the pseudoinverse ``P`` of its moment store row:
+    the paper's ``r_i P 1_{s_i}``, summed before the product.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot decompose an empty dataset")
@@ -100,38 +109,42 @@ def decompose(
     groups = batch.groups()
     contexts = [context for context, _ in groups]
     spaces = {context: logging.space_of(context) for context in contexts}
+    # fold residue class of every example: its global row start modulo FOLDS
+    dims = np.zeros(len(batch), dtype=np.int64)
+    for context, rows in groups:
+        dims[rows] = spaces[context].dim
+    residues = (np.cumsum(dims) - dims) % FOLDS
     by_space = positions_by_space(logging, contexts)
     # every space's missing moments are built before any slate is checked
     stores = [source.moments(logging, [contexts[i] for i in at]) for _, at in by_space]
-    blocks = [None] * len(groups)
+    counts, sums = [None] * len(groups), [None] * len(groups)
     for (space, positions), (store, store_rows) in zip(by_space, stores):
-        pinv, row = store.column("pinv"), -1
+        pinv = store.column("pinv")
         space_rows = [groups[i][1] for i in positions]
         bounds = np.concatenate([[0], np.cumsum([len(rows) for rows in space_rows])])
         for lo, hi in row_runs(bounds, RUN_ROWS):
+            rows = np.concatenate(space_rows[lo:hi])
             try:
-                coords = space.coords_of_actions(
-                    space.validate_batch(batch.actions[np.concatenate(space_rows[lo:hi])])
-                )
+                coords = space.coords_of_actions(space.validate_batch(batch.actions[rows]))
             except SlateError:
-                for context, rows in groups:
-                    spaces[context].validate_batch(batch.actions[rows], context)
+                for context, own in groups:
+                    spaces[context].validate_batch(batch.actions[own], context)
                 raise
-            starts = (bounds[lo : hi + 1] - bounds[lo]).tolist()
+            # one key per example: its context's place in the run, then its class
+            keys = np.repeat(np.arange(hi - lo) * FOLDS, np.diff(bounds[lo : hi + 1]))
+            keys += residues[rows]
+            run_counts = np.bincount(keys, minlength=(hi - lo) * FOLDS).reshape(-1, FOLDS)
+            cells = (keys * space.dim)[:, None] + coords
+            weights = np.repeat(batch.rewards[rows], space.num_slots)
+            run_sums = np.bincount(cells.ravel(), weights, (hi - lo) * FOLDS * space.dim)
+            run_sums = run_sums.reshape(hi - lo, FOLDS, space.dim)
             for k, i in enumerate(positions[lo:hi]):
-                if store_rows[lo + k] != row:
-                    row = store_rows[lo + k]
-                    columns = np.ascontiguousarray(pinv[row].T)
-                own = coords[starts[k] : starts[k + 1]]
-                block = columns[own[:, 0]]
-                for j in range(1, space.num_slots):
-                    block += columns[own[:, j]]
-                block *= batch.rewards[space_rows[lo + k]][:, None]
-                blocks[i] = block
+                counts[i] = run_counts[k]
+                sums[i] = run_sums[k] @ pinv[store_rows[lo + k]].T
     return DecomposedTargets(
         contexts=tuple(contexts),
-        rows=tuple(rows for _, rows in groups),
-        phi_hats=tuple(blocks),
+        counts=tuple(counts),
+        phi_hats=tuple(sums),
         spaces=spaces,
         features=features,
         num_slots=batch.num_slots,
@@ -185,20 +198,15 @@ def _slot_design(space: SlateSpace, table: np.ndarray, feature_dim: int) -> np.n
     return np.hstack([_slot_block(space), table])
 
 
-def fit_scorer(
-    targets: DecomposedTargets,
-    *,
-    alphas=DEFAULT_ALPHAS,
-    folds: int = 5,
-) -> PointwiseScorer:
+def fit_scorer(targets: DecomposedTargets, *, alphas=DEFAULT_ALPHAS) -> PointwiseScorer:
     """Ridge fit of the pointwise scorer on the decomposed targets.
 
     Regression rows are ordered example-major, coordinate-major; fold
-    assignment is by global row index modulo the fold count.
+    assignment is by global row index modulo ``FOLDS``.
     """
     tables = [_feature_table(targets.spaces[c], c, targets.features) for c in targets.contexts]
     feature_dim = tables[0].shape[1]
-    moments = _table_moments(targets, tables, feature_dim, folds)
+    moments = _table_moments(targets, tables, feature_dim)
     penalize = np.ones(targets.num_slots + feature_dim)
     alpha = cv_select_alpha(moments, penalize, alphas)
     weights = solve_ridge(moments.xtx.sum(axis=0), moments.xty.sum(axis=0), alpha, penalize)
@@ -207,55 +215,37 @@ def fit_scorer(
     )
 
 
-def _table_moments(targets: DecomposedTargets, tables, feature_dim: int, folds: int) -> FoldMoments:
+def _table_moments(targets: DecomposedTargets, tables, feature_dim: int) -> FoldMoments:
     """Per-fold normal-equation moments from one feature table per context.
 
-    Every row of a context shares that context's design matrix, so each
-    block reduces to per-(fold, coordinate) row counts, target sums and
-    sums of squares, and the moments follow from a few products with the
-    design matrix; the row matrix is never materialized. Coordinate ``k``
-    of an example whose rows start at ``s`` lands in fold ``(s + k) %
-    folds``, so cell ``(fold, k)`` holds the examples of residue class
-    ``s % folds == (fold - k) % folds``, and the block's rows are summed
-    once per class (in place when one class holds them all, as it does
-    whenever the fold count divides every dim). The slot one-hot columns
-    and the class of every cell are built once per space; the products
-    and sums stay per context, in context order.
+    Every row of a context shares that context's design matrix, so the
+    moments follow from a few products of it with the per-(fold,
+    coordinate) row counts and target sums; the row matrix is never
+    materialized. Cell ``(fold, k)`` holds the examples of residue class
+    ``(fold - k) % FOLDS``. The slot one-hot columns and the class of every
+    cell are built once per space; the products and sums stay per context,
+    in context order.
     """
     width = targets.num_slots + feature_dim
-    # global row start of every example: cumulative sum of the block dims
-    dims = np.zeros(len(targets), dtype=np.int64)
-    for context, rows in zip(targets.contexts, targets.rows):
-        dims[rows] = targets.spaces[context].dim
-    starts = np.cumsum(dims) - dims
-
-    xtx = np.zeros((folds, width, width))
-    xty = np.zeros((folds, width))
-    yty = np.zeros(folds)
-    counts = np.zeros(folds)
+    xtx = np.zeros((FOLDS, width, width))
+    xty = np.zeros((FOLDS, width))
+    counts = np.zeros(FOLDS)
     cells: dict[SlateSpace, tuple[np.ndarray, np.ndarray]] = {}
-    for context, rows, block, table in zip(targets.contexts, targets.rows, targets.phi_hats, tables):
+    for context, class_counts, class_sums, table in zip(
+        targets.contexts, targets.counts, targets.phi_hats, tables
+    ):
         space = targets.spaces[context]
         if space not in cells:
             local = np.arange(space.dim)
-            cells[space] = (local, (np.arange(folds)[:, None] - local) % folds)
+            cells[space] = (local, (np.arange(FOLDS)[:, None] - local) % FOLDS)
         local, cls = cells[space]
         design = _slot_design(space, table, feature_dim)
-        residues = starts[rows] % folds
         # as floats: the products below would otherwise convert every count
-        class_counts = np.bincount(residues, minlength=folds).astype(np.float64)
-        class_sums = np.zeros((folds, space.dim))
-        class_squares = np.zeros((folds, space.dim))
-        for r in np.flatnonzero(class_counts):
-            members = block if class_counts[r] == len(rows) else block[residues == r]
-            class_sums[r] = members.sum(axis=0)
-            class_squares[r] = (members * members).sum(axis=0)
-        n_rows = class_counts[cls]
+        n_rows = class_counts.astype(np.float64)[cls]
         xtx += (design.T * n_rows[:, None, :]) @ design
         xty += class_sums[cls, local] @ design
-        yty += class_squares[cls, local].sum(axis=1)
         counts += n_rows.sum(axis=1)
-    return FoldMoments(xtx=xtx, xty=xty, yty=yty, counts=counts)
+    return FoldMoments(xtx=xtx, xty=xty, counts=counts)
 
 
 def _greedy_slates(scores: np.ndarray, space: SlateSpace) -> np.ndarray:
@@ -286,13 +276,6 @@ def _greedy_slates(scores: np.ndarray, space: SlateSpace) -> np.ndarray:
         if space.kind is SpaceKind.RANKING:
             available[every, :, action] = False
     return slates
-
-
-def greedy_slate(scorer, context, space: SlateSpace, features: FeatureMap) -> tuple[int, ...]:
-    """Build a slate by repeatedly taking the best available (slot, action);
-    see ``_greedy_slates`` for the rule."""
-    scores = scorer.score_tables((context,), space, features)
-    return space.validate(_greedy_slates(scores, space)[0])
 
 
 def evaluate_learned(scorer, instance, contexts=None) -> float:

@@ -33,12 +33,11 @@ def solve_ridge(xtx: np.ndarray, xty: np.ndarray, alpha: float, penalize: np.nda
 
 @dataclass(frozen=True)
 class FoldMoments:
-    """Per-fold normal-equation pieces: Gram matrices, cross terms, target
-    sums of squares, and row counts."""
+    """Per-fold normal-equation pieces: Gram matrices, cross terms and row
+    counts."""
 
     xtx: np.ndarray  # (folds, d, d)
     xty: np.ndarray  # (folds, d)
-    yty: np.ndarray  # (folds,)
     counts: np.ndarray  # (folds,)
 
     @property
@@ -52,7 +51,6 @@ def fold_moments_from_rows(X: np.ndarray, y: np.ndarray, folds: int = 5) -> Fold
     d = X.shape[1]
     xtx = np.zeros((folds, d, d))
     xty = np.zeros((folds, d))
-    yty = np.zeros(folds)
     counts = np.zeros(folds)
     assignment = np.arange(len(y)) % folds
     for f in range(folds):
@@ -60,13 +58,16 @@ def fold_moments_from_rows(X: np.ndarray, y: np.ndarray, folds: int = 5) -> Fold
         Xf, yf = X[mask], y[mask]
         xtx[f] = Xf.T @ Xf
         xty[f] = Xf.T @ yf
-        yty[f] = float(yf @ yf)
         counts[f] = int(mask.sum())
-    return FoldMoments(xtx, xty, yty, counts)
+    return FoldMoments(xtx, xty, counts)
 
 
 def cv_select_alpha(moments: FoldMoments, penalize: np.ndarray, alphas=DEFAULT_ALPHAS) -> float:
-    """Pick the strength with the lowest pooled held-out squared error."""
+    """Pick the strength with the lowest pooled held-out squared error.
+
+    Each fold's error leaves out the sum of squares of its targets, which is
+    the same for every strength and so cannot change the choice.
+    """
     folds = moments.num_folds
     total_xtx = moments.xtx.sum(axis=0)
     total_xty = moments.xty.sum(axis=0)
@@ -80,9 +81,7 @@ def cv_select_alpha(moments: FoldMoments, penalize: np.ndarray, alphas=DEFAULT_A
             train_xtx = total_xtx - moments.xtx[f]
             train_xty = total_xty - moments.xty[f]
             beta = solve_ridge(train_xtx, train_xty, alpha, penalize)
-            err += float(
-                moments.yty[f] - 2.0 * beta @ moments.xty[f] + beta @ moments.xtx[f] @ beta
-            )
+            err += float(beta @ moments.xtx[f] @ beta - 2.0 * beta @ moments.xty[f])
             used += moments.counts[f]
         err = err / max(used, 1.0)
         if err < best_err - 1e-15:

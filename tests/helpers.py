@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from slateval import (
@@ -16,11 +18,17 @@ from slateval import (
     UniformMixturePolicy,
 )
 from slateval.estimators import _feature_table
-from slateval.optimization import _slot_design, _table_moments
+from slateval.optimization import (
+    FOLDS,
+    DecomposedTargets,
+    _greedy_slates,
+    _slot_design,
+    _table_moments,
+)
 from slateval.ridge import FoldMoments
 from slateval.spaces import space_of
-from slateval.diagnostics import bernstein_bound
-from slateval.util import fmt17, pairwise_sum
+from slateval.diagnostics import _Overlaps, bernstein_bound
+from slateval.util import fmt, fmt17, pairwise_sum
 
 
 def coord(space, slot: int, action: int) -> int:
@@ -163,17 +171,75 @@ def keyed_features(space, dim, seed):
     return features
 
 
-def decompose_reference(data, logging, source) -> list[np.ndarray]:
-    """``decompose``'s target blocks, one per context in batch order, from
-    the sums ``pinv[:, coords].sum(axis=2)`` of each logged slate's
-    pseudoinverse columns, times the rewards, one row per example."""
+@dataclass(frozen=True)
+class ExampleTargets:
+    """Per-example regression targets, one block per context in order of
+    first appearance: ``blocks[b]`` holds one row per example of
+    ``contexts[b]``, in example order, and ``residues[b]`` each row's fold
+    residue class."""
+
+    contexts: tuple
+    blocks: tuple
+    residues: tuple
+    spaces: dict
+    features: object
+    num_slots: int
+
+    def summed(self) -> DecomposedTargets:
+        """The targets as ``decompose`` keeps them: per context, the example
+        count and the target sums of each residue class, each sum one
+        ``bincount`` in example order."""
+        counts, sums = [], []
+        for context, block, residues in zip(self.contexts, self.blocks, self.residues):
+            dim = self.spaces[context].dim
+            keys = (residues[:, None] * dim + np.arange(dim)).ravel()
+            counts.append(np.bincount(residues, minlength=FOLDS))
+            sums.append(np.bincount(keys, block.ravel(), FOLDS * dim).reshape(FOLDS, dim))
+        return DecomposedTargets(
+            contexts=self.contexts,
+            counts=tuple(counts),
+            phi_hats=tuple(sums),
+            spaces=self.spaces,
+            features=self.features,
+            num_slots=self.num_slots,
+        )
+
+
+def example_targets(contexts, phi_hats, spaces, features, num_slots) -> ExampleTargets:
+    """Per-example targets from one (context, target vector) pair per
+    example. An example's regression rows start at the running sum of the
+    dims of the examples before it, and its residue class is that start
+    modulo ``FOLDS``."""
+    order = list(dict.fromkeys(contexts))
+    members = {context: [] for context in order}
+    start = 0
+    for context, phi_hat in zip(contexts, phi_hats):
+        members[context].append((phi_hat, start % FOLDS))
+        start += spaces[context].dim
+    return ExampleTargets(
+        contexts=tuple(order),
+        blocks=tuple(np.stack([phi for phi, _ in members[c]]) for c in order),
+        residues=tuple(np.array([r for _, r in members[c]], dtype=np.int64) for c in order),
+        spaces=spaces,
+        features=features,
+        num_slots=num_slots,
+    )
+
+
+def decompose_reference(data, logging, source, features=None) -> ExampleTargets:
+    """``decompose``'s per-example targets: the sums
+    ``pinv[:, coords].sum(axis=2)`` of each logged slate's pseudoinverse
+    columns, times the reward, one row per example."""
     batch = LoggedBatch.from_examples(data)
-    blocks = []
+    targets = [None] * len(batch)
     for context, rows in batch.groups():
         pinv = source.pseudoinverse(logging, context)
         coords = logging.space_of(context).coords_of_actions(batch.actions[rows])
-        blocks.append(np.ascontiguousarray((pinv[:, coords].sum(axis=2) * batch.rewards[rows]).T))
-    return blocks
+        for row, target in zip(rows.tolist(), (pinv[:, coords].sum(axis=2) * batch.rewards[rows]).T):
+            targets[row] = target
+    contexts = [example.context for example in batch]
+    spaces = {context: logging.space_of(context) for context in contexts}
+    return example_targets(contexts, targets, spaces, features, batch.num_slots)
 
 
 def _design_matrix(space, context, features, feature_dim) -> np.ndarray:
@@ -182,28 +248,23 @@ def _design_matrix(space, context, features, feature_dim) -> np.ndarray:
     return _slot_design(space, _feature_table(space, context, features), feature_dim)
 
 
-def _fold_moments(targets, feature_dim, folds) -> FoldMoments:
+def _fold_moments(targets, feature_dim) -> FoldMoments:
     """Per-fold normal-equation moments of the regression rows, reading each
     context's feature table from the targets' feature map."""
     tables = [_feature_table(targets.spaces[c], c, targets.features) for c in targets.contexts]
-    return _table_moments(targets, tables, feature_dim, folds)
+    return _table_moments(targets, tables, feature_dim)
 
 
-def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:
+def fold_moments_reference(targets: ExampleTargets, feature_dim) -> FoldMoments:
     """Per-fold regression moments from per-(fold, coordinate) ``bincount``s
-    over every row of each target block, with the design matrix filled one
-    (slot, action) coordinate at a time from the context's feature table."""
+    over every row of each per-example target block, with the design matrix
+    filled one (slot, action) coordinate at a time from the context's
+    feature table."""
     width = targets.num_slots + feature_dim
-    dims = np.zeros(len(targets), dtype=np.int64)
-    for context, rows in zip(targets.contexts, targets.rows):
-        dims[rows] = targets.spaces[context].dim
-    starts = np.cumsum(dims) - dims
-
-    xtx = np.zeros((folds, width, width))
-    xty = np.zeros((folds, width))
-    yty = np.zeros(folds)
-    counts = np.zeros(folds)
-    for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
+    xtx = np.zeros((FOLDS, width, width))
+    xty = np.zeros((FOLDS, width))
+    counts = np.zeros(FOLDS)
+    for context, block, residues in zip(targets.contexts, targets.blocks, targets.residues):
         space = targets.spaces[context]
         table = targets.features(context)
         design = np.zeros((space.dim, width))
@@ -212,17 +273,40 @@ def fold_moments_reference(targets, feature_dim, folds) -> FoldMoments:
                 design[coord(space, j, a), j] = 1.0
                 design[coord(space, j, a), targets.num_slots:] = table[coord(space, j, a)]
         local = np.arange(space.dim)
-        keys = ((starts[rows, None] + local) % folds * space.dim + local).ravel()
-        size = folds * space.dim
-        values = block.ravel()
-        n_rows = np.bincount(keys, minlength=size).reshape(folds, space.dim)
-        sums = np.bincount(keys, weights=values, minlength=size).reshape(folds, space.dim)
-        squares = np.bincount(keys, weights=values * values, minlength=size)
+        keys = ((residues[:, None] + local) % FOLDS * space.dim + local).ravel()
+        size = FOLDS * space.dim
+        n_rows = np.bincount(keys, minlength=size).reshape(FOLDS, space.dim)
+        sums = np.bincount(keys, weights=block.ravel(), minlength=size).reshape(FOLDS, space.dim)
         xtx += (design.T * n_rows[:, None, :]) @ design
         xty += sums @ design
-        yty += squares.reshape(folds, space.dim).sum(axis=1)
         counts += n_rows.sum(axis=1)
-    return FoldMoments(xtx=xtx, xty=xty, yty=yty, counts=counts)
+    return FoldMoments(xtx=xtx, xty=xty, counts=counts)
+
+
+def greedy_slate(scorer, context, space, features) -> tuple[int, ...]:
+    """One context's greedy slate from the scorer's score table; see
+    ``slateval.optimization._greedy_slates`` for the rule."""
+    scores = scorer.score_tables((context,), space, features)
+    return space.validate(_greedy_slates(scores, space)[0])
+
+
+def kappa_of(logging, context, *, reference=None) -> float:
+    """Smallest ratio of pairwise slot-action probabilities to a reference.
+
+    The reference defaults to the uniform policy. The minimum runs over
+    the reference's positive cross-slot pairwise probabilities and is
+    clipped at 1. Single-slot spaces have no pairs, so the per-action
+    marginal ratios are used instead.
+    """
+    return float(_Overlaps(PinvSource(), logging, [context]).kappa(reference)[0])
+
+
+def write_logged_dataset(path, examples) -> None:
+    """Write examples in the tab-separated format ``read_logged_dataset`` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for ex in examples:
+            slate_text = ",".join(str(a) for a in ex.slate)
+            handle.write(f"{ex.context}\t{slate_text}\t{fmt(ex.reward)}\n")
 
 
 def greedy_reference(scores, space) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_explicit_policy
+from helpers import kappa_of, random_explicit_policy
 from slateval import (
     AbsoluteContinuityError,
     ConfigurationError,
@@ -14,7 +14,6 @@ from slateval import (
     compute_rho,
     compute_rho_bar,
     compute_sigma_sq,
-    kappa_of,
 )
 from slateval.diagnostics import OverlapProfile, kappa_uniform_rho_limit, overlap_profile
 

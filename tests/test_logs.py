@@ -7,9 +7,9 @@ from slateval import (
     SlateError,
     SlateSpace,
     read_logged_dataset,
-    write_logged_dataset,
 )
 from slateval.logs import _canonical_columns
+from helpers import write_logged_dataset
 
 
 def test_reward_range_enforced():

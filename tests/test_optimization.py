@@ -23,20 +23,21 @@ from slateval import (
     fit_scorer,
     fit_sup_scorer,
     generate_synthetic,
-    greedy_slate,
 )
 from helpers import (
     is_valid,
     _design_matrix,
     _fold_moments,
     decompose_reference,
+    example_targets,
     fold_moments_reference,
     greedy_reference,
+    greedy_slate,
     keyed_features,
 )
 from slateval import moments
 from slateval.moments import moment_matrix
-from slateval.optimization import DecomposedTargets, PointwiseScorer, _greedy_slates
+from slateval.optimization import FOLDS, DecomposedTargets, PointwiseScorer, _greedy_slates
 from slateval.ridge import fold_moments_from_rows, cv_select_alpha
 
 
@@ -44,29 +45,19 @@ def unit_features(space, dim=4, seed=0):
     return keyed_features(space, dim, seed)
 
 
-def per_example_targets(contexts, phi_hats, spaces, features, num_slots):
-    """Target blocks from one (context, target vector) pair per example:
-    one block per distinct context, its rows in example order."""
-    order = list(dict.fromkeys(contexts))
-    rows = [np.array([i for i, c in enumerate(contexts) if c == b]) for b in order]
-    return DecomposedTargets(
-        contexts=tuple(order),
-        rows=tuple(rows),
-        phi_hats=tuple(np.stack([phi_hats[i] for i in r]) for r in rows),
-        spaces=spaces,
-        features=features,
-        num_slots=num_slots,
-    )
-
-
 def test_decompose_uniform_ranking_worked_example():
+    """One example, starting at row 0, so class 0 holds its targets."""
     space = SlateSpace.ranking(2, 2)
     logging = UniformPolicy(space)
     logs = [LoggedExample("q", (0, 1), 1.0)]
     targets = decompose(logs, logging, features=unit_features(space))
     assert targets.contexts == ("q",) and len(targets) == 1
-    np.testing.assert_array_equal(targets.rows[0], [0])
-    np.testing.assert_allclose(targets.phi_hats[0], [[1.0, 0.0, 0.0, 1.0]], atol=1e-12)
+    np.testing.assert_array_equal(targets.counts[0], [1, 0, 0, 0, 0])
+    want = np.zeros((FOLDS, space.dim))
+    want[0] = [1.0, 0.0, 0.0, 1.0]
+    np.testing.assert_allclose(targets.phi_hats[0], want, atol=1e-12)
+    reference = decompose_reference(logs, logging, PinvSource())
+    np.testing.assert_allclose(reference.blocks[0], want[:1], atol=1e-12)
 
 
 def decompose_case(case):
@@ -94,15 +85,24 @@ def decompose_case(case):
 
 
 @pytest.mark.parametrize("case", ["uniform-ranking", "plackett-luce", "cartesian"])
-def test_decompose_blocks_equal_the_column_sum_reference_bitwise(case):
+def test_decompose_class_sums_equal_the_column_sum_reference(case):
+    """The class counts and target sums equal those of the per-example
+    column-sum targets; the ranking(6, 3) and cartesian (3, 2, 4) dims, 18
+    and 9, put the examples in every residue class."""
     space, logging, logs = decompose_case(case)
     source = PinvSource()
     targets = decompose(logs, logging, features=unit_features(space), pinv_source=source)
-    expected = decompose_reference(logs, logging, source)
-    assert len(targets.phi_hats) == len(expected) == 3
-    for block, want in zip(targets.phi_hats, expected):
-        assert block.flags.c_contiguous
-        assert np.array_equal(block, want)
+    expected = decompose_reference(logs, logging, source).summed()
+    assert targets.contexts == expected.contexts and len(targets.contexts) == 3
+    assert len(targets) == len(logs)
+    for counts, sums, want_counts, want_sums in zip(
+        targets.counts, targets.phi_hats, expected.counts, expected.phi_hats
+    ):
+        np.testing.assert_array_equal(counts, want_counts)
+        scale = np.abs(want_sums).max()
+        np.testing.assert_allclose(sums, want_sums, rtol=1e-12, atol=1e-12 * scale)
+    if space.dim % FOLDS:
+        assert all((counts > 0).all() for counts in targets.counts)
 
 
 def test_decompose_builds_the_missing_logging_records_of_a_space_together(monkeypatch):
@@ -151,12 +151,14 @@ def test_decompose_zero_reward_zero_targets():
     space = SlateSpace.ranking(3, 2)
     logging = UniformPolicy(space)
     targets = decompose([LoggedExample("q", (1, 2), 0.0)], logging, features=unit_features(space))
-    assert targets.phi_hats[0].shape == (1, space.dim)
+    assert targets.phi_hats[0].shape == (FOLDS, space.dim)
     assert np.all(targets.phi_hats[0] == 0.0)
+    np.testing.assert_array_equal(targets.counts[0], [1, 0, 0, 0, 0])
 
 
 def test_decomposed_targets_recover_reward_through_logging_mean():
-    """q_logging' phi_hat equals the logged reward, example by example."""
+    """q_logging' phi_hat equals the logged reward, example by example, so
+    q_logging' times a class's target sum equals the class's reward sum."""
     from helpers import mixture_logging_policy, make_ada_instance, draw_ada_logs
 
     instance = make_ada_instance(seed=4)
@@ -164,12 +166,20 @@ def test_decomposed_targets_recover_reward_through_logging_mean():
     logging = mixture_logging_policy(instance, 0.5, rng)
     logs = draw_ada_logs(instance, logging, 60, rng)
     targets = decompose(logs, logging, features=unit_features(instance.space))
-    assert sorted(np.concatenate(targets.rows).tolist()) == list(range(len(logs)))
-    for context, rows, block in zip(targets.contexts, targets.rows, targets.phi_hats):
+    reference = decompose_reference(logs, logging, PinvSource())
+    assert len(targets) == len(logs)
+    rewards = {}
+    for example in logs:
+        rewards.setdefault(example.context, []).append(example.reward)
+    assert targets.contexts == reference.contexts == tuple(rewards)
+    parts = zip(targets.contexts, targets.counts, targets.phi_hats, reference.blocks)
+    for (context, counts, sums, block), residues in zip(parts, reference.residues):
         q = logging.mean_indicator(context)
-        for i, phi_hat in zip(rows, block):
-            assert logs[i].context == context
-            assert q @ phi_hat == pytest.approx(logs[i].reward, abs=1e-10)
+        own = np.array(rewards[context])
+        np.testing.assert_allclose(block @ q, own, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(counts, np.bincount(residues, minlength=FOLDS))
+        want = [own[residues == r].sum() for r in range(FOLDS)]
+        np.testing.assert_allclose(sums @ q, want, rtol=0, atol=1e-10)
 
 
 def test_decompose_mean_converges_to_projected_values():
@@ -191,8 +201,8 @@ def test_decompose_mean_converges_to_projected_values():
         slate = logging.sample("q", rng)
         logs.append(LoggedExample("q", slate, reward(slate)))
     targets = decompose(logs, logging, features=unit_features(space))
-    assert targets.phi_hats[0].shape == (n, space.dim)
-    mean_phi_hat = np.mean(targets.phi_hats[0], axis=0)
+    assert len(targets) == n and targets.phi_hats[0].shape == (FOLDS, space.dim)
+    mean_phi_hat = targets.phi_hats[0].sum(axis=0) / n
 
     theta = np.zeros(space.dim)
     for slate, p in logging.support("q"):
@@ -206,14 +216,10 @@ def test_decompose_mean_converges_to_projected_values():
 def test_fit_scorer_constant_targets():
     space = SlateSpace.ranking(3, 2)
     features = unit_features(space)
-    targets = DecomposedTargets(
-        contexts=tuple(f"q{i}" for i in range(100)),
-        rows=tuple(np.array([i]) for i in range(100)),
-        phi_hats=tuple(np.full((1, space.dim), 0.7) for _ in range(100)),
-        spaces={f"q{i}": space for i in range(100)},
-        features=features,
-        num_slots=2,
-    )
+    contexts = [f"q{i}" for i in range(100)]
+    phi_hats = [np.full(space.dim, 0.7) for _ in contexts]
+    spaces = {c: space for c in contexts}
+    targets = example_targets(contexts, phi_hats, spaces, features, 2).summed()
     scorer = fit_scorer(targets)
     for context in ("q0", "q5"):
         table = scorer.score_tables((context,), space, features)[0]
@@ -230,14 +236,8 @@ def test_fit_scorer_recovers_noiseless_linear_targets():
     for context in contexts:
         design = _design_matrix(space, context, features, 3)
         phi_hats.append(design @ np.concatenate([slot_offsets, true_w]))
-    targets = DecomposedTargets(
-        contexts=contexts,
-        rows=tuple(np.array([i]) for i in range(len(contexts))),
-        phi_hats=tuple(phi[None, :] for phi in phi_hats),
-        spaces={c: space for c in contexts},
-        features=features,
-        num_slots=2,
-    )
+    spaces = {c: space for c in contexts}
+    targets = example_targets(contexts, phi_hats, spaces, features, 2).summed()
     scorer = fit_scorer(targets, alphas=(1e-6,))
     np.testing.assert_allclose(scorer.feature_weights(), true_w, atol=1e-6)
     np.testing.assert_allclose(scorer.slot_weights(), slot_offsets, atol=1e-6)
@@ -263,14 +263,14 @@ def test_fit_scorer_fold_moments_match_row_reference():
     for spaces in (same_dims, mixed_dims):
         rng = np.random.default_rng(6)
         phi_hats = tuple(rng.normal(size=spaces[c].dim) for c in contexts)
-        targets = per_example_targets(contexts, phi_hats, spaces, features, 2)
+        targets = example_targets(contexts, phi_hats, spaces, features, 2).summed()
         scorer = fit_scorer(targets, alphas=(0.1,))
 
         rows = np.vstack([_design_matrix(spaces[c], c, features, 2) for c in contexts])
         values = np.concatenate(phi_hats)
-        moments = fold_moments_from_rows(rows, values, folds=5)
-        streamed = _fold_moments(targets, 2, folds=5)
-        for name in ("xtx", "xty", "yty", "counts"):
+        moments = fold_moments_from_rows(rows, values, folds=FOLDS)
+        streamed = _fold_moments(targets, 2)
+        for name in ("xtx", "xty", "counts"):
             np.testing.assert_allclose(
                 getattr(streamed, name), getattr(moments, name), rtol=1e-12, atol=1e-12
             )
@@ -285,34 +285,32 @@ def test_decomposed_targets_reject_malformed_blocks():
     space = SlateSpace.ranking(3, 2)
     features = unit_features(space)
 
-    def build(rows, blocks):
+    def build(contexts, counts, sums):
         return DecomposedTargets(
-            contexts=("a", "b"), rows=rows, phi_hats=blocks,
+            contexts=contexts, counts=counts, phi_hats=sums,
             spaces={"a": space, "b": space}, features=features, num_slots=2,
         )
 
-    assert len(build((np.array([0, 2]), np.array([1])), (np.zeros((2, 6)), np.zeros((1, 6))))) == 3
-    for rows, blocks in (
-        ((np.array([0, 2]), np.array([2])), (np.zeros((2, 6)), np.zeros((1, 6)))),  # repeat
-        ((np.array([0, 3]), np.array([1])), (np.zeros((2, 6)), np.zeros((1, 6)))),  # gap
-        ((np.array([0, 2]), np.array([1])), (np.zeros((2, 6)), np.zeros((1, 5)))),  # shape
+    two = np.array([1, 0, 1, 0, 0])
+    assert len(build(("a", "b"), (two, two[::-1]), (np.zeros((5, 6)),) * 2)) == 4
+    for contexts, counts, sums in (
+        ((), (), ()),  # empty
+        (("a", "b"), (two, two), (np.zeros((5, 6)), np.zeros((5, 5)))),  # sums shape
+        (("a", "b"), (two, two), (np.zeros((5, 6)), np.zeros((4, 6)))),  # sums classes
+        (("a", "b"), (two, two[:4]), (np.zeros((5, 6)),) * 2),  # counts shape
+        (("a", "b"), (two,), (np.zeros((5, 6)),) * 2),  # counts missing
+        (("a", "b"), (two, two), (np.zeros((5, 6)),)),  # sums missing
     ):
-        with pytest.raises(ConfigurationError, match="exactly once"):
-            build(rows, blocks)
+        with pytest.raises(ConfigurationError, match=r"\(5, dim\) sums and \(5,\) counts"):
+            build(contexts, counts, sums)
 
 
 def test_fit_scorer_deterministic():
     space = SlateSpace.ranking(3, 2)
     features = unit_features(space, dim=2, seed=7)
     rng = np.random.default_rng(7)
-    targets = DecomposedTargets(
-        contexts=("a",),
-        rows=(np.arange(20),),
-        phi_hats=(rng.normal(size=(20, space.dim)),),
-        spaces={"a": space},
-        features=features,
-        num_slots=2,
-    )
+    phi_hats = rng.normal(size=(20, space.dim))
+    targets = example_targets(["a"] * 20, phi_hats, {"a": space}, features, 2).summed()
     first = fit_scorer(targets)
     second = fit_scorer(targets)
     np.testing.assert_array_equal(first.weights, second.weights)
@@ -437,35 +435,38 @@ def test_sup_scorer_slates_sort_by_predicted_gain():
     assert slate == expected
 
 
-def fold_moment_inputs():
-    """The same-dims and mixed-dims target sets of the row-reference test,
-    plus a decomposed log with many rows per context block."""
-    # one map for both space sets: its tables follow the set in use
-    features = unit_features(lambda c: spaces[c], dim=2, seed=6)
+def fold_moment_input(case):
+    """The same-dims or mixed-dims target set of the row-reference test, or
+    a log over the mixed dims with many rows per context."""
     contexts = tuple(f"q{i % 3}" for i in range(11))
-    same_dims = {c: SlateSpace.ranking(3, 2) for c in contexts}
-    mixed_dims = {
-        "q0": SlateSpace.ranking(3, 2),
-        "q1": SlateSpace.ranking(4, 2),
-        "q2": SlateSpace.cartesian((2, 3)),
-    }
-    for spaces in (same_dims, mixed_dims):
+    if case == "same-dims":
+        spaces = {c: SlateSpace.ranking(3, 2) for c in contexts}
+    else:
+        spaces = {
+            "q0": SlateSpace.ranking(3, 2),
+            "q1": SlateSpace.ranking(4, 2),
+            "q2": SlateSpace.cartesian((2, 3)),
+        }
+    features = unit_features(spaces.__getitem__, dim=2, seed=6)
+    if case == "many-rows":
+        rng = np.random.default_rng(8)
+        contexts = [f"q{i}" for i in rng.integers(0, 3, size=400)]
+        phi_hats = [rng.normal(size=spaces[c].dim) * 10.0 ** rng.uniform(-3, 3) for c in contexts]
+    else:
         rng = np.random.default_rng(6)
         phi_hats = tuple(rng.normal(size=spaces[c].dim) for c in contexts)
-        yield per_example_targets(contexts, phi_hats, spaces, features, 2)
-    rng = np.random.default_rng(8)
-    contexts = [f"q{i}" for i in rng.integers(0, 3, size=400)]
-    phi_hats = [rng.normal(size=mixed_dims[c].dim) * 10.0 ** rng.uniform(-3, 3) for c in contexts]
-    yield per_example_targets(contexts, phi_hats, mixed_dims, features, 2)
+    return example_targets(contexts, phi_hats, spaces, features, 2)
 
 
-@pytest.mark.parametrize("folds", [2, 3, 5])
-def test_fold_moments_equal_bincount_reference_exactly(folds):
-    for targets in fold_moment_inputs():
-        got = _fold_moments(targets, 2, folds)
-        want = fold_moments_reference(targets, 2, folds)
-        for name in ("xtx", "xty", "yty", "counts"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+@pytest.mark.parametrize("case", ["same-dims", "mixed-dims", "many-rows"])
+def test_fold_moments_equal_bincount_reference_exactly(case):
+    """The moments from the class sums equal per-(fold, coordinate)
+    bincounts over every per-example row, bit for bit."""
+    targets = fold_moment_input(case)
+    got = _fold_moments(targets.summed(), 2)
+    want = fold_moments_reference(targets, 2)
+    for name in ("xtx", "xty", "counts"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize(
@@ -604,7 +605,7 @@ def test_feature_map_is_read_once_per_context_per_call():
     assert not counting.calls
     for _ in range(2):
         counting.calls.clear()
-        scorer = fit_scorer(targets, folds=3)
+        scorer = fit_scorer(targets)
         assert counting.calls == {c: 1 for c in targets.contexts}
     for _ in range(2):
         counting.calls.clear()

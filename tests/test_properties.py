@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_explicit_policy
+from helpers import (
+    _design_matrix,
+    _fold_moments,
+    decompose_reference,
+    keyed_features,
+    random_explicit_policy,
+    write_logged_dataset,
+)
 from slateval import (
     DeterministicPolicy,
     ExplicitPolicy,
@@ -25,17 +32,20 @@ from slateval import (
     compute_rho,
     compute_rho_bar,
     compute_sigma_sq,
+    decompose,
     estimate_ips,
     estimate_pi,
     estimate_wips,
+    fit_scorer,
     load_explicit_policy,
     parse_letor,
     read_logged_dataset,
-    write_logged_dataset,
 )
 from slateval.letor import _canonical_columns as _letor_canonical
 from slateval.letor import _text_columns as _letor_text_columns
 from slateval.logs import _canonical_columns, _text_columns
+from slateval.optimization import FOLDS
+from slateval.ridge import cv_select_alpha, fold_moments_from_rows, solve_ridge
 from slateval.spaces import space_of
 from slateval.util import pairwise_sum
 
@@ -364,6 +374,66 @@ def test_moment_records_do_not_depend_on_which_contexts_share_a_stack(case):
 
 
 # -- the bulk TSV readers against the per-line loops they replaced -------------
+
+
+# two-slot spaces of dims 6, 7, 8, 9, 12 and 11: none a multiple of FOLDS, so
+# the examples' fold residue classes vary with the dims before them
+TWO_SLOT_SPACES = (
+    SlateSpace.ranking(3, 2),
+    SlateSpace.cartesian((3, 4)),
+    SlateSpace.ranking(4, 2),
+    SlateSpace.cartesian((4, 5)),
+    SlateSpace.ranking(6, 2),
+    SlateSpace.cartesian((2, 9)),
+)
+
+
+@st.composite
+def mixed_space_logs(draw):
+    """Uniformly logged examples over contexts of at least two spaces of
+    different dims, with rewards in [-1, 1]."""
+    picked = draw(
+        st.lists(st.sampled_from(TWO_SLOT_SPACES), min_size=2, max_size=6).filter(
+            lambda picked: len({space.dim for space in picked}) > 1
+        )
+    )
+    spaces = {f"x{i}": space for i, space in enumerate(picked)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logging = UniformPolicy(spaces)
+    logs = []
+    for context in rng.choice(list(spaces), size=draw(st.integers(10, 120))).tolist():
+        logs.append(LoggedExample(context, logging.sample(context, rng), rng.uniform(-1, 1)))
+    return logs, logging, spaces, keyed_features(spaces.__getitem__, 3, rng.integers(1 << 31))
+
+
+@PROPERTY_SETTINGS
+@given(mixed_space_logs())
+def test_pi_scorer_from_class_sums_equals_the_fit_on_example_rows(case):
+    """The fit from per-context class sums picks the alpha and the weights
+    of a ridge fit on the materialized example-major regression rows. The
+    per-fold moments are compared too, since a fold misassignment leaves the
+    full-data weights as they are."""
+    logs, logging, spaces, features = case
+    summed = decompose(logs, logging, features=features)
+    scorer = fit_scorer(summed)
+
+    reference = decompose_reference(logs, logging, PinvSource())
+    targets = {c: iter(block) for c, block in zip(reference.contexts, reference.blocks)}
+    X = np.vstack([_design_matrix(spaces[ex.context], ex.context, features, 3) for ex in logs])
+    y = np.concatenate([next(targets[ex.context]) for ex in logs])
+    moments = fold_moments_from_rows(X, y, folds=FOLDS)
+    penalize = np.ones(X.shape[1])
+    alpha = cv_select_alpha(moments, penalize)
+    weights = solve_ridge(moments.xtx.sum(axis=0), moments.xty.sum(axis=0), alpha, penalize)
+
+    got = _fold_moments(summed, 3)
+    for name in ("xtx", "xty", "counts"):
+        want = getattr(moments, name)
+        np.testing.assert_allclose(
+            getattr(got, name), want, rtol=1e-10, atol=1e-10 * np.abs(want).max()
+        )
+    assert scorer.alpha == alpha
+    assert np.abs(scorer.weights - weights).max() <= 1e-10 * np.abs(weights).max()
 
 
 def reference_read_logs(path):
