@@ -25,9 +25,9 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import AbsoluteContinuityError, ConfigurationError
-from .moments import PinvSource, context_runs
+from .moments import PinvSource
 from .policies import Policy, UniformPolicy, positions_by_space
-from .util import fmt
+from .util import block_runs, fmt
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def _require_space(policy: Policy, context, space, role: str) -> None:
 class _Overlaps:
     """The logging policy's overlaps at a list of contexts, each diagnostic
     one array over them in order, reduced per run of the contexts of one
-    logging space (``moments.context_runs``) from stacks of the rows of the
-    moment store."""
+    logging space (``util.block_runs``, at dim² cells a context) from stacks
+    of the rows of the moment store."""
 
     def __init__(self, source: PinvSource, logging: Policy, contexts, target: Policy | None = None):
         if len(contexts) == 0:
@@ -86,7 +86,7 @@ class _Overlaps:
         self.runs = [
             (space, run, [self.contexts[i] for i in run])
             for space, positions in by_space
-            for lo, hi in context_runs(len(positions), space.dim)
+            for lo, hi in block_runs(len(positions), space.dim**2)
             for run in [positions[lo:hi]]
         ]
 

@@ -41,11 +41,11 @@ from .errors import (
     UndefinedEstimateError,
 )
 from .logs import LoggedBatch, LoggedExample, SemibanditExample
-from .moments import PinvSource, context_runs
-from .policies import Policy
+from .moments import PinvSource
+from .policies import Policy, positions_by_space
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .spaces import SlateSpace, space_of
-from .util import fmt, pairwise_sum
+from .util import block_runs, fmt, pairwise_sum
 
 # features(context) -> (space.dim, feature_dim) table: one row per (slot,
 # action) coordinate of the context's space, slot-major action-minor. The
@@ -108,12 +108,14 @@ def _require_data(data: Sequence[LoggedExample]) -> None:
 class _ScoredBatch:
     """One scoring pass of a logged batch under a (logging, target) pair.
 
-    The constructor groups the batch's contexts by logging space, in runs
-    of bounded stack size (``moments.context_runs``). Per group it validates the rows once (unless the batch was read and checked on
-    that space) and scores them with one row-level call of the logging
+    The constructor groups the batch's contexts by logging space
+    (``positions_by_space``) and splits each space's contexts into runs of
+    bounded stack size (``util.block_runs``, at dim² cells a context). Per
+    run it validates the rows once (unless the batch was read and checked
+    on that space) and scores them with one row-level call of the logging
     policy; a zero logging propensity is always an error (an
     absolute-continuity violation if the target puts mass on the slate, else
-    a record that contradicts the stated logging policy). The group then
+    a record that contradicts the stated logging policy). The run then
     fills only what the named estimators reduce:
 
     - ``weights``: whole-slate importance weights, from one row-level call
@@ -124,13 +126,14 @@ class _ScoredBatch:
     - ``slot_weights``: per-slot ratios of target to logging marginals (sb,
       wsb).
 
-    ``q``, ``w``, ``w' q`` and the marginals are computed per group as
+    ``q``, ``w``, ``w' q`` and the marginals are computed per run as
     (contexts x dim) stacks, ``w`` and ``w' q`` by one batched product with
-    the stacked pseudoinverses, and gathered for the rows; pi, sb and wsb need
-    the target on the logging space at every context (ConfigurationError
-    otherwise), while ips and wips score other spaces. If any group fails,
-    the contexts are scored again one at a time in batch order, so the error
-    raised is the one of the first failing context, and of its first row.
+    the stacked pseudoinverses, and gathered for the rows; pi, sb and wsb
+    need the target on the logging space at every context
+    (ConfigurationError otherwise), while ips and wips score other spaces.
+    If any run fails, the contexts are scored again one at a time in batch
+    order, so the error raised is the one of the first failing context, and
+    of its first row.
     Each estimator method is a reduction over these per-example arrays.
     """
 
@@ -161,12 +164,10 @@ class _ScoredBatch:
         self.quad = np.empty(n) if self.want_pi else None
         self.slot_weights = np.empty(batch.actions.shape) if self.want_slots else None
         try:
-            spaces: dict = {}
-            for context, rows in batch.groups():
-                spaces.setdefault(logging.space_of(context), []).append((context, rows))
-            for space, members in spaces.items():
-                for lo, hi in context_runs(len(members), space.dim):
-                    self._score(space, members[lo:hi])
+            groups = batch.groups()
+            for space, positions in positions_by_space(logging, [c for c, _ in groups]):
+                for lo, hi in block_runs(len(positions), space.dim**2):
+                    self._score(space, [groups[i] for i in positions[lo:hi]])
         except Exception:
             # whatever failed, the first context to fail alone raises first
             for context, rows in batch.groups():

@@ -19,10 +19,10 @@ depend on which contexts share its stack.
 ``PinvSource`` keeps one stacked moment store per (logging policy, space),
 one row per context with its matrix, pseudoinverse, rank, cutoff,
 provenance and sample count, filled in stacked builds of bounded size
-(``context_runs``); under uniform logging one closed-form row per space
-serves every context. The estimators, the optimizer and the diagnostics
-all read it by one fancy index (or a broadcast of that row), over runs of
-the same bound.
+(``util.block_runs``, at dim² cells a context); under uniform logging one
+closed-form row per space serves every context. The estimators, the
+optimizer and the diagnostics all read it by one fancy index (or a
+broadcast of that row), over runs of the same bound.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ import numpy as np
 from .errors import SlateError
 from .policies import ContextColumns, MomentArrays, Policy, UniformMixturePolicy
 from .spaces import SlateSpace, SpaceKind
+from .util import block_runs
 
 DEFAULT_RCOND = 1e-10
 SYMMETRY_TOL = 1e-8
-STACK_CELLS = 1 << 18  # bounds one (contexts, dim, dim) stack: 2 MB of float64
 
 
 class Provenance(Enum):
@@ -242,14 +242,6 @@ def pinv_uniform(space: SlateSpace) -> PseudoInverse:
     return pinv_uniform_ranking(space)
 
 
-def context_runs(n: int, dim: int) -> list[tuple[int, int]]:
-    """Runs [lo, hi) of n contexts whose (contexts, dim, dim) stacks hold at
-    most ``STACK_CELLS`` cells each (or one context): what a stacked build
-    or product takes at a time, so its temporaries stay bounded."""
-    step = max(1, STACK_CELLS // dim**2)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 class PinvSource:
     """One moment store per key: the space where the policy is uniform,
     whose one closed-form row serves every uniform policy on it, and
@@ -263,8 +255,8 @@ class PinvSource:
     def moments(self, policy: Policy, contexts) -> tuple[ContextColumns, np.ndarray]:
         """The store of the moments at contexts on one space and each
         context's row in it: all 0 in the one-row store when the policy is
-        uniform. The missing contexts are built together, as stacks of at
-        most ``STACK_CELLS`` cells."""
+        uniform. The missing contexts are built together, in stacks of
+        bounded size (``util.block_runs``, at dim² cells a context)."""
         space = policy.space_of(contexts[0])
         store = self._stores[space if policy.uniform else (policy, space)]
         if policy.uniform:
@@ -276,7 +268,7 @@ class PinvSource:
                 )
             return store, np.zeros(len(contexts), dtype=np.int64)
         missing = store.missing(contexts)
-        for lo, hi in context_runs(len(missing), space.dim):
+        for lo, hi in block_runs(len(missing), space.dim**2):
             matrices = moment_matrix(policy, missing[lo:hi], space)
             pinvs = pinv_numeric(matrices)
             store.append(

@@ -29,7 +29,7 @@ from .errors import ConfigurationError, SlateError
 from .estimators import FeatureMap, _feature_table
 from .logs import LoggedBatch, LoggedExample
 from .moments import PinvSource
-from .policies import Policy, positions_by_space, row_runs
+from .policies import Policy, positions_by_space
 from .ridge import (
     DEFAULT_ALPHAS,
     FoldMoments,
@@ -40,8 +40,8 @@ from .ridge import (
     solve_ridge,
 )
 from .spaces import SlateSpace, SpaceKind
+from .util import block_runs
 
-RUN_ROWS = 1 << 12  # bounds the rows one step of decompose or of the greedy scoring holds
 FOLDS = 5  # cross-validation folds of the PI scorer's ridge fit
 
 
@@ -93,14 +93,15 @@ def decompose(
     """Reward decomposition through the logging pseudoinverse, summed per
     context and fold residue class.
 
-    Works one space at a time, in runs of at most ``RUN_ROWS`` rows: one
-    ``validate_batch`` and one ``coords_of_actions`` serve all of a run's
-    contexts. A failing check is redone context by context in batch order,
-    so the error names the first failing context. One reward-weighted
-    ``bincount`` of the run's logged coordinates gives each context's
-    ``(FOLDS, dim)`` class sums ``B`` of ``r_i 1_{s_i}``, and its targets
-    are ``B @ P.T`` with the pseudoinverse ``P`` of its moment store row:
-    the paper's ``r_i P 1_{s_i}``, summed before the product.
+    Works one space at a time, in runs of contexts at rows x slots cells a
+    context (``util.block_runs``): one ``validate_batch`` and one
+    ``coords_of_actions`` serve all of a run's contexts. A failing check is
+    redone context by context in batch order, so the error names the first
+    failing context. One reward-weighted ``bincount`` of the run's logged
+    coordinates gives each context's ``(FOLDS, dim)`` class sums ``B`` of
+    ``r_i 1_{s_i}``, and its targets are ``B @ P.T`` with the pseudoinverse
+    ``P`` of its moment store row: the paper's ``r_i P 1_{s_i}``, summed
+    before the product.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot decompose an empty dataset")
@@ -121,8 +122,8 @@ def decompose(
     for (space, positions), (store, store_rows) in zip(by_space, stores):
         pinv = store.column("pinv")
         space_rows = [groups[i][1] for i in positions]
-        bounds = np.concatenate([[0], np.cumsum([len(rows) for rows in space_rows])])
-        for lo, hi in row_runs(bounds, RUN_ROWS):
+        sizes = np.array([len(rows) for rows in space_rows])
+        for lo, hi in block_runs(len(sizes), sizes * space.num_slots):
             rows = np.concatenate(space_rows[lo:hi])
             try:
                 coords = space.coords_of_actions(space.validate_batch(batch.actions[rows]))
@@ -131,7 +132,7 @@ def decompose(
                     spaces[context].validate_batch(batch.actions[own], context)
                 raise
             # one key per example: its context's place in the run, then its class
-            keys = np.repeat(np.arange(hi - lo) * FOLDS, np.diff(bounds[lo : hi + 1]))
+            keys = np.repeat(np.arange(hi - lo) * FOLDS, sizes[lo:hi])
             keys += residues[rows]
             run_counts = np.bincount(keys, minlength=(hi - lo) * FOLDS).reshape(-1, FOLDS)
             cells = (keys * space.dim)[:, None] + coords
@@ -285,17 +286,17 @@ def evaluate_learned(scorer, instance, contexts=None) -> float:
     call, ``scorer.score_tables(contexts, space, features)`` (a
     ``PointwiseScorer`` through one stacked product). Each space's contexts
     are scored, built by one greedy pass and checked by one
-    ``validate_batch``, in runs of at most ``RUN_ROWS`` (slot, action)
-    rows; the NDCG values are then summed in the caller's context order.
+    ``validate_batch``, in runs of contexts at dim (slot, action) rows a
+    context (``util.block_runs``); the NDCG values are then summed in the
+    caller's context order.
     """
     contexts = tuple(instance.contexts if contexts is None else contexts)
     if not contexts:
         raise ConfigurationError("cannot evaluate a scorer over no contexts")
     slates = [None] * len(contexts)
     for space, positions in positions_by_space(instance, contexts):
-        step = max(1, RUN_ROWS // space.dim)
-        for lo in range(0, len(positions), step):
-            run = positions[lo : lo + step]
+        for lo, hi in block_runs(len(positions), space.dim):
+            run = positions[lo:hi]
             scores = scorer.score_tables([contexts[i] for i in run], space, instance.features)
             for i, slate in zip(run, space.validate_batch(_greedy_slates(scores, space))):
                 slates[i] = slate

@@ -30,7 +30,9 @@ context holding its place in them and their indicator sums (one bincount
 per slot): the mean indicators (``mean_indicators``) are one fancy index
 of that column, and the second-moment matrices and the overlap
 diagnostics read the rows; the one-context methods (``moment_arrays``,
-``mean_indicator``) are the N = 1 case.
+``mean_indicator``) are the N = 1 case. Scoring, support listing, sorting
+and the reductions over the rows take their contexts or rows in runs
+within the one block budget (``util.block_runs``).
 
 All policies are immutable after construction; their moment stores are
 fill-once.
@@ -51,16 +53,13 @@ import numpy as np
 from .errors import ConfigurationError, ContextLookupError, SlateError
 from .logs import _invalid_slate, _raise_invalid_slate, _read_tsv_columns, group_rows
 from .spaces import Slate, SlateSpace, SpaceKind, space_of
-from .util import context_rng
+from .util import block_runs, context_rng
 
 DEFAULT_ENUMERATION_CAP = 100_000
 DEFAULT_MC_SAMPLES = 100_000
 
 PROB_SUM_TOL = 1e-9
 LOAD_DRIFT_TOL = 1e-6
-PL_CHUNK_ELEMENTS = 1 << 20  # bounds the (rows, pool) temporaries of one batch
-STACK_ROWS = 1 << 16  # bounds the whole-space rows one support-listing call scores
-SORT_CELLS = 1 << 15  # bounds the (rows, pool) keys one argsort of a batched draw takes
 
 
 @dataclass(frozen=True)
@@ -90,26 +89,15 @@ class MomentArrays:
         return MomentArrays(self.actions[lo:hi], self.probs[lo:hi], self.exact, bounds)
 
     def chunks(self) -> Iterator[tuple[int, int, "MomentArrays"]]:
-        """The ``row_runs`` [lo, hi) of the contexts and their rows as views:
-        what a reduction over the rows takes at a time, so its temporaries
-        stay bounded."""
-        for lo, hi in row_runs(self.bounds):
+        """Runs [lo, hi) of the contexts and their rows as views: what a
+        reduction over the rows takes at a time, at rows x slots cells a
+        context (``util.block_runs``)."""
+        sizes = np.diff(self.bounds) * self.actions.shape[1]
+        for lo, hi in block_runs(len(sizes), sizes):
             a, b = self.bounds[lo], self.bounds[hi]
             yield lo, hi, MomentArrays(
                 self.actions[a:b], self.probs[a:b], self.exact, self.bounds[lo : hi + 1] - a
             )
-
-
-def row_runs(bounds: np.ndarray, limit: int = STACK_ROWS) -> Iterator[tuple[int, int]]:
-    """Runs [lo, hi) of consecutive contexts, context i owning rows
-    ``bounds[i]:bounds[i + 1]``, each run with at most ``limit`` rows (or
-    one context)."""
-    lo, n = 0, len(bounds) - 1
-    while lo < n:
-        last = int(np.searchsorted(bounds, bounds[lo] + limit, "right")) - 1
-        hi = max(lo + 1, last)
-        yield lo, hi
-        lo = hi
 
 
 def _offsets(counts) -> np.ndarray:
@@ -268,17 +256,17 @@ class Policy:
         on ``space``, and their probabilities, context after context; None
         when the policy does not list them.
 
-        The default scores the whole space at every context, at most
-        ``STACK_ROWS`` rows per call, so it lists the supports only when
-        the space has at most ``enumeration_cap`` slates.
+        The default scores the whole space at every context, in runs of
+        contexts at len(slates) rows a context (``util.block_runs``), so it
+        lists the supports only when the space has at most
+        ``enumeration_cap`` slates.
         """
         if space.num_slates() > self.enumeration_cap:
             return None
         slates = space.slate_array()
-        step = max(1, STACK_ROWS // len(slates))
         probs = []
-        for start in range(0, len(contexts), step):
-            chunk = contexts[start : start + step]
+        for lo, hi in block_runs(len(contexts), len(slates)):
+            chunk = contexts[lo:hi]
             codes = np.repeat(np.arange(len(chunk)), len(slates))
             probs.append(self._slate_prob_rows(chunk, codes, np.tile(slates, (len(chunk), 1))))
         return _positive_rows(slates, np.concatenate(probs).reshape(len(contexts), -1))
@@ -750,10 +738,8 @@ class MultinomialWoRPolicy(Policy):
                 # 0 - log(m) - log(m - 1) - ..., the same bits; score one
                 at, group = at[:1], group[:1]
             out = np.empty(len(group))
-            step = max(1, PL_CHUNK_ELEMENTS // logits.shape[1])
-            for start in range(0, len(group), step):
-                chunk = slice(start, start + step)
-                out[chunk] = np.exp(_plackett_luce_log_probs(logits[at[chunk]], group[chunk]))
+            for lo, hi in block_runs(len(group), logits.shape[1]):
+                out[lo:hi] = np.exp(_plackett_luce_log_probs(logits[at[lo:hi]], group[lo:hi]))
             probs[rows] = out
         return probs
 
@@ -761,12 +747,11 @@ class MultinomialWoRPolicy(Policy):
         if space.num_slates() > self.enumeration_cap:
             return None
         slates = space.slate_array()
-        step = max(1, STACK_ROWS // len(slates))
         log_probs = [
             _plackett_luce_prefix_log_probs(
-                np.stack([self.action_logits(c) for c in contexts[start : start + step]]), slates
+                np.stack([self.action_logits(c) for c in contexts[lo:hi]]), slates
             )
-            for start in range(0, len(contexts), step)
+            for lo, hi in block_runs(len(contexts), len(slates))
         ]
         return _positive_rows(slates, np.exp(np.concatenate(log_probs)))
 
@@ -785,8 +770,8 @@ def _ranked_rows(spaces, counts, draw, logits=None) -> np.ndarray:
     num_actions) draw per context. Each row's slate is its first
     ``num_slots`` actions in stable ascending order of the noise, or, given
     each context's ``logits``, in stable descending order of logits + noise.
-    Consecutive contexts on one space are drawn and sorted together,
-    ``SORT_CELLS`` keys at a time, so the keys stay small.
+    Consecutive contexts on one space are drawn and sorted together, in
+    blocks of rows at ``num_actions`` keys a row (``util.block_runs``).
     """
     first = spaces[0]
     if spaces.count(first) != len(spaces):
@@ -801,15 +786,13 @@ def _ranked_rows(spaces, counts, draw, logits=None) -> np.ndarray:
             for run in runs
         ])
     m, total = first.num_actions, int(sum(counts))
-    step = max(1, SORT_CELLS // m)
     if logits is not None:
         stack, codes = np.stack(logits), np.repeat(np.arange(len(logits)), counts)
-    blocks = []
-    for start in range(0, max(total, 1), step):  # one empty block for no rows
-        size = min(step, total - start)
-        keys = None if logits is None else stack[codes[start : start + size]]
-        blocks.append(_top_slots(draw(size=(size, m)), keys, first.num_slots))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    slates = np.empty((total, first.num_slots), dtype=np.int64)
+    for lo, hi in block_runs(total, m):
+        keys = None if logits is None else stack[codes[lo:hi]]
+        slates[lo:hi] = _top_slots(draw(size=(hi - lo, m)), keys, first.num_slots)
+    return slates
 
 
 def _top_slots(noise: np.ndarray, logits: np.ndarray | None, num_slots: int) -> np.ndarray:
@@ -819,7 +802,7 @@ def _top_slots(noise: np.ndarray, logits: np.ndarray | None, num_slots: int) -> 
     if logits is not None:
         logits += noise
         noise = np.negative(logits, out=logits)
-    return noise.argsort(axis=1, kind="stable")[:, :num_slots].copy()
+    return noise.argsort(axis=1, kind="stable")[:, :num_slots]
 
 
 def _plackett_luce_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:

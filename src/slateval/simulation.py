@@ -38,16 +38,10 @@ from .estimators import (  # estimate_sb and estimate_wsb are re-exported
 from .letor import RankingDataset
 from .logs import LoggedBatch, SemibanditExample  # SemibanditExample is re-exported
 from .moments import PinvSource
-from .policies import (
-    DeterministicPolicy,
-    MultinomialWoRPolicy,
-    Policy,
-    positions_by_space,
-    row_runs,
-)
+from .policies import DeterministicPolicy, MultinomialWoRPolicy, Policy, positions_by_space
 from .ridge import add_intercept, fit_ridge_cv, intercept_penalty_mask
 from .spaces import SlateSpace
-from .util import fmt, pairwise_sum
+from .util import block_runs, fmt, pairwise_sum
 
 KNOWN_ESTIMATORS = ("pi", "ips", "wips", "dm", "onpolicy", "sb", "wsb")
 
@@ -287,11 +281,11 @@ def draw_logs(
 
     Contexts are sampled uniformly (optionally restricted to a subset).
     The slates of the drawn contexts come from ``Policy.sample_rows`` in
-    runs of at most ``STACK_ROWS`` rows, contexts in pool order with each
-    context's rows together: the stream of one ``sample_batch`` call per
-    context, so it is deterministic given the generator state. The batch
-    carries each example's per-slot values, gathered from the contexts'
-    intrinsic values.
+    runs of contexts at rows x slots cells a context (``util.block_runs``),
+    in pool order with each context's rows together: the stream of one
+    ``sample_batch`` call per context, so it is deterministic given the
+    generator state. The batch carries each example's per-slot values,
+    gathered from the contexts' intrinsic values.
     """
     pool = tuple(instance.contexts if contexts is None else contexts)
     picks = rng.integers(0, len(pool), size=n)
@@ -302,7 +296,7 @@ def draw_logs(
     num_slots = instance.space_of(pool[0]).num_slots
     actions = np.empty((n, num_slots), dtype=np.int64)
     slot_values = np.empty((n, num_slots))
-    for lo, hi in row_runs(bounds):
+    for lo, hi in block_runs(len(present), counts[present] * num_slots):
         run = [pool[i] for i in present[lo:hi].tolist()]
         run_counts = counts[present[lo:hi]]
         slates = instance.logging.sample_rows(run, run_counts, rng)

@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic reductions, seeding, formatting,
-and the linear-algebra thread cap."""
+the block budget of bounded loops, and the linear-algebra thread cap."""
 
 from __future__ import annotations
 
@@ -8,8 +8,11 @@ import functools
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
+
+BLOCK_CELLS = 1 << 18  # array elements of the largest temporary one block holds: 2 MB of float64
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy wheels bundle
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -33,6 +36,27 @@ def pairwise_sum(values: np.ndarray) -> float:
         head = block[: 2 * half]
         block = np.concatenate([head[0::2] + head[1::2], block[2 * half :]])
     return float(block[0])
+
+
+def block_runs(n: int, cost) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of n consecutive items whose costs sum to at most
+    ``BLOCK_CELLS``, or one item when it alone is over: the blocks a bounded
+    loop takes at a time, so its temporaries stay bounded. ``cost`` is every
+    item's cost, or an array of each item's, in elements of the largest
+    temporary the item adds to a block. The budget is looked up as the runs
+    are taken, never bound at definition, so patching ``BLOCK_CELLS``
+    reaches every loop."""
+    if np.ndim(cost) == 0:
+        step = max(1, BLOCK_CELLS // int(cost))
+        yield from ((lo, min(lo + step, n)) for lo in range(0, n, step))
+        return
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < n:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + BLOCK_CELLS, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def context_entropy(context) -> int:

@@ -6,7 +6,9 @@ through ``cli.main``, and the SHA-256 of its stdout and of every output file
 but ``manifest.txt`` (timestamps and paths) is compared with
 ``tests/data/benchmark_sha256.txt``. The hashes depend on the numpy and BLAS
 builds, so the file names the versions it was recorded with and the test
-is skipped on others.
+is skipped on others. Each seed runs at the default block budget
+(``util.BLOCK_CELLS``) and at the smallest, one item per run: how bounded
+loops split their work must move no output bit.
 
 To re-record after a change that moves bits on purpose (and say which
 outputs moved, and why, in CHANGES.md):
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slateval import util
 from slateval.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,11 +95,17 @@ def _recorded() -> tuple[str, list[str]]:
     return lines[0].removeprefix("# "), lines[1:]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_benchmark_outputs_match_recorded_hashes(seed, tmp_path):
+@pytest.mark.parametrize(
+    "seed, budget",
+    [pytest.param(seed, None, id=str(seed)) for seed in SEEDS]
+    + [pytest.param(seed, 1, id=f"{seed}-one-item-runs") for seed in SEEDS],
+)
+def test_benchmark_outputs_match_recorded_hashes(seed, budget, tmp_path, monkeypatch):
     builds, recorded = _recorded()
     if builds != _builds():
         pytest.skip(f"hashes recorded with {builds}; this is {_builds()}")
+    if budget is not None:
+        monkeypatch.setattr(util, "BLOCK_CELLS", budget)
     assert _digests(seed, tmp_path) == [line for line in recorded if line.startswith(f"{seed} ")]
 
 

@@ -22,7 +22,7 @@ from slateval import (
     pinv_uniform_cartesian,
     pinv_uniform_ranking,
 )
-from slateval import moments
+from slateval import moments, util
 from slateval.moments import Provenance, uniform_moment_matrix
 
 
@@ -436,11 +436,12 @@ def test_stacked_pinv_names_the_asymmetry_of_the_first_asymmetric_matrix():
         pinv_numeric(stack)
 
 
-def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds():
-    """A stack longer than STACK_ROWS is reduced in runs of contexts (here
-    two contexts, then one); every context's matrix and mean indicator
-    equal its one-context build."""
-    from slateval.policies import STACK_ROWS
+def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds(monkeypatch):
+    """With BLOCK_CELLS at the rows x slots of two contexts' samples, a
+    stack of three is reduced in runs of two contexts, then one, both for
+    its mean indicators and for its second moments; every context's matrix
+    and mean indicator equal its one-context build."""
+    from slateval.policies import MomentArrays
 
     space = SlateSpace.ranking(5, 3)
     contexts = ["a", "b", "c"]
@@ -449,10 +450,18 @@ def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds():
     def make():
         return MultinomialWoRPolicy(space, scores, 1.0, enumeration_cap=10, mc_samples=30_000)
 
+    monkeypatch.setattr(util, "BLOCK_CELLS", 2 * 30_000 * space.num_slots)
+    runs, chunks = [], MomentArrays.chunks
+
+    def spied(self):
+        for lo, hi, part in chunks(self):
+            runs.append((lo, hi))
+            yield lo, hi, part
+
+    monkeypatch.setattr(MomentArrays, "chunks", spied)
     policy = make()
-    rows = policy.moment_rows(contexts, space)
-    assert [(lo, hi) for lo, hi, _ in rows.chunks()] == [(0, 2), (2, 3)] and 60_000 < STACK_ROWS
     stacked = moment_matrix(policy, contexts)
+    assert runs == [(0, 2), (2, 3)] * 2
     for i, context in enumerate(contexts):
         alone = make()
         assert np.array_equal(moment_matrix(alone, context).entries, stacked.entries[i])
@@ -460,10 +469,11 @@ def test_stacks_of_more_rows_than_one_chunk_equal_one_context_builds():
 
 
 def test_stacks_of_more_contexts_than_one_run_equal_one_context_builds(monkeypatch):
-    """With STACK_CELLS at two matrices, the moments of five contexts are
+    """With BLOCK_CELLS at two matrices, the moments of five contexts are
     built in runs of two, two and one, and the estimators and overlap
-    diagnostics read their stacks in the same runs; every store row equals
-    its one-context build and every output equals the one-run output."""
+    diagnostics read their pseudoinverse stacks in the same runs; every
+    store row equals its one-context build and every output equals the
+    one-run output."""
     from helpers import draw_ada_logs, make_ada_instance, mixture_logging_policy
     from slateval.diagnostics import overlap_profile
     from slateval.estimators import _ScoredBatch
@@ -482,8 +492,17 @@ def test_stacks_of_more_contexts_than_one_run_equal_one_context_builds(monkeypat
         profile = overlap_profile(instance.contexts, logging, target, pinv_source=source)
         return source, (scored.pi(diagnostics=True), scored.ips(), scored.wips(), profile)
 
+    stacks, pinv_stack = [], PinvSource.pinv_stack
+    monkeypatch.setattr(
+        PinvSource,
+        "pinv_stack",
+        lambda self, policy, contexts: stacks.append(len(contexts))
+        or pinv_stack(self, policy, contexts),
+    )
     one_run, expected = outputs()
-    monkeypatch.setattr(moments, "STACK_CELLS", 2 * instance.space.dim**2)
+    assert stacks and set(stacks) == {5}
+    stacks.clear()
+    monkeypatch.setattr(util, "BLOCK_CELLS", 2 * instance.space.dim**2)
     sizes = []
     build = moments.moment_matrix
 
@@ -495,6 +514,7 @@ def test_stacks_of_more_contexts_than_one_run_equal_one_context_builds(monkeypat
     monkeypatch.setattr(moments, "moment_matrix", counted)
     source, got = outputs()
     assert sizes == [2, 2, 1]
+    assert len(stacks) >= 6 and stacks == [2, 2, 1] * (len(stacks) // 3)
     assert got == expected
     for context in instance.contexts:
         (store, (row,)), (alone, (at,)) = (

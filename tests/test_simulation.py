@@ -16,7 +16,7 @@ from slateval import (
     generate_synthetic,
     run_rmse_sweep,
 )
-from slateval import policies
+from slateval import util
 from slateval.moments import PinvSource
 from slateval.policies import DeterministicPolicy, MultinomialWoRPolicy
 from slateval.ridge import add_intercept
@@ -408,13 +408,26 @@ def uniform_top_slots(instance):
     return draw
 
 
-@pytest.mark.parametrize("stack_rows", [None, 40])
+def spy_sample_rows(monkeypatch, policy) -> list:
+    """The contexts of each ``sample_rows`` call of the policy, in order."""
+    calls, sample_rows = [], policy.sample_rows
+    monkeypatch.setattr(
+        policy,
+        "sample_rows",
+        lambda contexts, counts, rng: calls.append(list(contexts))
+        or sample_rows(contexts, counts, rng),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("budget", [None, 40])
 @pytest.mark.parametrize("logging", ["pl0", "pl1", "pl40", "uniform", "mixture"])
-def test_batched_draws_equal_per_context_draws(monkeypatch, logging, stack_rows):
-    """draw_logs over two spaces, in one run or in many, draws what one call
-    per context draws and leaves the generator in the same state."""
-    if stack_rows is not None:
-        monkeypatch.setattr(policies, "STACK_ROWS", stack_rows)
+def test_batched_draws_equal_per_context_draws(monkeypatch, logging, budget):
+    """draw_logs over two spaces, in one run or (with BLOCK_CELLS at 40) in
+    many runs and sort blocks, draws what one call per context draws and
+    leaves the generator in the same state."""
+    if budget is not None:
+        monkeypatch.setattr(util, "BLOCK_CELLS", budget)
     temperature = {"pl0": 0.0, "pl1": 1.0, "pl40": 40.0}.get(logging, 1.0)
     instance = two_space_instance(temperature, noise="bernoulli" if logging == "pl1" else "none")
     spaces = {c: instance.space_of(c) for c in instance.contexts}
@@ -427,9 +440,12 @@ def test_batched_draws_equal_per_context_draws(monkeypatch, logging, stack_rows)
     else:
         reference = gumbel_top_slots(instance)
     subset = instance.contexts[::-1][:7]  # reversed: the two spaces interleave
+    calls = spy_sample_rows(monkeypatch, instance.logging)
     for n, contexts in ((1, None), (500, None), (500, subset), (3000, subset)):
         got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        calls.clear()
         got = draw_logs(instance, n, got_rng, contexts=contexts)
+        assert len(calls) == 1 if budget is None or n == 1 else len(calls) >= 2
         picks, actions, rewards, slot_values = per_context_draw_logs(
             instance, n, want_rng, contexts, reference
         )
@@ -440,10 +456,14 @@ def test_batched_draws_equal_per_context_draws(monkeypatch, logging, stack_rows)
         assert got_rng.random() == want_rng.random()
 
 
-def test_draws_above_one_run_of_stack_rows():
+def test_draws_above_one_run_of_the_block_budget(monkeypatch):
+    """At the default BLOCK_CELLS, more rows x slots than one run holds
+    are drawn in several runs, and equal the per-context draws."""
     instance = two_space_instance(1.0)
-    n = policies.STACK_ROWS + 5000
+    n = util.BLOCK_CELLS // instance.space_of(instance.contexts[0]).num_slots + 5000
+    calls = spy_sample_rows(monkeypatch, instance.logging)
     got = draw_logs(instance, n, np.random.default_rng(3))
+    assert len(calls) >= 2
     want_rng = np.random.default_rng(3)
     _, actions, rewards, _ = per_context_draw_logs(
         instance, n, want_rng, draw=gumbel_top_slots(instance)
