@@ -93,8 +93,9 @@ def decompose(
     """Reward decomposition through the logging pseudoinverse, summed per
     context and fold residue class.
 
-    Works one space at a time, in runs of contexts at rows x slots cells a
-    context (``util.block_runs``): one ``validate_batch`` and one
+    Works one space at a time, in runs of contexts at rows x slots plus
+    ``FOLDS`` x dim cells a context, its logged coordinates and its class
+    sums (``util.block_runs``): one ``validate_batch`` and one
     ``coords_of_actions`` serve all of a run's contexts. A failing check is
     redone context by context in batch order, so the error names the first
     failing context. One reward-weighted ``bincount`` of the run's logged
@@ -123,7 +124,7 @@ def decompose(
         pinv = store.column("pinv")
         space_rows = [groups[i][1] for i in positions]
         sizes = np.array([len(rows) for rows in space_rows])
-        for lo, hi in block_runs(len(sizes), sizes * space.num_slots):
+        for lo, hi in block_runs(len(sizes), sizes * space.num_slots + FOLDS * space.dim):
             rows = np.concatenate(space_rows[lo:hi])
             try:
                 coords = space.coords_of_actions(space.validate_batch(batch.actions[rows]))
@@ -170,9 +171,10 @@ class PointwiseScorer:
 
     def score_tables(self, contexts, space: SlateSpace, features: FeatureMap) -> np.ndarray:
         """(contexts, slots, max actions) score tables of contexts on one
-        space, from one stacked product; impossible cells are -inf."""
-        tables = np.stack([_feature_table(space, c, features) for c in contexts])
-        scores = tables @ self.feature_weights()
+        space, one (dim, feature_dim) @ weights product a context, so no
+        stack of feature tables is held; impossible cells are -inf."""
+        weights = self.feature_weights()
+        scores = np.stack([_feature_table(space, c, features) @ weights for c in contexts])
         scores += np.repeat(self.slot_weights(), space.slot_counts)
         width = max(space.slot_counts)
         if space.dim == space.num_slots * width:
@@ -284,7 +286,7 @@ def evaluate_learned(scorer, instance, contexts=None) -> float:
 
     A scorer gives the score tables of many contexts on one space in one
     call, ``scorer.score_tables(contexts, space, features)`` (a
-    ``PointwiseScorer`` through one stacked product). Each space's contexts
+    ``PointwiseScorer`` through one product a context). Each space's contexts
     are scored, built by one greedy pass and checked by one
     ``validate_batch``, in runs of contexts at dim (slot, action) rows a
     context (``util.block_runs``); the NDCG values are then summed in the

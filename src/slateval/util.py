@@ -46,11 +46,7 @@ def block_runs(n: int, cost) -> Iterator[tuple[int, int]]:
     temporary the item adds to a block. The budget is looked up as the runs
     are taken, never bound at definition, so patching ``BLOCK_CELLS``
     reaches every loop."""
-    if np.ndim(cost) == 0:
-        step = max(1, BLOCK_CELLS // int(cost))
-        yield from ((lo, min(lo + step, n)) for lo in range(0, n, step))
-        return
-    ends = np.cumsum(cost)
+    ends = np.cumsum(np.broadcast_to(cost, (n,)))
     lo = 0
     while lo < n:
         start = int(ends[lo - 1]) if lo else 0

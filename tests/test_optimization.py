@@ -547,8 +547,8 @@ def test_evaluate_learned_over_two_spaces_matches_per_context_greedy():
     "space", [SlateSpace.ranking(6, 3), SlateSpace.cartesian((2, 4, 3))], ids=["ranking", "ragged"]
 )
 def test_stacked_scores_equal_one_context_products_bitwise(space):
-    """One stacked product scores every context as its own (dim,
-    feature_dim) @ weights product would, bit for bit; cells past a short
+    """The stacked score tables of many contexts hold each context's own
+    (dim, feature_dim) @ weights product, bit for bit; cells past a short
     slot's actions are -inf."""
     features = unit_features(space, dim=5, seed=3)
     rng = np.random.default_rng(4)

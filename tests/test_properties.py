@@ -47,7 +47,8 @@ from slateval.logs import _canonical_columns, _text_columns
 from slateval.optimization import FOLDS
 from slateval.ridge import cv_select_alpha, fold_moments_from_rows, solve_ridge
 from slateval.spaces import space_of
-from slateval.util import pairwise_sum
+from slateval import util
+from slateval.util import block_runs, pairwise_sum
 
 # derandomized so the suite gives the same verdict on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -335,6 +336,27 @@ def stacked_logging(draw):
         return UniformMixturePolicy(policy, kappa) if kind == "mixture" else policy
 
     return make, contexts, draw(st.permutations(contexts))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(1, 9), max_size=40),
+    st.integers(1, 30),
+)
+def test_block_runs_are_the_longest_runs_within_the_budget(costs, budget):
+    """The runs cover the items in order; each run's summed cost fits the
+    budget read at call time, or the run is one item over it; no run could
+    take its next item; one cost for every item splits as the array of it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(util, "BLOCK_CELLS", budget)
+        runs = list(block_runs(len(costs), np.array(costs, dtype=np.int64)))
+        assert list(block_runs(len(costs), 7)) == list(block_runs(len(costs), [7] * len(costs)))
+    assert [lo for lo, _ in runs] + [len(costs)] == [0] + [hi for _, hi in runs]
+    for lo, hi in runs:
+        assert hi > lo
+        assert sum(costs[lo:hi]) <= budget or hi == lo + 1
+        if hi < len(costs):
+            assert sum(costs[lo : hi + 1]) > budget
 
 
 @PROPERTY_SETTINGS
